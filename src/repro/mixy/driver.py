@@ -81,6 +81,7 @@ from repro.smt.simplify import simplify
 from repro.trace import TRACER
 
 if TYPE_CHECKING:
+    from repro.parallel import ParallelEngine
     from repro.witness import Witness
 
 
@@ -137,8 +138,8 @@ class MixyConfig:
     #: worker processes for the parallel engine (``--jobs``; see
     #: repro.parallel): each fixpoint round's symbolic frontier is
     #: speculatively fanned out and the warmed query cache merged back
-    #: before the authoritative serial pass.  1 = the serial path, byte
-    #: for byte.  Defaults from the REPRO_JOBS environment variable.
+    #: before the authoritative serial pass.  1 = no fan-out.  Defaults
+    #: from the REPRO_JOBS environment variable.
     jobs: int = field(default_factory=lambda: _env_int("REPRO_JOBS", 1))
     #: speculative-dispatch policy under ``--jobs N`` (``--schedule``;
     #: see repro.schedule): "fifo" = one task per frontier block,
@@ -154,10 +155,10 @@ class MixyConfig:
     )
     #: cross-run analysis store (``--store DIR``; see repro.store): an
     #: opened :class:`repro.store.AnalysisStore`, or None.  Block-result
-    #: memos are consulted/recorded only on the serial path with no
-    #: budget, witness validation, or fault injection — exactly the
-    #: conditions under which a skipped block's observable effects can
-    #: be replayed bit for bit (see _analyze_symbolic_inner).
+    #: memos are consulted/recorded only with no budget, witness
+    #: validation, or fault injection — exactly the conditions under
+    #: which a skipped block's observable effects can be replayed bit
+    #: for bit (see Mixy._store_active).
     store: Optional[object] = None
 
 
@@ -171,15 +172,11 @@ class _CacheEntry:
 class _BlockExecution:
     """One symbolic block execution's results plus the bookkeeping the
     cross-run store needs to replay it: null conclusions as indices into
-    the (deterministic) watched list, and how many fresh symbols /
-    addresses execution consumed (a store hit fast-forwards past them so
-    later blocks' names match a cold run's exactly)."""
+    the (deterministic) watched list, and whether it made typed calls."""
 
     null_slots: list[QVar]
     warnings: list[CWarning]
     null_indices: tuple[int, ...]
-    symbols_consumed: int
-    addresses_consumed: int
     typed_calls_delta: int
 
 
@@ -203,13 +200,6 @@ class _ReplayContext:
 #: Warning kinds whose presence means the block run abstracted something
 #: the concrete replay executes for real — never classify DIVERGED then.
 _INEXACT_KINDS = (CErrKind.RECURSION, CErrKind.UNSUPPORTED, CErrKind.BUDGET)
-
-
-def _engine_available() -> bool:
-    """Whether fork fan-out is possible here (see repro.parallel)."""
-    from repro.parallel import ParallelEngine
-
-    return ParallelEngine.available()
 
 
 class Mixy:
@@ -244,22 +234,18 @@ class Mixy:
         from repro.schedule import make_scheduler
 
         self._scheduler = make_scheduler(self.config)
-        if self.config.jobs > 1 and _engine_available():
+        self._parallel: Optional["ParallelEngine"] = None
+        if self.config.jobs > 1:
+            # Where fork fan-out is impossible (inside a pool worker, on
+            # fork-less platforms) the engine's warm_mixy_round no-ops.
             from repro.parallel import ParallelEngine
 
-            self._parallel: Optional[ParallelEngine] = ParallelEngine(
+            self._parallel = ParallelEngine(
                 self.config.jobs, scheduler=self._scheduler
             )
-        else:
-            # Serial, or built where fork fan-out is impossible (inside
-            # a pool worker, on fork-less platforms): must take the
-            # serial path byte for byte — parallel mode also switches to
-            # block-deterministic symbol naming.
-            self._parallel = None
         #: Memoized per-block content hashes / wave features (scheduling).
         self._block_hashes: dict[str, str] = {}
         self._block_features: dict[str, frozenset] = {}
-        self._cell_slots: dict[int, QVar] = {}  # provenance: cell -> qual var
         self.stats = {
             "fixpoint_iterations": 0,
             "symbolic_blocks_run": 0,
@@ -434,10 +420,14 @@ class Mixy:
     # ------------------------------------------------------------------
 
     def _analyze_symbolic_function(self, name: str) -> None:
-        if not TRACER.enabled:
-            return self._analyze_symbolic_inner(name, None)
-        with TRACER.span("mixy.block", name) as span:
-            return self._analyze_symbolic_inner(name, span)
+        # Every block entry — top-level or nested, executed or replayed
+        # from the store — names its symbols and addresses in its own
+        # scope (see CSymExecutor.block_scope).
+        with self.executor.block_scope():
+            if not TRACER.enabled:
+                return self._analyze_symbolic_inner(name, None)
+            with TRACER.span("mixy.block", name) as span:
+                return self._analyze_symbolic_inner(name, span)
 
     def _analyze_symbolic_inner(self, name: str, span) -> None:
         fn = self.program.functions[name]
@@ -456,14 +446,6 @@ class Mixy:
             smt.get_service().tier_order = self._scheduler.tier_order_for(
                 self.block_content_hash(name)
             )
-        if self._parallel is not None and not self._block_stack:
-            # Parallel mode: block-deterministic naming.  Restarting the
-            # fresh-symbol and address counters at each top-level block
-            # entry makes a block's terms a function of (program, calling
-            # context) alone, so speculative worker verdicts — and earlier
-            # fixpoint rounds' verdicts — hit the cache here.  Never done
-            # at --jobs 1, which must take the serial path byte for byte.
-            self.executor.reset_block_counters()
         context_key, context_slots = self._calling_context(fn)
         stack_key = (name, context_key)
         if stack_key in self._block_stack:
@@ -487,8 +469,8 @@ class Mixy:
             entry = self.config.store.mixy_get(memo_key)
             if entry is not None:
                 # Cross-run store hit: replay the block's observable
-                # effects — materialization, name consumption, warnings,
-                # null conclusions — without re-executing it.
+                # effects — warnings and null conclusions — without
+                # re-executing it.
                 if span is not None:
                     span.fields["store_hit"] = True
                 self._replay_block_entry(fn, context_slots, entry, name, stack_key)
@@ -538,8 +520,6 @@ class Mixy:
                         (w.kind.value, w.message, w.function)
                         for w in execution.warnings
                     ),
-                    "symbols": execution.symbols_consumed,
-                    "addresses": execution.addresses_consumed,
                 },
             )
         if self.config.restore_aliasing:
@@ -549,13 +529,13 @@ class Mixy:
 
     def _store_active(self) -> bool:
         """Memoization is on only when a skip is provably transparent:
-        serial naming (no parallel reset), no budget (a skip consumes no
-        paths, so breach behavior would differ), no witness validation
-        (replay needs the real execution), no fault injection (the
-        fault schedule indexes live queries)."""
+        no budget (a skip consumes no paths, so breach behavior would
+        differ), no witness validation (replay needs the real
+        execution), no fault injection (the fault schedule indexes live
+        queries).  Naming needs no condition: block-scoped names mean a
+        skipped block shifts no other block's terms."""
         return (
             self.config.store is not None
-            and self._parallel is None
             and self.config.budget is None
             and not self.config.validate_witnesses
             and smt.get_service().fault_injector is None
@@ -619,10 +599,10 @@ class Mixy:
         stack_key: tuple,
     ) -> None:
         """Apply a stored block result as if the block had just run: the
-        context is materialized for real (same fresh names as a cold
-        run), execution's name consumption is fast-forwarded, warnings
-        are re-raised through the deduplicating path, and the stored
-        watched-slot indices become this run's QVar conclusions."""
+        context is materialized to rebuild the watched list a cold run
+        saw, warnings are re-raised through the deduplicating path, and
+        the stored watched-slot indices become this run's QVar
+        conclusions."""
         state = self.executor.initial_state()
         watched: list[tuple[int, QVar]] = []
         saved_global_env = self.executor.global_env
@@ -631,7 +611,6 @@ class Mixy:
             self._materialize_context(fn, context_slots, state, watched)
         finally:
             self.executor.global_env = saved_global_env
-        self.executor.fast_forward(entry["symbols"], entry["addresses"])
         warnings = []
         for kind_value, message, function in entry["warnings"]:
             self.executor.warn(CErrKind(kind_value), message, function)
@@ -704,7 +683,6 @@ class Mixy:
         state, args = self._materialize_context(fn, context_slots, state, watched)
         warnings_before = len(self.executor.warnings)
         typed_calls_before = self.stats["typed_calls"]
-        alpha_mark, address_mark = self.executor.counter_marks()
         saved_context = self._replay_context
         if self.config.validate_witnesses:
             self._replay_context = _ReplayContext(
@@ -721,7 +699,6 @@ class Mixy:
         finally:
             self.executor.global_env = saved_global_env
             self._replay_context = saved_context
-        alpha_after, address_after = self.executor.counter_marks()
         new_warnings = self.executor.warnings[warnings_before:]
         # §4.1 symbolic values -> types: a watched cell whose final value
         # may be 0 on some feasible path constrains its slot to null.
@@ -742,8 +719,6 @@ class Mixy:
             null_slots=null_slots,
             warnings=new_warnings,
             null_indices=tuple(null_indices),
-            symbols_consumed=alpha_after - alpha_mark,
-            addresses_consumed=address_after - address_mark,
             typed_calls_delta=self.stats["typed_calls"] - typed_calls_before,
         )
 
@@ -758,7 +733,6 @@ class Mixy:
             # The global's own cell is observable from typed code: watch it
             # so e.g. `g = NULL;` inside the block constrains g's qualifier.
             watched.append((obj.base, qt.quals[0]))
-            self._cell_slots[obj.base] = qt.quals[0]
         return state, obj.base
 
     def _translate_in(
@@ -794,7 +768,6 @@ class Mixy:
                 state = state.write(obj.base, inner_value)
                 if inner.quals:
                     watched.append((obj.base, inner.quals[0]))
-                    self._cell_slots[obj.base] = inner.quals[0]
             address = smt.int_const(obj.base)
             if solution is NONNULL:
                 # Optimistic (or proven) nonnull: points at the fresh cell.
@@ -841,7 +814,6 @@ class Mixy:
                     )
                 if fq.quals:
                     watched.append((cell, fq.quals[0]))
-                    self._cell_slots[cell] = fq.quals[0]
             state = state.write(cell, value)
         return state, obj
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from typing import Callable, Iterator, Optional
@@ -207,12 +208,9 @@ class CSymExecutor:
             Callable[[CState, smt.Term, CWarning], Optional[object]]
         ] = None
         self.witnesses: dict[tuple, object] = {}
-        #: next fresh-symbol ordinal; a plain int (not itertools.count)
-        #: so the cross-run block store can snapshot and fast-forward it
-        self._alpha = 1
-        #: per-hint fresh-symbol counters; installed (non-None) only by
-        #: reset_block_counters, i.e. only ever in parallel mode
-        self._hint_alpha: Optional[defaultdict] = None
+        #: per-hint fresh-symbol counters; :meth:`block_scope` swaps in a
+        #: fresh set for each symbolic block
+        self._hint_alpha = _hint_counters()
         self._next_address = 1
         self.fn_addresses: dict[str, int] = {}
         self.stats = {
@@ -228,8 +226,8 @@ class CSymExecutor:
         for name in program.functions:
             self.fn_addresses[name] = self._alloc_address(1)
         self._fn_by_address = {v: k for k, v in self.fn_addresses.items()}
-        #: first address past the (stable) function addresses; the
-        #: block-deterministic naming reset rewinds allocation to here
+        #: first address past the (stable) function addresses; every
+        #: block scope starts allocating here
         self._address_base = self._next_address
 
     # -- allocation ----------------------------------------------------------------
@@ -239,50 +237,38 @@ class CSymExecutor:
         self._next_address += max(size, 1)
         return base
 
-    def reset_block_counters(self) -> None:
-        """Switch to block-deterministic naming and rewind allocation to
-        its post-init point (function addresses stay put).  The parallel
-        engine calls this at each *top-level* block entry so a block's
-        terms depend only on (program, calling context), making them
-        identical between a speculative worker run, the parent's
-        authoritative run, and re-runs in later fixpoint rounds — which
-        is what lets the query cache match across processes and rounds.
+    @contextmanager
+    def block_scope(self) -> Iterator[None]:
+        """Name fresh symbols and addresses per hint, per block.
 
-        Naming becomes *per hint* rather than one global sequence: a
-        context change that adds one fresh symbol (say a global turning
-        may-null adds its ``_isnull`` choice) must not shift the names of
-        every later symbol, or no formula from the previous round would
-        ever match again.  Distinct hints yield distinct names and the
-        per-hint sequence keeps repeats of one hint apart, so uniqueness
-        within a path condition is preserved.  Blocks use disjoint fresh
-        states, so reused names/addresses can never collide within one
-        path.  Serial mode (``--jobs 1``) never calls this."""
-        self._hint_alpha = defaultdict(lambda: itertools.count(1))
+        The driver enters one scope per symbolic block run, nested blocks
+        and store replays included: the per-hint counters restart,
+        allocation rewinds to just past the function addresses, and both
+        are restored on exit.  A block's terms are then a function of
+        (program, calling context), so its re-run in a later fixpoint
+        round or in a speculative worker builds formulas the query cache
+        already answered, and skipping a block shifts no other block's
+        names.  Counters are per hint, not one sequence, so a context
+        change that adds one symbol does not rename every later one.
+
+        Invariant: reused names never meet.  Every block starts from a
+        fresh :meth:`initial_state` and only qualifier-variable
+        conclusions flow back to its caller (a typed call's effect on the
+        caller's state is a havoc drawn from the caller's restored
+        scope), so a nested block's names never share a path condition
+        with the enclosing block's."""
+        saved = self._hint_alpha, self._next_address
+        self._hint_alpha = _hint_counters()
         self._next_address = self._address_base
-
-    def counter_marks(self) -> tuple[int, int]:
-        """(fresh-symbol ordinal, next address) — a peek, consuming
-        nothing.  The cross-run block store diffs two marks to learn how
-        many symbols/addresses a block's execution consumed, so a store
-        hit can :meth:`fast_forward` past them and leave every later
-        block's names exactly where a cold run would have put them."""
-        return self._alpha, self._next_address
-
-    def fast_forward(self, symbols: int, addresses: int) -> None:
-        """Advance the serial naming counters as if ``symbols`` fresh
-        symbols and ``addresses`` cells had been allocated (store hits
-        replaying a skipped execution; serial naming only — the
-        block-deterministic mode has nothing to fast-forward)."""
-        assert self._hint_alpha is None, "fast_forward is serial-only"
-        self._alpha += symbols
-        self._next_address += addresses
+        try:
+            yield
+        finally:
+            self._hint_alpha, self._next_address = saved
 
     def fresh_symbol(self, hint: str = "c") -> smt.Term:
-        if self._hint_alpha is not None:
-            return smt.var(f"{hint}!{next(self._hint_alpha[hint])}", smt.INT)
-        name = f"{hint}!{self._alpha}"
-        self._alpha += 1
-        return smt.var(name, smt.INT)
+        """A fresh integer symbol ``hint!N``: N counts this hint's
+        symbols within the current :meth:`block_scope`."""
+        return smt.var(f"{hint}!{next(self._hint_alpha[hint])}", smt.INT)
 
     def object_size(self, ctype: CType) -> int:
         if isinstance(ctype, StructType):
@@ -983,6 +969,11 @@ class _Frame:
     # No default: the caller must pass config.max_lazy_objects_per_path,
     # otherwise a frame silently ignores the configured lazy-object cap.
     lazy_budget: int
+
+
+def _hint_counters() -> defaultdict:
+    """hint -> its own fresh-symbol ordinal sequence, starting at 1."""
+    return defaultdict(lambda: itertools.count(1))
 
 
 def _collect_locals(stmt: CStmt, env: dict[str, CType]) -> None:

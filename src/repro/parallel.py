@@ -36,16 +36,14 @@ the serial pass re-solving that block's queries itself.  A
 the serial pass and is contained there by trust ring 3 exactly as in a
 serial run: repro written, block degraded, run continues.
 
-So that a block's speculative terms match the serial pass's terms (the
-cache is keyed on hash-consed conjunct sets), parallel mode names
-symbols and addresses *block-deterministically*: the MIXY executor's
-fresh-symbol and address counters restart at each top-level block entry
-(``CSymExecutor.reset_block_counters``).  A welcome side effect is that
-re-analyzing a block in a later fixpoint round regenerates identical
-terms, so cache warming compounds across rounds — serial mode's
-ever-advancing counters can never reuse a cross-round verdict.
-``--jobs 1`` takes the pre-existing code path byte-for-byte: no forks,
-no counter resets, no deltas.
+A block's speculative terms match the authoritative pass's terms (the
+cache is keyed on hash-consed conjunct sets) because the MIXY executor
+names symbols and addresses *per block* at every ``--jobs``: each block
+run, nested ones included, gets its own naming scope
+(``CSymExecutor.block_scope``).  The same property lets a re-analysis
+of a block in a later fixpoint round regenerate identical terms, so
+cache reuse compounds across rounds with or without workers.
+``--jobs 1`` differs only in what it skips: no forks, no deltas.
 
 With ``--schedule waves|portfolio`` a :class:`repro.schedule.Scheduler`
 plans each round instead of the one-task-per-item fifo fan-out: related

@@ -8,7 +8,7 @@ that reuse survive the process: a small on-disk store that a later run
 — or a long-lived ``repro serve`` daemon across restarts — loads to
 start warm.
 
-Layout of one store directory (format version 2)::
+Layout of one store directory (format version 3)::
 
     .repro-store/
       meta.json            # manifest: schema, generation, per-section CRCs
@@ -26,11 +26,14 @@ cached — so importing a store can accelerate but never change an
 answer.
 
 The **block memo** sections record, per analyzed block, just enough to
-replay the block's *observable effects* without re-executing it: which
-watched slots concluded null (MIXY), the result type and stat deltas
-(MIX), the warnings it raised, and how many fresh names it consumed
-(so a skip leaves every later block's terms exactly where a cold run
-would put them).  Keys are content hashes over the block's text, its
+replay the block's *observable effects* without re-executing it: the
+warnings it raised plus which watched slots concluded null (MIXY), or
+the result type, stat deltas and fresh names consumed (MIX, whose one
+name supply runs through the whole program, so a skip fast-forwards
+it).  MIXY names symbols per block
+(:meth:`repro.mixy.symexec.CSymExecutor.block_scope`), so a skipped
+MIXY block shifts no other block's names and needs no fast-forward.
+Keys are content hashes over the block's text, its
 transitive callee cone, and its typed calling context
 (:func:`repro.schedule.block_content_hash` widened with a context), so
 editing one function invalidates exactly that function's dependency
@@ -67,7 +70,7 @@ from typing import Optional
 
 from repro.fsio import atomic_write, checksummed_write, read_checksummed
 
-STORE_VERSION = 2
+STORE_VERSION = 3
 STORE_SCHEMA = "repro-store"
 
 #: The persisted sections, in save order.

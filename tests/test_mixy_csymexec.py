@@ -4,6 +4,7 @@ import pytest
 
 from repro import smt
 from repro.mixy.c import parse_program
+from repro.mixy.c.ast import INT_T
 from repro.mixy.symexec import CErrKind, CSymConfig, CSymExecutor
 
 
@@ -240,3 +241,39 @@ class TestCalls:
         """
         ex, _ = run_function(src, "f", make_args=lambda e: [e.fresh_symbol("h")])
         assert any(w.kind is CErrKind.UNSUPPORTED for w in ex.warnings)
+
+
+class TestBlockScope:
+    """Fresh symbols and addresses are named per hint, per block scope."""
+
+    def _executor(self):
+        return CSymExecutor(parse_program("int f(void) { return 0; }"))
+
+    def test_scope_restarts_names_and_addresses_per_hint(self):
+        ex = self._executor()
+        ex.fresh_symbol("x")
+        ex.allocate_object(ex.initial_state(), INT_T, "outer")
+        runs = []
+        for _ in range(2):
+            with ex.block_scope():
+                _, obj = ex.allocate_object(ex.initial_state(), INT_T, "cell")
+                runs.append((ex.fresh_symbol("x"), ex.fresh_symbol("y"),
+                             ex.fresh_symbol("x"), obj.base))
+        assert runs[0] == runs[1]
+        assert [str(t) for t in runs[0][:3]] == ["x!1", "y!1", "x!2"]
+
+    def test_scope_exit_restores_the_enclosing_counters(self):
+        ex = self._executor()
+        assert [str(ex.fresh_symbol("x")) for _ in range(3)] == [
+            "x!1", "x!2", "x!3"
+        ]
+        for label in ("a", "b"):
+            _, before = ex.allocate_object(ex.initial_state(), INT_T, label)
+        with pytest.raises(RuntimeError):
+            with ex.block_scope():
+                ex.fresh_symbol("x")
+                ex.allocate_object(ex.initial_state(), INT_T, "inner")
+                raise RuntimeError("block crashed")
+        assert str(ex.fresh_symbol("x")) == "x!4"
+        _, after = ex.allocate_object(ex.initial_state(), INT_T, "c")
+        assert after.base == before.base + 1

@@ -31,6 +31,12 @@ from repro.typecheck.types import INT
 
 JOBS = 4
 
+#: Full DPLL(T) solves of a cold ``--jobs 1`` run on
+#: ``parallel_vsftpd(depth=2)`` (measured; host-independent).  A serial
+#: run that stops reusing a block's verdicts across fixpoint rounds
+#: re-solves them: 1,900 solves.
+SERIAL_FULL_SOLVES_DEPTH2 = 744
+
 
 def _fresh_process_state():
     """Make a run independent of what earlier tests did in this process."""
@@ -83,6 +89,21 @@ class TestMixyEquivalence:
         assert serial == parallel
         assert len(serial) == 1
         assert "nonnull parameter p_ptr of sysutil_free" in serial[0]
+
+    def test_serial_runs_reuse_verdicts_across_rounds(self):
+        """Names are block-scoped at every --jobs, so a serial re-run of
+        a block in a later fixpoint round rebuilds the same formulas and
+        the exact cache tier answers them.  The counters are
+        host-independent; the ceiling is the measured full-solve count."""
+        source = parallel_vsftpd(depth=2)
+        serial, _ = _run_mixy(source, jobs=1)
+        stats = smt.get_service().stats
+        assert stats.query_timeouts == 0
+        assert stats.exact_hits > 0
+        assert stats.full_solves <= SERIAL_FULL_SOLVES_DEPTH2
+        parallel, _ = _run_mixy(source, jobs=2)
+        assert serial == parallel
+        assert len(serial) == 1
 
     def test_normalized_comparison_is_not_weaker_here(self):
         # The exact comparison above subsumes the normalized one; this

@@ -13,6 +13,7 @@ Two contracts under test here:
    verdict.
 """
 
+import contextlib
 import itertools
 import json
 import os
@@ -36,6 +37,48 @@ SOURCE = CASES["case1"].source(False)
 #: Corpus with *pure* symbolic blocks (no typed calls), the memoizable
 #: kind — what the round-trip tests need.
 STAIRCASE = parallel_vsftpd(depth=1)
+#: A pure symbolic block (``clamp``) reached only through a typed call
+#: (``pick``) made from inside another symbolic block (``session``).
+#: ``clamp`` is memoizable; on a warm run it is skipped mid-way through
+#: ``session``, whose later fresh names and addresses (``pick``'s
+#: havocked return object) must not move.  ``clamp``'s null conclusion
+#: for ``g_buf`` is what makes ``session`` warn.
+NESTED = """
+void sysutil_free(void *nonnull p_ptr) MIX(typed);
+int *g_buf;
+
+int clamp(int a, int b) MIX(symbolic) {
+  int r = 0;
+  if (a < 1) { return 0; }
+  if (a > 40) { return 0; }
+  if (b < 1) { return 0; }
+  if (3 * a - 2 * b > 7) { r = a - b; } else { r = b - a; }
+  if (r == 5) { g_buf = NULL; }
+  return r;
+}
+
+int *pick(int a, int b) MIX(typed) {
+  int t;
+  t = clamp(a, b);
+  return g_buf;
+}
+
+int session(int a, int b, int c) MIX(symbolic) {
+  int k = 0;
+  int *p;
+  if (c > 2) { sysutil_free(g_buf); }
+  p = pick(a, b);
+  if (p != NULL) { k = *p; }
+  if (2 * k - c < 9) { k = k + 1; }
+  return k;
+}
+
+int main(void) {
+  int x = 1;
+  g_buf = &x;
+  return session(2, 3, 4);
+}
+"""
 
 
 def _fresh_process_state():
@@ -46,14 +89,15 @@ def _fresh_process_state():
     values._STRING_CODES.clear()
 
 
-def _analyze(store=None, budget=None, source=SOURCE):
-    """One serial MIXY run in a reproducible process state; returns
-    (warning texts, store-stat snapshot)."""
+def _analyze(store=None, budget=None, source=SOURCE, jobs=1):
+    """One MIXY run in a reproducible process state; returns (warning
+    texts, store-stat snapshot).  ``jobs`` is explicit so REPRO_JOBS is
+    never inherited."""
     _fresh_process_state()
     if store is not None:
         store.load_into_service(smt.get_service())
     config = MixyConfig(budget=budget)
-    config.jobs = 1  # the memo is serial-only; don't inherit REPRO_JOBS
+    config.jobs = jobs
     config.store = store
     mixy = Mixy(source, config)
     warnings = [str(w) for w in mixy.run()]
@@ -114,8 +158,7 @@ class TestAtomicWrite:
 class TestStoreRoundTrip:
     def test_memo_entries_survive_save_open(self, tmp_path):
         store = AnalysisStore.open(str(tmp_path / "store"))
-        store.mixy_put("k1", {"null_indices": (0,), "warnings": (),
-                              "symbols": 3, "addresses": 1})
+        store.mixy_put("k1", {"null_indices": (0,), "warnings": ()})
         store.mix_put("k2", {"names": 2})
         store.save()
         reopened = AnalysisStore.open(str(tmp_path / "store"))
@@ -158,6 +201,15 @@ class TestStoreRoundTrip:
         assert warm_warnings == cold_warnings
         assert warm_stats["mixy_hits"] > 0
         assert warm_stats["solver_entries_loaded"] > 0
+
+    def test_mixy_entries_hold_only_conclusions_and_warnings(self, tmp_path):
+        # Block-scoped naming: a skipped block shifts no other block's
+        # names, so entries carry no fresh-name counts to fast-forward.
+        store = AnalysisStore.open(str(tmp_path / "store"))
+        _analyze(store, source=STAIRCASE)
+        assert store.mixy_blocks
+        for entry in store.mixy_blocks.values():
+            assert set(entry) == {"null_indices", "warnings"}
 
     def test_memo_is_inactive_under_a_budget(self, tmp_path):
         store = AnalysisStore.open(str(tmp_path / "store"))
@@ -235,6 +287,30 @@ class TestDegradation:
         assert store.mixy_blocks == {}
         # The untouched solver cache still loads.
         assert store.solver_cache is not None
+
+    def test_version_2_store_starts_cold(self, tmp_path, capsys, monkeypatch):
+        # The previous format: MIXY entries also counted the fresh
+        # symbols / addresses a block consumed.  Opening one is a
+        # version mismatch, never a KeyError.
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        cold_warnings, _ = _analyze(store, source=STAIRCASE)
+        store.mixy_blocks = {
+            key: {**entry, "symbols": 3, "addresses": 1}
+            for key, entry in store.mixy_blocks.items()
+        }
+        monkeypatch.setattr("repro.store.STORE_VERSION", 2)
+        store.save(smt.get_service())
+        monkeypatch.undo()
+        with open(os.path.join(root, "meta.json")) as fh:
+            assert json.load(fh)["version"] == 2
+        capsys.readouterr()
+        old = AnalysisStore.open(root)
+        assert "unsupported meta" in capsys.readouterr().err
+        assert old.mixy_blocks == {} and old.solver_cache is None
+        warnings, stats = _analyze(old, source=STAIRCASE)
+        assert warnings == cold_warnings
+        assert stats["mixy_hits"] == 0 and stats["solver_entries_loaded"] == 0
 
     def test_unreadable_meta_starts_cold(self, tmp_path, capsys):
         root = str(tmp_path / "store")
@@ -467,3 +543,77 @@ class TestGenerationRollback:
         assert store.stats["sections_recovered"] == 1
         assert store.mixy_get("k1") == {"v": 1}
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Nested blocks: block-scoped naming makes a mid-block skip transparent
+# ---------------------------------------------------------------------------
+
+
+class TestNestedBlocks:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_run_is_identical_and_replays_the_nested_block(
+        self, tmp_path, jobs
+    ):
+        cold_warnings, _ = _analyze(source=NESTED, jobs=jobs)
+        assert len(cold_warnings) == 1
+        assert "sysutil_free" in cold_warnings[0]
+        store = AnalysisStore.open(str(tmp_path / "store"))
+        first_warnings, first_stats = _analyze(store, source=NESTED, jobs=jobs)
+        store.save(smt.get_service())
+        assert first_warnings == cold_warnings
+        assert first_stats["mixy_records"] == 1  # clamp: the one pure block
+
+        warm = AnalysisStore.open(str(tmp_path / "store"))
+        warm_warnings, warm_stats = _analyze(warm, source=NESTED, jobs=jobs)
+        assert warm_warnings == cold_warnings
+        assert warm_stats["mixy_hits"] > 0
+        # Skipping clamp moved none of session's later terms: every
+        # query the warm run asks, the cold run asked under the same
+        # names, so the persisted solver cache answers all of them.
+        assert smt.get_service().stats.full_solves == 0
+
+    def test_nested_block_names_never_meet_the_enclosing_blocks(
+        self, monkeypatch
+    ):
+        """Every solver query mentions only symbols minted in the block
+        scope that issued it: a nested block's reused names never reach
+        its caller's path condition, nor the caller's names its own."""
+        _fresh_process_state()
+        mixy = Mixy(NESTED, MixyConfig(jobs=1))
+        executor = mixy.executor
+        scopes: list[set] = [set()]  # names minted per open scope
+        strays: list[set] = []
+        real_scope, real_fresh = executor.block_scope, executor.fresh_symbol
+
+        @contextlib.contextmanager
+        def block_scope():
+            scopes.append(set())
+            try:
+                with real_scope():
+                    yield
+            finally:
+                scopes.pop()
+
+        def fresh_symbol(hint="c"):
+            term = real_fresh(hint)
+            scopes[-1].add(term.name)
+            return term
+
+        service = smt.get_service()
+        real_check = service.check_sat
+
+        def check_sat(formulas, *args, **kwargs):
+            names = {
+                t.name for f in formulas for t in f.subterms() if t.is_var
+            }
+            if names - scopes[-1]:
+                strays.append(names - scopes[-1])
+            return real_check(formulas, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "block_scope", block_scope)
+        monkeypatch.setattr(executor, "fresh_symbol", fresh_symbol)
+        monkeypatch.setattr(service, "check_sat", check_sat)
+        assert len(mixy.run()) == 1
+        assert mixy.stats["symbolic_blocks_run"] > 2  # nesting happened
+        assert strays == []

@@ -1,19 +1,18 @@
 """E21 — concurrent daemon throughput with the prefork worker pool.
 
-E20 priced fork-per-request isolation against ``--no-isolate`` on a
-serial request series.  This experiment measures what PR 9 actually
-bought: *concurrent* analyze dispatch over persistent prefork workers.
-Two curves on the staircase vsftpd corpus, all daemons as real
-subprocesses over loopback TCP:
+What *concurrent* analyze dispatch over persistent prefork workers
+buys, and what request isolation costs.  Two curves on the staircase
+vsftpd corpus, all daemons as real subprocesses over loopback TCP:
 
 * **throughput** — eight concurrent clients fire a warm request burst
   (via the ``repro client --bench`` load generator's engine) at a
-  four-worker pool and at the legacy ``--pool 0`` fork-per-request
-  daemon, which serializes analyses behind one lock;
-* **isolation overhead** — E20's exact shape (one cold analyze, then
-  four warm ones, serial) against ``--no-isolate``: a pooled worker is
-  forked once and reused, so the per-request price drops from
-  fork+snapshot+full-delta to pickle+journal-suffix.
+  four-worker pool and at a one-worker pool (``--pool 1``), which
+  serializes analyses through its single worker — so the ratio is what
+  pool width buys;
+* **isolation overhead** — one cold analyze, then four warm ones,
+  serial, against ``--no-isolate``: a pooled worker is forked once and
+  reused, so the per-request price is pickle plus a journal-suffix
+  cache delta.
 
 Acceptance bars:
 
@@ -22,8 +21,8 @@ Acceptance bars:
 * with >=4 CPU cores, pooled throughput is **>=3x** the serialized
   daemon's; on any machine it never drops below 0.8x (the pool must
   not cost throughput even where it cannot buy parallelism);
-* pooled isolation overhead on the E20 series is **<=5%** over
-  in-process (E20's fork-per-request bar was 25%).
+* pooled isolation overhead on the cold+warm series is **<=5%** over
+  in-process.
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ def _throughput_series(tmp, source, mode, *extra):
 
 
 def _overhead_pairs(tmp, source):
-    """E20's shape — one cold analyze then WARM_REQUESTS warm ones,
-    serial, fresh daemon + store per life — run as OVERHEAD_REPS
+    """One cold analyze then WARM_REQUESTS warm ones, serial, fresh
+    daemon + store per life — run as OVERHEAD_REPS
     *adjacent* (pooled, in-process) pairs.  The cold analysis dominates
     the series and jitters far more than the 5% bar on a loaded
     machine (one 1s scheduler stall inside a ~3.5s CPU-bound rep is
@@ -209,7 +208,7 @@ def measurements(tmp_path_factory):
         "pooled": _throughput_series(
             tmp, source, "pooled", "--pool", str(POOL)
         ),
-        "serial": _throughput_series(tmp, source, "serial", "--pool", "0"),
+        "serial": _throughput_series(tmp, source, "serial", "--pool", "1"),
         "iso_pooled": iso_pooled,
         "iso_inproc": iso_inproc,
     }
@@ -230,7 +229,7 @@ def test_pool_actually_ran_and_merged(measurements):
     pooled = measurements["pooled"]
     assert pooled["pool"].get("forks", 0) >= 1
     assert pooled["epoch"] >= 1  # the cold request's memos were merged
-    assert not measurements["serial"]["pool"]  # legacy mode has no pool
+    assert measurements["serial"]["pool"].get("forks", 0) >= 1
 
 
 def test_pooled_throughput_beats_the_serialized_daemon(measurements):

@@ -636,7 +636,7 @@ class ChaosCampaign:
         workers = self._pool_workers()
         if not workers:
             # Pool not spawned yet (it forks lazily at the first
-            # analyze) or the daemon runs fork-per-request/in-process:
+            # analyze) or the daemon runs in-process:
             # warm it up and see if a pool appears.
             reply = self._analyze({})
             self._expect_status("pool_kill_idle", reply, "ok")

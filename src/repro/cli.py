@@ -249,12 +249,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     serve.add_argument(
         "--pool",
-        type=int,
+        type=_pool_width,
         default=None,
         metavar="N",
-        help="persistent prefork worker pool width: N long-lived workers "
-        "serve analyze requests concurrently and are recycled on staleness "
-        "or faults (default min(4, cpu count); 0 = legacy fork-per-request)",
+        help="persistent prefork worker pool width, N >= 1: N long-lived "
+        "workers serve analyze requests concurrently and are recycled on "
+        "staleness or faults (default min(4, cpu count); --no-isolate "
+        "serves in-process instead)",
     )
     serve.add_argument(
         "--worker-requests",
@@ -455,6 +456,20 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def _pool_width(text: str) -> int:
+    """``--pool N``: a pooled daemon has at least one worker."""
+    try:
+        width = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if width < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 1, got {width} (use --no-isolate to serve "
+            "in-process)"
+        )
+    return width
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:

@@ -111,18 +111,17 @@ RACE_TRIAL_SLACK = 2.0
 RACE_TRIAL_GRACE_SECS = 2.0
 
 
-def mark_forked_child(rescope_trace: bool = True) -> None:
+def mark_forked_child() -> None:
     """Mark this freshly forked process as a worker: it must never fan
     out again (``ParallelEngine.available()`` turns False), and its
     inherited tracer is rescoped to a per-worker sidecar file.  Called
-    by the pool initializer below and by ``repro serve``'s per-request
-    isolation workers — a SIGKILLed request worker that had forked its
+    by the pool initializer below and by ``repro serve``'s pooled
+    request workers — a SIGKILLed request worker that had forked its
     own grandchildren would orphan them, so request workers run serial.
     """
     global _IN_WORKER
     _IN_WORKER = True
-    if rescope_trace:
-        TRACER.rescope_for_worker()
+    TRACER.rescope_for_worker()
 
 
 def reset_worker_state() -> None:
@@ -177,7 +176,7 @@ def _speculate_block(name: str, path_cap: Optional[int]) -> SpeculationResult:
     driver = _WORKER_DRIVER
     assert driver is not None, "worker forked without a driver installed"
     service = smt.get_service()
-    baseline = service.cache_baseline()
+    mark = service.cache_mark()
     stats0 = replace(service.stats)
     budget = driver.config.budget
     if budget is not None:
@@ -192,7 +191,7 @@ def _speculate_block(name: str, path_cap: Optional[int]) -> SpeculationResult:
     if TRACER.enabled:
         TRACER.flush()
     try:
-        delta = service.collect_delta(baseline, stats0)
+        delta = service.collect_delta_since(mark, stats0)
     except Exception as exc:
         return SpeculationResult(name, None, f"{type(exc).__name__}: {exc}")
     return SpeculationResult(name, delta, error)
@@ -219,7 +218,7 @@ def _speculate_wave(
     service.cancel_check = (
         _RACE_EVENTS[race_slot].is_set if race_slot is not None else None
     )
-    baseline = service.cache_baseline()
+    mark = service.cache_mark()
     stats0 = replace(service.stats)
     budget = driver.config.budget
     if budget is not None:
@@ -247,7 +246,7 @@ def _speculate_wave(
         # the accounting honest.
         return SpeculationResult(label, None, error, cancelled=True)
     try:
-        delta = service.collect_delta(baseline, stats0)
+        delta = service.collect_delta_since(mark, stats0)
     except Exception as exc:
         return SpeculationResult(label, None, f"{type(exc).__name__}: {exc}")
     return SpeculationResult(label, delta, error)
@@ -259,7 +258,7 @@ def _speculate_queries(
     """Worker: decode and check a batch of conjunction queries (the MIX
     checker's per-outcome verification), returning the cache delta."""
     service = smt.get_service()
-    baseline = service.cache_baseline()
+    mark = service.cache_mark()
     stats0 = replace(service.stats)
     roots = from_wire_many(wire)
     error: Optional[str] = None
@@ -275,7 +274,7 @@ def _speculate_queries(
     if TRACER.enabled:
         TRACER.flush()
     try:
-        delta = service.collect_delta(baseline, stats0)
+        delta = service.collect_delta_since(mark, stats0)
     except Exception as exc:
         return SpeculationResult("queries", None, f"{type(exc).__name__}: {exc}")
     return SpeculationResult("queries", delta, error)
@@ -307,10 +306,14 @@ class ParallelEngine:
     def warm_mixy_round(self, driver: "Mixy", names: Sequence[str]) -> None:
         """Fan out one fixpoint round's symbolic frontier.  ``names``
         must already be in the serial (sorted) order; deltas are merged
-        back in exactly that order so the cache state is deterministic.
-        The pool is created per round: each round's workers fork off the
-        parent *after* the previous round's deltas were merged, so cache
-        warming compounds across rounds."""
+        back in exactly that order.  Warnings and verdicts are identical
+        at every ``--jobs`` (the cache accelerates, it never answers),
+        but the cache counters under ``--jobs > 1`` are not: a reused
+        pool worker carries the verdicts of its earlier tasks into its
+        later ones, so full solves and hits depend on which worker got
+        which block.  The pool is created per round: each round's
+        workers fork off the parent *after* the previous round's deltas
+        were merged, so cache warming compounds across rounds."""
         global _WORKER_DRIVER
         if not self.available():
             return
@@ -445,7 +448,7 @@ class ParallelEngine:
                 # host with fewer cores than jobs, surplus workers only
                 # add fork and context-switch cost — and sequential wave
                 # tasks in one reused worker *share* cache (each task
-                # baselines at task start, so wave 2 rides wave 1's
+                # marks at task start, so wave 2 rides wave 1's
                 # verdicts instead of re-deriving them).
                 workers = min(
                     len(caps), len(plan.waves),

@@ -344,7 +344,7 @@ class Scheduler:
         self.cores = cores if cores is not None else (os.cpu_count() or 1)
         #: Waves a round may open: one per worker that can actually run
         #: concurrently.  More waves than that is pure per-task overhead
-        #: (baseline scan, delta encode, sidecar flush) — on a 1-core
+        #: (journal mark, delta encode, sidecar flush) — on a 1-core
         #: host the whole round folds into one wave per strategy and the
         #: lone worker still amortizes its snapshot across every member.
         self.wave_slots = max(1, min(self.jobs, self.cores))

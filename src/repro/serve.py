@@ -54,10 +54,10 @@ after ``--request-deadline`` plus a grace period) — produces a
 ``degraded`` reply and a crash repro, is replaced by a fresh fork, and
 the daemon itself never goes down.  Workers are marked via
 :func:`repro.parallel.mark_forked_child` so they can never fan out
-grandchildren (which a SIGKILL would orphan).  ``--pool 0`` selects the
-legacy fork-per-request model (one disposable worker per request,
-serialized); ``--no-isolate`` opts into the in-process mode (a
-crashing analysis is then fate-shared with the daemon).
+grandchildren (which a SIGKILL would orphan).  The only other path is
+in-process (``--no-isolate``, and the default where ``fork`` does not
+exist): analyses run serialized in the daemon itself, and a crashing
+analysis is then fate-shared with the daemon.
 
 **Concurrency and determinism.**  Pooled requests *execute*
 concurrently — only admission sequencing and warm-state merges
@@ -387,7 +387,7 @@ def _worker_payload(
     store,
     request_deadline: Optional[float],
 ) -> dict:
-    """Child: run one isolated request and build the pickle frame the
+    """Pooled worker: run one request and build the pickle frame the
     parent merges.  Fault-injected requests are marked ``faulted`` and
     ship no solver delta — chaos must never poison the shared cache
     (their block memos are already suppressed by the drivers).
@@ -397,7 +397,7 @@ def _worker_payload(
     :meth:`~repro.smt.service.SolverService.cache_mark`, and new block
     memos are the tail of the insertion-ordered memo dicts.  A warm
     all-hits request therefore ships a near-empty frame — the property
-    the pooled workers' isolation budget rests on."""
+    the pool's isolation budget rests on."""
     from dataclasses import replace
 
     from repro import smt
@@ -459,11 +459,11 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
 
     One pickled job frame in, one pickled reply frame out, then a
     between-requests reset (:func:`repro.parallel.reset_worker_state`)
-    and back to the read.  Each request runs through the exact machinery
-    a fork-per-request worker uses (:func:`_worker_payload`), so the
-    reply contract is identical; the only new obligation is that the
-    worker leaves no per-request state behind.  EOF on the job pipe is
-    the retire signal.  Never returns."""
+    and back to the read.  Each request runs through
+    :func:`_worker_payload`; between requests the worker must leave no
+    per-request state behind, so the next request sees exactly what a
+    fresh fork would.  EOF on the job pipe is the retire signal.  Never
+    returns."""
     import resource
 
     from repro.parallel import reset_worker_state
@@ -571,10 +571,10 @@ class WorkerPool:
     """A persistent prefork pool of request workers.
 
     Workers are forked lazily — up to ``size`` — from the warm daemon
-    process, and each serves many requests over its job pipe (the
-    fork-per-request model paid that fork, plus a full warm-state diff,
-    on *every* request).  A worker is **recycled** — killed and replaced
-    by a fresh fork of the now-warmer parent — when:
+    process, and each serves many requests over its job pipe, so the
+    fork is paid once per worker, not once per request.  A worker is
+    **recycled** — killed and replaced by a fresh fork of the
+    now-warmer parent — when:
 
     - its snapshot ``epoch`` falls behind the daemon's (checked lazily
       at acquire time: merges bump the epoch only when they change what
@@ -584,9 +584,8 @@ class WorkerPool:
     - anything went wrong: analyzer error, fault-injected request,
       death mid-request, or a kill-deadline breach.
 
-    The parent merges warm state only from clean completions, exactly as
-    in the fork-per-request model — a recycled worker's in-flight
-    learning is simply discarded.
+    The parent merges warm state only from clean completions — a
+    recycled worker's in-flight learning is simply discarded.
     """
 
     def __init__(
@@ -597,7 +596,7 @@ class WorkerPool:
         max_rss_kb: Optional[int],
     ) -> None:
         self._daemon = daemon
-        self.size = max(1, int(size))
+        self.size = size
         self.worker_requests = worker_requests
         self.max_rss_kb = max_rss_kb
         self._cv = threading.Condition()
@@ -865,11 +864,15 @@ class ReproDaemon:
             isolate if isolate is not None else hasattr(os, "fork")
         )
         #: Pooled isolation width: N long-lived prefork workers serving
-        #: requests concurrently.  0 selects the legacy fork-per-request
-        #: model (serialized); the default is a small host-sized pool.
+        #: requests concurrently; the default is a small host-sized pool.
         if pool_size is None:
             pool_size = min(4, os.cpu_count() or 1)
-        self.pool_size = max(0, int(pool_size)) if self._isolate else 0
+        if int(pool_size) < 1:
+            raise ValueError(
+                f"pool_size must be >= 1, got {pool_size} "
+                "(isolate=False serves in-process)"
+            )
+        self.pool_size = int(pool_size)
         self.worker_requests = worker_requests
         self.worker_max_rss_kb = (
             int(worker_max_rss_mb * 1024) if worker_max_rss_mb else None
@@ -888,8 +891,8 @@ class ReproDaemon:
         self._stop_event = threading.Event()
         self.store = None
         self._sock: Optional[socket.socket] = None
-        #: serializes warm-state mutation: merges + saves (and, in the
-        #: non-pooled modes, whole analyses).  Pooled requests *execute*
+        #: serializes warm-state mutation: merges + saves (and, for
+        #: in-process requests, whole analyses).  Pooled requests *execute*
         #: concurrently and only take this lock for their merge — the
         #: admission-ordered :class:`_MergeSequencer` is what keeps
         #: concurrent clients deterministic there.
@@ -1161,7 +1164,7 @@ class ReproDaemon:
                     "epoch": self._epoch,
                     "solver": smt.get_service().stats.as_dict(),
                 }
-            if self._isolate and self.pool_size > 0:
+            if self._isolate:
                 stats["pool"] = self._ensure_pool().describe()
             if self.store is not None:
                 stats["store"] = dict(self.store.stats)
@@ -1219,23 +1222,16 @@ class ReproDaemon:
         try:
             with self._lock:
                 self._inflight += 1
-            if self._isolate and self.pool_size > 0:
+            if self._isolate:
                 # Pooled requests execute concurrently; only admission
                 # sequencing and warm-state merges serialize.
                 reply = self._analyze_pooled(lang, source, options, injector)
             else:
                 with self._serial:
-                    with TRACER.span(
-                        "request", lang, isolated=self._isolate
-                    ):
-                        if self._isolate:
-                            reply = self._analyze_isolated(
-                                lang, source, options, injector
-                            )
-                        else:
-                            reply = self._analyze_inproc(
-                                lang, source, options, injector
-                            )
+                    with TRACER.span("request", lang, isolated=False):
+                        reply = self._analyze_inproc(
+                            lang, source, options, injector
+                        )
                     if reply["status"] == "ok":
                         self._save_if_due()
             elapsed = time.monotonic() - start
@@ -1265,9 +1261,7 @@ class ReproDaemon:
 
     def _pool_width(self) -> int:
         """How many analyses can make progress at once."""
-        if self._isolate and self.pool_size > 0:
-            return max(1, self.pool_size)
-        return 1
+        return self.pool_size if self._isolate else 1
 
     def _retry_after_ms(self) -> int:
         """When to tell a shed client to come back: the EWMA request
@@ -1313,7 +1307,7 @@ class ReproDaemon:
             }
         return _reply("ok", result=result, served=served)
 
-    # -- isolated execution (forked request workers) -------------------------
+    # -- pooled execution (persistent prefork workers) ------------------------
 
     def _kill_after(self, options: dict) -> Optional[float]:
         """Seconds until an unresponsive worker is SIGKILLed — delegated
@@ -1325,8 +1319,6 @@ class ReproDaemon:
         return Budget.slot_kill_after(
             options, self.request_deadline, WORKER_KILL_GRACE
         )
-
-    # -- pooled execution (persistent prefork workers) ------------------------
 
     def _ensure_pool(self) -> WorkerPool:
         with self._lock:
@@ -1507,122 +1499,6 @@ class ReproDaemon:
                     imported=imported,
                     fresh_memos=bool(fresh_memos),
                 )
-
-    def _analyze_isolated(
-        self, lang: str, source: str, options: dict, injector
-    ) -> dict:
-        from repro import smt
-        from repro.parallel import mark_forked_child
-
-        service = smt.get_service()
-        kill_after = self._kill_after(options)
-        if TRACER.enabled:
-            TRACER.flush()  # fork must not duplicate buffered lines
-        sys.stdout.flush()
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # -- child: never return to the caller's stack ----------------
-            code = 1
-            try:
-                os.close(read_fd)
-                mark_forked_child()  # no grandchildren; sidecar tracing
-                if self._sock is not None:
-                    try:
-                        self._sock.close()
-                    except OSError:
-                        pass
-                payload = _worker_payload(
-                    lang, source, options, injector, self.store,
-                    self.request_deadline,
-                )
-                _write_frame(
-                    write_fd,
-                    pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-                code = 0
-            except BaseException as error:
-                try:
-                    _write_frame(
-                        write_fd,
-                        pickle.dumps(
-                            {"error": f"{type(error).__name__}: {error}"}
-                        ),
-                    )
-                    code = 0
-                except BaseException:
-                    pass
-            finally:
-                try:
-                    os.close(write_fd)
-                except OSError:
-                    pass
-                os._exit(code)
-        # -- parent -------------------------------------------------------
-        os.close(write_fd)
-        try:
-            frame, timed_out = _read_frame(read_fd, pid, kill_after)
-        finally:
-            os.close(read_fd)
-        _, status = os.waitpid(pid, 0)
-        if TRACER.enabled:
-            # Worker spans land in a sidecar; merge tolerates torn tails
-            # from a SIGKILLed worker.
-            TRACER.merge_worker_files()
-        payload = None
-        if frame is not None:
-            try:
-                payload = pickle.loads(frame)
-            except Exception:
-                payload = None  # torn/corrupt frame: treat as a crash
-        if payload is None:
-            reason = (
-                "request deadline exceeded "
-                f"({kill_after - WORKER_KILL_GRACE:g}s); worker killed"
-                if timed_out
-                else _death_reason(status)
-            )
-            return self._degraded_reply(lang, source, injector, reason)
-        if "error" in payload:
-            return _reply(
-                "error",
-                error=payload["error"],
-                served={
-                    "requests_served": self.requests_served,
-                    "isolated": True,
-                },
-            )
-        self._merge_worker(service, payload)
-        served = {"requests_served": self.requests_served, "isolated": True}
-        if self.store is not None:
-            served["store"] = dict(payload.get("store_stats") or {})
-        return _reply("ok", result=payload["result"], served=served)
-
-    def _merge_worker(self, service, payload: dict) -> None:
-        """Fold a clean worker completion's warm state into the parent.
-        Fault-injected requests merge nothing (``faulted``), and a merge
-        failure degrades to a cold-cache note — the result already in
-        hand stays authoritative."""
-        if payload.get("faulted"):
-            return
-        delta = payload.get("delta")
-        try:
-            if delta is not None:
-                service.merge_delta(delta)
-        except Exception as error:
-            print(
-                "repro-serve: note: dropped a worker cache delta "
-                f"({type(error).__name__}: {error})",
-                file=sys.stderr,
-            )
-        if self.store is None:
-            return
-        self.store.merge_worker(
-            payload.get("mixy_new") or {},
-            payload.get("mix_new") or {},
-            payload.get("store_stats") or {},
-        )
 
     def _degraded_reply(
         self, lang: str, source: str, injector, reason: str

@@ -410,13 +410,13 @@ class _Shard:
         self.unsat_cores: Deque[frozenset[Term]] = deque(maxlen=self.MAX_SETS)
         self.models: Deque[Model] = deque(maxlen=self.MAX_MODELS)
         #: Insertion journal: every *new* exact-tier key, in insertion
-        #: order.  A :meth:`SolverService.cache_mark` is just a journal
-        #: position, so "what was learned since the mark" is a suffix
-        #: read — O(delta), not the O(cache) set-difference scan that
-        #: :meth:`SolverService.cache_baseline` pays.  Wholesale
-        #: eviction clears the journal and bumps ``resets``; a mark
-        #: taken before a reset conservatively sees the whole journal
-        #: (everything now cached postdates the eviction).
+        #: order, so ``journal == list(exact)`` always holds.  A
+        #: :meth:`SolverService.cache_mark` is just a journal position,
+        #: so "what was learned since the mark" is a suffix read —
+        #: O(delta), not O(cache).  Wholesale eviction clears the
+        #: journal and bumps ``resets``; a mark taken before a reset
+        #: conservatively sees the whole journal (everything now cached
+        #: postdates the eviction).
         self.journal: list[frozenset[Term]] = []
         self.resets = 0
 
@@ -460,7 +460,7 @@ class _Shard:
 
 @dataclass
 class CacheDelta:
-    """Cache entries gained since a :meth:`SolverService.cache_baseline`.
+    """Cache entries gained since a :meth:`SolverService.cache_mark`.
 
     The picklable cross-process form of "what this worker learned":
     conjunct sets are wire-encoded (:mod:`repro.smt.terms`, one shared
@@ -711,47 +711,13 @@ class SolverService:
 
     # -- cross-process cache deltas (see repro.parallel) -----------------------
 
-    def cache_baseline(self) -> dict[int, set[frozenset[Term]]]:
-        """Snapshot the exact-tier keys (worker side, right after fork)."""
-        return {b: set(shard.exact) for b, shard in self._shards.items()}
-
-    def collect_delta(
-        self,
-        baseline: dict[int, set[frozenset[Term]]],
-        stats_baseline: SolverStats,
-    ) -> CacheDelta:
-        """Everything cached since ``baseline``, wire-encoded for the
-        parent.  Only definite verdicts live in the exact tier (UNKNOWN
-        is never cached), so every shipped entry is sound to reuse: SAT
-        is a function of the formula, not of which process solved it."""
-        keys: list[tuple[int, frozenset[Term], bool, bool, bool]] = []
-        for int_budget, shard in self._shards.items():
-            seen = baseline.get(int_budget, set())
-            # Set views of the tier deques: membership per entry must be
-            # O(1), not a scan of up to MAX_SETS frozensets (that scan
-            # dominated the whole delta collection).
-            in_sat_sets = set(shard.sat_sets)
-            in_unsat_cores = set(shard.unsat_cores)
-            for key, verdict in shard.exact.items():
-                if key in seen:
-                    continue
-                keys.append(
-                    (
-                        int_budget,
-                        key,
-                        verdict,
-                        key in in_sat_sets,
-                        key in in_unsat_cores,
-                    )
-                )
-        return self._encode_delta(keys, stats_baseline)
-
     def cache_mark(self) -> dict[int, tuple[int, int]]:
         """An O(#shards) position marker for :meth:`collect_delta_since`:
         per shard, the eviction-reset count and the insertion-journal
-        length.  The cheap replacement for :meth:`cache_baseline` in the
-        pooled ``repro serve`` workers, where a per-request O(cache)
-        snapshot would eat the isolation budget on every warm request."""
+        length.  Taken at task start by every forked worker — the
+        ``--jobs`` engine's speculation tasks and the pooled ``repro
+        serve`` workers alike — so marking costs nothing even against
+        a large warm cache."""
         return {
             b: (shard.resets, len(shard.journal))
             for b, shard in self._shards.items()
@@ -761,45 +727,38 @@ class SolverService:
         self, mark: dict[int, tuple[int, int]], stats_baseline: SolverStats
     ) -> CacheDelta:
         """Everything cached since ``mark`` (a :meth:`cache_mark`),
-        wire-encoded like :meth:`collect_delta` but read as a journal
-        suffix — O(entries gained), so an all-hits warm request pays
-        nothing.  A shard evicted since the mark contributes its whole
-        (restarted) journal: every surviving entry postdates the mark."""
-        keys: list[tuple[int, frozenset[Term], bool, bool, bool]] = []
+        wire-encoded for the parent and read as a journal suffix —
+        O(entries gained), so an all-hits warm request pays nothing.
+        Entries keep their insertion order.  Only definite verdicts live
+        in the exact tier (UNKNOWN is never cached), so every shipped
+        entry is sound to reuse: SAT is a function of the formula, not
+        of which process solved it.  A shard evicted since the mark
+        contributes its whole (restarted) journal: every surviving entry
+        postdates the mark.  An empty mark ships the whole cache."""
+        flat: list[Term] = []
+        entries: list[tuple[int, tuple[int, ...], bool, bool, bool]] = []
         for int_budget, shard in self._shards.items():
             resets, position = mark.get(int_budget, (0, 0))
             if shard.resets != resets:
                 position = 0
             if position >= len(shard.journal):
                 continue
-            in_sat_sets = set(shard.sat_sets)  # O(1) membership, as above
+            # Set views of the tier deques: membership per entry must be
+            # O(1), not a scan of up to MAX_SETS frozensets.
+            in_sat_sets = set(shard.sat_sets)
             in_unsat_cores = set(shard.unsat_cores)
             for key in shard.journal[position:]:
-                verdict = shard.exact.get(key)
-                if verdict is None:
-                    continue  # evicted mid-generation cannot happen; belt
-                keys.append(
+                positions = tuple(range(len(flat), len(flat) + len(key)))
+                flat.extend(key)
+                entries.append(
                     (
                         int_budget,
-                        key,
-                        verdict,
+                        positions,
+                        shard.exact[key],
                         key in in_sat_sets,
                         key in in_unsat_cores,
                     )
                 )
-        return self._encode_delta(keys, stats_baseline)
-
-    def _encode_delta(
-        self,
-        keys: list[tuple[int, frozenset[Term], bool, bool, bool]],
-        stats_baseline: SolverStats,
-    ) -> CacheDelta:
-        flat: list[Term] = []
-        entries: list[tuple[int, tuple[int, ...], bool, bool, bool]] = []
-        for int_budget, key, verdict, in_sats, in_cores in keys:
-            positions = tuple(range(len(flat), len(flat) + len(key)))
-            flat.extend(key)
-            entries.append((int_budget, positions, verdict, in_sats, in_cores))
         return CacheDelta(
             wire=to_wire_many(flat),
             entries=entries,
@@ -851,11 +810,11 @@ class SolverService:
     def export_cache(self) -> CacheDelta:
         """Every exact-tier entry of every shard, wire-encoded — the
         persistable form of the whole cache, not a delta.  Reuses the
-        :class:`CacheDelta` shape against an empty baseline; the stats
+        :class:`CacheDelta` shape against an empty mark; the stats
         payload is zeroed (a store records verdicts, not the solve time
         some other run paid for them).  Models are not exported, same
         as deltas: the model-eval tier refills from live solves."""
-        delta = self.collect_delta({}, self.stats)
+        delta = self.collect_delta_since({}, self.stats)
         return CacheDelta(wire=delta.wire, entries=delta.entries, stats=SolverStats())
 
     def import_cache(self, delta: CacheDelta) -> int:

@@ -8,6 +8,7 @@ equivalence rests on.
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -98,23 +99,30 @@ def _some_queries():
     ]
 
 
+def _delta_keys(delta):
+    """The delta's entries decoded back to ``(int_budget, key)`` pairs,
+    in shipping order (decoding re-interns, so keys compare by
+    identity against the shipping process's own)."""
+    roots = smt.terms.from_wire_many(delta.wire)
+    return [
+        (int_budget, frozenset(roots[i] for i in positions))
+        for int_budget, positions, _, _, _ in delta.entries
+    ]
+
+
 class TestCacheDelta:
     def test_empty_delta_when_nothing_was_solved(self):
         service = SolverService()
-        baseline = service.cache_baseline()
-        from dataclasses import replace
-
-        delta = service.collect_delta(baseline, replace(service.stats))
+        mark = service.cache_mark()
+        delta = service.collect_delta_since(mark, replace(service.stats))
         assert len(delta) == 0
 
     def test_delta_transfers_verdicts_to_a_fresh_service(self):
         worker = SolverService()
-        baseline = worker.cache_baseline()
-        from dataclasses import replace
-
+        mark = worker.cache_mark()
         stats0 = replace(worker.stats)
         expected = [worker.check_sat(q) for q in _some_queries()]
-        delta = worker.collect_delta(baseline, stats0)
+        delta = worker.collect_delta_since(mark, stats0)
         assert len(delta) == len(_some_queries())
 
         parent = SolverService()
@@ -128,13 +136,11 @@ class TestCacheDelta:
 
     def test_merge_is_idempotent(self):
         worker = SolverService()
-        baseline = worker.cache_baseline()
-        from dataclasses import replace
-
+        mark = worker.cache_mark()
         stats0 = replace(worker.stats)
         for q in _some_queries():
             worker.check_sat(q)
-        delta = worker.collect_delta(baseline, stats0)
+        delta = worker.collect_delta_since(mark, stats0)
 
         parent = SolverService()
         assert parent.merge_delta(delta) == len(delta)
@@ -143,25 +149,21 @@ class TestCacheDelta:
     def test_delta_excludes_entries_known_at_the_baseline(self):
         worker = SolverService()
         worker.check_sat(_some_queries()[0])  # cached pre-fork
-        baseline = worker.cache_baseline()
-        from dataclasses import replace
-
+        mark = worker.cache_mark()
         stats0 = replace(worker.stats)
         for q in _some_queries():
             worker.check_sat(q)  # first one is a cache hit, not a new entry
-        delta = worker.collect_delta(baseline, stats0)
+        delta = worker.collect_delta_since(mark, stats0)
         assert len(delta) == len(_some_queries()) - 1
 
     def test_delta_ships_perf_counters_only(self):
         worker = SolverService()
-        baseline = worker.cache_baseline()
-        from dataclasses import replace
-
+        mark = worker.cache_mark()
         stats0 = replace(worker.stats)
         worker.stats.witnesses_confirmed += 3  # trust verdicts: not perf
         for q in _some_queries():
             worker.check_sat(q)
-        delta = worker.collect_delta(baseline, stats0)
+        delta = worker.collect_delta_since(mark, stats0)
         assert delta.stats.full_solves > 0
         assert delta.stats.witnesses_confirmed == 0
 
@@ -177,36 +179,58 @@ class TestCacheDelta:
         assert parent.stats.witnesses_confirmed == 0
         assert parent.stats.cache_entries_imported == len(delta)
 
-    def test_mark_delta_matches_the_full_baseline_delta(self):
-        """``cache_mark``/``collect_delta_since`` — the O(delta) journal
-        read the pooled daemon workers use — ships exactly what the
-        O(cache) ``cache_baseline``/``collect_delta`` pair would."""
-        from dataclasses import replace
-
+    def test_mark_delta_is_the_exact_key_difference_in_insertion_order(self):
+        """The journal suffix ships exactly the exact-tier keys gained
+        since the mark — the set difference of ``shard.exact`` before
+        and after — in the order they were inserted, with each key's
+        own verdict."""
         worker = SolverService()
         worker.check_sat(_some_queries()[0])  # pre-fork state: not shipped
-        baseline = worker.cache_baseline()
+        before = {
+            b: set(shard.exact) for b, shard in worker._shards.items()
+        }
         mark = worker.cache_mark()
         stats0 = replace(worker.stats)
-        expected = [worker.check_sat(q) for q in _some_queries()]
-        cheap = worker.collect_delta_since(mark, stats0)
-        full = worker.collect_delta(baseline, stats0)
-        assert len(cheap) == len(full) == len(_some_queries()) - 1
+        for q in _some_queries():
+            worker.check_sat(q)
+        gained = [
+            (b, key)
+            for b, shard in worker._shards.items()
+            for key in shard.exact  # dict order is insertion order
+            if key not in before.get(b, set())
+        ]
+        delta = worker.collect_delta_since(mark, stats0)
+        assert len(gained) == len(_some_queries()) - 1
+        assert _delta_keys(delta) == gained
+        assert [entry[2] for entry in delta.entries] == [
+            worker._shards[b].exact[key] for b, key in gained
+        ]
 
-        parent = SolverService()
-        assert parent.merge_delta(cheap) == len(cheap)
-        solves_before = parent.stats.full_solves
-        assert [parent.check_sat(q) for q in _some_queries()[1:]] == (
-            expected[1:]
-        )
-        assert parent.stats.full_solves == solves_before
+    def test_export_import_round_trip_keeps_the_exact_tier(self):
+        """``export_cache`` -> ``import_cache`` into a fresh service
+        rebuilds the same exact tier: same shards, keys, verdicts and
+        insertion order — the store's persisted form of the cache."""
+        worker = SolverService()
+        for q in _some_queries():
+            worker.check_sat(q)
+        worker.check_sat(_some_queries()[1], int_budget=7)  # second shard
+        exported = worker.export_cache()
+        assert exported.stats == SolverStats()  # verdicts, not solve time
+
+        fresh = SolverService()
+        assert fresh.import_cache(exported) == len(exported)
+        assert list(fresh._shards) == list(worker._shards)
+        for b, shard in worker._shards.items():
+            assert list(fresh._shards[b].exact.items()) == list(
+                shard.exact.items()
+            )
+            assert fresh._shards[b].journal == list(shard.exact)
+        assert fresh.stats.full_solves == 0
 
     def test_stale_mark_ships_the_whole_journal(self):
         """A shard evicted since the mark invalidates the journal
         position; the conservative fallback ships every surviving entry
         — over-shipping is idempotent, under-shipping loses verdicts."""
-        from dataclasses import replace
-
         worker = SolverService()
         worker.check_sat(_some_queries()[0])
         mark = worker.cache_mark()

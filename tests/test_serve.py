@@ -705,8 +705,29 @@ class TestPoolConcurrency:
         assert pooled._retry_after_ms() == 2000  # two dispatch waves
 
         serial = ReproDaemon(
-            socket_path="unused.sock", store_dir=None, pool_size=0
+            socket_path="unused.sock", store_dir=None, isolate=False
         )
         serial._avg_secs = 1.0
         serial._inflight = 8
         assert serial._retry_after_ms() == 8000  # eight serialized turns
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_pool_below_one_worker_is_rejected(self, width):
+        """A pool has at least one worker; in-process serving is
+        ``isolate=False``, never a zero-width pool."""
+        with pytest.raises(ValueError, match="isolate=False"):
+            ReproDaemon(
+                socket_path="unused.sock", store_dir=None, pool_size=width
+            )
+
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_cli_pool_below_one_exits_2_pointing_at_no_isolate(
+        self, width, capsys
+    ):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--pool", width, "--no-store"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --pool" in err and "--no-isolate" in err

@@ -127,19 +127,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "exhaustively (the default); 'typed' proves checks embedded in "
         "MIX(symbolic) blocks of a larger program via the fixpoint",
     )
-    prove.add_argument(
-        "--schedule",
-        choices=["fifo", "waves", "portfolio"],
-        default="fifo",
-        help="speculative dispatch policy for within-property warming "
-        "under --jobs N (see repro.schedule)",
-    )
-    prove.add_argument(
-        "--sched-hints",
-        default=None,
-        metavar="FILE",
-        help="scheduling hint file (.repro-sched.json) for --schedule",
-    )
     _add_budget_flags(prove)
 
     serve = sub.add_parser(
@@ -398,11 +385,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--json", action="store_true",
         help="print the aggregated digest as JSON instead of tables",
     )
-    report.add_argument(
-        "--emit-hints", default=None, metavar="FILE",
-        help="distill the digest into a scheduling hint file "
-        "(.repro-sched.json schema v1) for a later run's --sched-hints",
-    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -572,23 +554,6 @@ def _add_perf_flags(sub: argparse.ArgumentParser) -> None:
         "query cache and block memos from DIR before the run and persist "
         "them back after; a missing or corrupt store degrades to cold",
     )
-    sub.add_argument(
-        "--schedule",
-        choices=["fifo", "waves", "portfolio"],
-        default=None,
-        help="speculative dispatch policy under --jobs N: fifo = one task "
-        "per block, waves = similarity-batched waves with convergence "
-        "skipping, portfolio = waves plus strategy racing for hot blocks "
-        "(output is identical in every mode; see repro.schedule)",
-    )
-    sub.add_argument(
-        "--sched-hints",
-        default=None,
-        metavar="FILE",
-        help="scheduling hint file from a prior run's "
-        "'trace-report --emit-hints' (.repro-sched.json); stale or "
-        "corrupt hints are ignored gracefully",
-    )
 
 
 def _apply_trust_flags(args: argparse.Namespace) -> None:
@@ -636,10 +601,6 @@ def _finish_trace(traced: bool) -> None:
         TRACER.counter("solver.cache_hits", stats.cache_hits)
         TRACER.counter("solver.full_solves", stats.full_solves)
         TRACER.counter("solver.solve_seconds", round(stats.solve_seconds, 6))
-        if stats.waves_dispatched:
-            TRACER.counter("solver.waves_dispatched", stats.waves_dispatched)
-        if stats.blocks_skipped:
-            TRACER.counter("solver.blocks_skipped", stats.blocks_skipped)
         if stats.speculative is not None:
             TRACER.counter(
                 "solver.speculative.solve_seconds",
@@ -661,15 +622,6 @@ def _run_trace_report(args: argparse.Namespace) -> int:
     except TraceSchemaError as error:
         print(f"error: invalid trace: {error}", file=sys.stderr)
         return 2
-    if args.emit_hints:
-        from repro.schedule import emit_hints
-
-        hints = emit_hints(digest, args.emit_hints)
-        print(
-            f"wrote {len(hints)} block hint(s) ({len(hints.hot)} hot) "
-            f"to {args.emit_hints}",
-            file=sys.stderr,
-        )
     if args.json:
         print(json.dumps(digest, indent=2, sort_keys=True))
     else:
@@ -693,14 +645,10 @@ def _warn_on_divergence() -> int:
 
 
 def _apply_perf_flags(args: argparse.Namespace, config, profiler) -> None:
-    """Fold --jobs / --schedule / --sched-hints into the config and arm
-    worker-side profiling sidecars when --profile meets --jobs N."""
+    """Fold --jobs into the config and arm worker-side profiling sidecars
+    when --profile meets --jobs N."""
     if args.jobs is not None:
         config.jobs = args.jobs
-    if args.schedule is not None:
-        config.schedule = args.schedule
-    if args.sched_hints is not None:
-        config.sched_hints = args.sched_hints
     if profiler.enabled and config.jobs > 1:
         profiler.enable_workers(args.trace or f".repro-profile-{os.getpid()}")
     profiler.warn_if_parallel(config.jobs)
@@ -779,8 +727,6 @@ def _run_prove(args: argparse.Namespace) -> int:
         "max_unroll": args.max_unroll,
         "no_cache": args.no_cache,
         "jobs": args.jobs,
-        "schedule": args.schedule,
-        "sched_hints": args.sched_hints,
         "deadline": args.deadline,
         "query_timeout_ms": args.query_timeout_ms,
         "max_paths": args.max_paths,

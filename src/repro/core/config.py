@@ -63,17 +63,6 @@ class MixConfig:
     #: repro.parallel).  1 = the serial path, byte for byte.  Defaults
     #: from the REPRO_JOBS environment variable (CI equivalence runs).
     jobs: int = field(default_factory=lambda: _env_int("REPRO_JOBS", 1))
-    #: speculative-dispatch policy under ``--jobs N`` (``--schedule``;
-    #: see repro.schedule): "fifo" = PR 4's one-task-per-item fan-out,
-    #: "waves" adds similarity-batched waves with convergence skipping,
-    #: "portfolio" adds strategy racing for hot blocks.  Never affects
-    #: the authoritative pass, so output is identical in every mode.
-    schedule: str = field(default_factory=lambda: _env_str("REPRO_SCHEDULE", "fifo"))
-    #: path to a ``.repro-sched.json`` hint file from a prior run's
-    #: ``trace-report --emit-hints`` (``--sched-hints``); None = unhinted.
-    sched_hints: Optional[str] = field(
-        default_factory=lambda: os.environ.get("REPRO_SCHED_HINTS") or None
-    )
     #: cross-run analysis store (``--store DIR``; see repro.store): an
     #: opened :class:`repro.store.AnalysisStore`, or None.  Symbolic
     #: blocks that type-checked cleanly are memoized keyed on (block
@@ -91,7 +80,3 @@ def _env_int(name: str, default: int) -> int:
         return int(os.environ.get(name, ""))
     except ValueError:
         return default
-
-
-def _env_str(name: str, default: str) -> str:
-    return os.environ.get(name) or default

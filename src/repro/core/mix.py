@@ -87,11 +87,8 @@ class Mix:
         }
         if self.config.jobs > 1 and _engine_available():
             from repro.parallel import ParallelEngine
-            from repro.schedule import make_scheduler
 
-            self._parallel: Optional[ParallelEngine] = ParallelEngine(
-                self.config.jobs, scheduler=make_scheduler(self.config)
-            )
+            self._parallel: Optional[ParallelEngine] = ParallelEngine(self.config.jobs)
         else:
             self._parallel = None
         #: Degradation notices (GOOD_ENOUGH mode only): budget breaches

@@ -1,10 +1,10 @@
 """Durable file I/O for analysis artifacts.
 
-Everything the tower writes to disk — crash repros, scheduling hints,
-the cross-run analysis store — must survive the process dying at any
-instruction: these files are read back by *later* runs, and a torn or
-half-written artifact would either crash that run or (worse) silently
-feed it garbage.  :func:`atomic_write` is the one way to write them:
+Everything the tower writes to disk — crash repros and the cross-run
+analysis store — must survive the process dying at any instruction:
+these files are read back by *later* runs, and a torn or half-written
+artifact would either crash that run or (worse) silently feed it
+garbage.  :func:`atomic_write` is the one way to write them:
 the content lands in a temporary file in the destination directory and
 is moved into place with :func:`os.replace`, which POSIX guarantees is
 atomic on a single filesystem.  A reader therefore sees either the old

@@ -36,14 +36,13 @@ hook and resume with a havocked return value and memory.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from repro import smt
 from repro.budget import Budget
-from repro.core.config import _env_flag, _env_int, _env_str
+from repro.core.config import _env_flag, _env_int
 from repro.mixy.c.ast import (
     Call,
     CFunction,
@@ -141,18 +140,6 @@ class MixyConfig:
     #: before the authoritative serial pass.  1 = no fan-out.  Defaults
     #: from the REPRO_JOBS environment variable.
     jobs: int = field(default_factory=lambda: _env_int("REPRO_JOBS", 1))
-    #: speculative-dispatch policy under ``--jobs N`` (``--schedule``;
-    #: see repro.schedule): "fifo" = one task per frontier block,
-    #: "waves" batches similar blocks and skips converged ones,
-    #: "portfolio" additionally races solver strategies on hot blocks.
-    #: Strategies run in workers only, so output stays identical to
-    #: ``--jobs 1`` in every mode.
-    schedule: str = field(default_factory=lambda: _env_str("REPRO_SCHEDULE", "fifo"))
-    #: path to a ``.repro-sched.json`` hint file (``--sched-hints``)
-    #: emitted by ``trace-report --emit-hints``; None = unhinted.
-    sched_hints: Optional[str] = field(
-        default_factory=lambda: os.environ.get("REPRO_SCHED_HINTS") or None
-    )
     #: cross-run analysis store (``--store DIR``; see repro.store): an
     #: opened :class:`repro.store.AnalysisStore`, or None.  Block-result
     #: memos are consulted/recorded only with no budget, witness
@@ -231,21 +218,13 @@ class Mixy:
         #: entry -> (qualifier-graph edge count, (typed, frontier)); the
         #: call-graph walk is invalidated only when the graph gained edges
         self._partition_cache: dict[str, tuple[int, tuple[frozenset[str], frozenset[str]]]] = {}
-        from repro.schedule import make_scheduler
-
-        self._scheduler = make_scheduler(self.config)
         self._parallel: Optional["ParallelEngine"] = None
         if self.config.jobs > 1:
             # Where fork fan-out is impossible (inside a pool worker, on
             # fork-less platforms) the engine's warm_mixy_round no-ops.
             from repro.parallel import ParallelEngine
 
-            self._parallel = ParallelEngine(
-                self.config.jobs, scheduler=self._scheduler
-            )
-        #: Memoized per-block content hashes / wave features (scheduling).
-        self._block_hashes: dict[str, str] = {}
-        self._block_features: dict[str, frozenset] = {}
+            self._parallel = ParallelEngine(self.config.jobs)
         self.stats = {
             "fixpoint_iterations": 0,
             "symbolic_blocks_run": 0,
@@ -386,35 +365,6 @@ class Mixy:
             out.extend(self.points_to.callees(call, fn.name))
         return out
 
-    # -- scheduling inputs (see repro.schedule) -------------------------
-
-    def block_content_hash(self, name: str) -> str:
-        """Memoized content hash of one frontier block (hint-file key)."""
-        chash = self._block_hashes.get(name)
-        if chash is None:
-            from repro.schedule import block_content_hash
-
-            chash = self._block_hashes[name] = block_content_hash(
-                self.program, name
-            )
-        return chash
-
-    def sched_features(self, name: str) -> frozenset:
-        """Wave-similarity features of one frontier block: the globals
-        its text references plus the functions it calls — blocks sharing
-        state or callees tend to generate overlapping conjuncts, so
-        batching them in one worker amortizes the warmed cache."""
-        feats = self._block_features.get(name)
-        if feats is None:
-            from repro.mixy.c.pretty import function_text
-
-            fn = self.program.functions[name]
-            text = function_text(fn)
-            names = {f"g:{g}" for g in self.program.globals if g in text}
-            names.update(f"c:{c}" for c in self._called_functions(fn))
-            feats = self._block_features[name] = frozenset(names)
-        return feats
-
     # ------------------------------------------------------------------
     # Symbolic blocks from typed context (rule TSymBlock's MIXY analog)
     # ------------------------------------------------------------------
@@ -433,19 +383,6 @@ class Mixy:
         fn = self.program.functions[name]
         if fn.body is None:
             return
-        if span is not None:
-            # Stamp the block's content hash on its span: trace-report
-            # keys scheduling hints on it, and hint files are typically
-            # emitted from a plain (fifo, even serial) traced run.
-            span.fields["chash"] = self.block_content_hash(name)
-        if self._scheduler is not None:
-            # Install the block's learned cache-tier probe order.  The
-            # subset/superset swap is verdict- and cache-state-identical
-            # (see SolverService.tier_order), so this is safe in the
-            # authoritative pass as well as in workers.
-            smt.get_service().tier_order = self._scheduler.tier_order_for(
-                self.block_content_hash(name)
-            )
         context_key, context_slots = self._calling_context(fn)
         stack_key = (name, context_key)
         if stack_key in self._block_stack:
@@ -547,7 +484,7 @@ class Mixy:
         context, and the analysis configuration.  Editing one function
         retires exactly the keys whose cone contains it."""
         from repro.mixy.c.pretty import function_text, struct_text
-        from repro.schedule import block_content_hash
+        from repro.store import block_content_hash
 
         cone = []
         for cname in sorted(self._callee_cone(fn.name) - {fn.name}):

@@ -207,8 +207,6 @@ def _prove_mixy(source, options, budget, store, name) -> PropertyResult:
     # frontier (typed entry only; see repro.parallel).  Inert inside the
     # suite driver's file-level fork workers.
     config.jobs = int(options.get("jobs", 1))
-    config.schedule = options.get("schedule", "fifo")
-    config.sched_hints = options.get("sched_hints")
     config.store = store
     try:
         mixy = Mixy(source, config)

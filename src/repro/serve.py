@@ -221,8 +221,6 @@ def _analyze_mixy(source: str, options: dict, budget, store) -> dict:
         validate_witnesses=bool(options.get("validate_witnesses", False)),
     )
     config.jobs = int(options.get("jobs", 1))
-    config.schedule = options.get("schedule", "fifo")
-    config.sched_hints = options.get("sched_hints")
     config.store = store
     try:
         mixy = Mixy(source, config)

@@ -24,7 +24,7 @@ permanently falsifying its selector literal while keeping every clause
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class SatTimeout(Exception):
@@ -36,27 +36,10 @@ class SatTimeout(Exception):
     """
 
 
-class SatCancelled(Exception):
-    """The search was cancelled cooperatively (see ``solve(cancel=)``).
-
-    Raised when the caller-supplied poison flag reads true — the
-    portfolio-racing path in :mod:`repro.parallel` sets it when a
-    sibling worker finishes the same query first.  Deliberately *not* a
-    :class:`repro.smt.solver.SolverError` subclass: a cancelled race
-    loser must abort its task outright, not be contained as a cached
-    UNKNOWN verdict somewhere up the stack.
-    """
-
-
 class SatSolver:
     """CDCL solver over literals encoded as signed integers."""
 
-    def __init__(self, flip_phase: bool = False) -> None:
-        #: Initial saved phase for fresh variables.  The default (False)
-        #: branches negative-first; ``flip_phase=True`` is the portfolio
-        #: racing variant that explores the positive side first — same
-        #: verdicts, different search order.
-        self._flip_phase = flip_phase
+    def __init__(self) -> None:
         self._num_vars = 0
         self._clauses: list[list[int]] = []
         self._watches: dict[int, list[list[int]]] = {}
@@ -64,7 +47,7 @@ class SatSolver:
         self._level: list[int] = [0]
         self._reason: list[Optional[list[int]]] = [None]
         self._activity: list[float] = [0.0]
-        self._phase: list[bool] = [flip_phase]
+        self._phase: list[bool] = [False]
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._queue_head = 0
@@ -85,7 +68,7 @@ class SatSolver:
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
-        self._phase.append(self._flip_phase)
+        self._phase.append(False)
         return self._num_vars
 
     @property
@@ -272,16 +255,13 @@ class SatSolver:
         self._enqueue(best if self._phase[best] else -best, None)
         return True
 
-    #: Deadline/cancellation poll cadence: check every this many loop
+    #: Deadline poll cadence: check the clock every this many loop
     #: iterations.  Each iteration does a full propagation pass, so the
     #: overshoot past the deadline is a handful of propagations.
     DEADLINE_CHECK_EVERY = 16
 
     def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        deadline: Optional[float] = None,
-        cancel: Optional[Callable[[], bool]] = None,
+        self, assumptions: Sequence[int] = (), deadline: Optional[float] = None
     ) -> Optional[dict[int, bool]]:
         """Search for a model; None means UNSAT (under the assumptions).
 
@@ -293,33 +273,23 @@ class SatSolver:
         ``deadline`` is an absolute :func:`time.monotonic` instant.  The
         search polls it periodically and raises :class:`SatTimeout` once
         it has passed; everything learned up to that point is kept.
-
-        ``cancel`` is a zero-argument poison flag polled on the same
-        cadence as the deadline; reading true raises
-        :class:`SatCancelled` (portfolio race losers; see
-        :mod:`repro.parallel`).  The solver stays usable afterwards.
         """
         if self._pending_unsat:
             return None
         if deadline is not None and time.monotonic() >= deadline:
             raise SatTimeout
-        if cancel is not None and cancel():
-            raise SatCancelled
         self._backtrack(0)
         conflicts_until_restart = _luby(1) * 100
         restarts = 1
         conflicts_here = 0
         ticks = 0
-        poll = deadline is not None or cancel is not None
         while True:
-            if poll:
+            if deadline is not None:
                 ticks += 1
                 if ticks >= self.DEADLINE_CHECK_EVERY:
                     ticks = 0
-                    if deadline is not None and time.monotonic() >= deadline:
+                    if time.monotonic() >= deadline:
                         raise SatTimeout
-                    if cancel is not None and cancel():
-                        raise SatCancelled
             conflict = self._propagate()
             if conflict is not None:
                 self.num_conflicts += 1

@@ -45,17 +45,13 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, Iterator, Mapping, Optional
+from typing import Deque, Iterable, Iterator, Mapping, Optional
 
 from repro.budget import Budget
 from repro.trace import TRACER
-from repro.smt.intsolve import IntBudgetExceeded, check_integer
-from repro.smt.linear import LinAtom, atom_from_comparison
-from repro.smt.sat import SatCancelled
 from repro.smt.solver import Model, SatResult, Solver, SolverError
 from repro.smt.terms import (
     BOOL,
-    INT,
     Kind,
     SortError,
     Term,
@@ -63,39 +59,6 @@ from repro.smt.terms import (
     from_wire_many,
     to_wire_many,
 )
-
-
-def _linear_literal_atoms(term: Term) -> Optional[list[LinAtom]]:
-    """``term`` as a conjunction of linear-arithmetic atoms, or None.
-
-    Handles the literal shapes path conditions are made of: ``a <= b``,
-    ``a < b``, their negations, and integer equality (as two ``<=``
-    atoms).  Anything else — boolean variables, disjunctions, ``ite``
-    in an argument, nonlinear products — returns None so the caller
-    falls back to the full lazy loop.
-    """
-    kind = term.kind
-    try:
-        if kind in (Kind.LE, Kind.LT):
-            return [atom_from_comparison(kind, term.args[0], term.args[1])]
-        if kind is Kind.NOT:
-            inner = term.args[0]
-            if inner.kind in (Kind.LE, Kind.LT):
-                return [
-                    atom_from_comparison(
-                        inner.kind, inner.args[0], inner.args[1]
-                    ).negate()
-                ]
-            return None
-        if kind is Kind.EQ and term.args[0].sort == INT:
-            left, right = term.args
-            return [
-                atom_from_comparison(Kind.LE, left, right),
-                atom_from_comparison(Kind.LE, right, left),
-            ]
-    except SortError:  # nonlinear / unevaluable argument structure
-        return None
-    return None
 
 
 @dataclass
@@ -146,19 +109,6 @@ class SolverStats:
     speculation_failures: int = 0
     #: Cache entries imported from worker deltas into this service.
     cache_entries_imported: int = 0
-    # Scheduler counters (see repro.schedule).
-    #: Worker tasks dispatched as similarity-grouped waves.
-    waves_dispatched: int = 0
-    #: Frontier blocks whose re-speculation was skipped as converged.
-    blocks_skipped: int = 0
-    #: UNSAT conjunct sets shrunk to a proper core before recording
-    #: (intfirst direct solves; see SolverService._minimize_conjunct_core).
-    cores_minimized: int = 0
-    #: Portfolio race contender tasks launched (speculative sub-table).
-    raced: int = 0
-    #: Race losers cancelled — cooperatively poisoned or never started
-    #: (speculative sub-table).
-    cancelled: int = 0
     #: Worker-side (speculative) perf counters, accumulated by
     #: :meth:`merge_perf` under ``--jobs N``.  Workers overlap the
     #: parent's wall clock, so their ``solve_seconds`` (and hits/solves)
@@ -209,9 +159,6 @@ class SolverStats:
             "speculative_blocks": self.speculative_blocks,
             "speculation_failures": self.speculation_failures,
             "cache_entries_imported": self.cache_entries_imported,
-            "waves_dispatched": self.waves_dispatched,
-            "blocks_skipped": self.blocks_skipped,
-            "cores_minimized": self.cores_minimized,
         }
         if self.speculative is not None:
             spec: dict[str, object] = {
@@ -220,17 +167,8 @@ class SolverStats:
             spec["solve_seconds"] = round(self.speculative.solve_seconds, 6)
             spec["cache_hits"] = self.speculative.cache_hits
             spec["hit_rate"] = round(self.speculative.hit_rate, 4)
-            spec["raced"] = self.speculative.raced
-            spec["cancelled"] = self.speculative.cancelled
             out["speculative"] = spec
         return out
-
-    def spec(self) -> "SolverStats":
-        """The speculative sub-table, created on first use (the parallel
-        engine records race/cancel attribution here)."""
-        if self.speculative is None:
-            self.speculative = SolverStats()
-        return self.speculative
 
     #: Counters that describe solver *work* and may be summed across
     #: processes.  Trust-ring verdicts and injected-fault counts are
@@ -253,7 +191,6 @@ class SolverStats:
         "path_budget_breaches",
         "memlog_breaches",
         "solver_errors_contained",
-        "cores_minimized",
     )
 
     def perf_delta_since(self, baseline: "SolverStats") -> "SolverStats":
@@ -433,27 +370,12 @@ class _Shard:
             self.journal.append(key)
         self.exact[key] = verdict
 
-    def record(
-        self,
-        key: frozenset[Term],
-        sat: bool,
-        model: Optional[Model],
-        core: Optional[frozenset[Term]] = None,
-    ) -> None:
+    def record(self, key: frozenset[Term], sat: bool, model: Optional[Model]) -> None:
         self.put(key, sat)
         if sat:
             self.sat_sets.append(key)
             if model is not None:
                 self.models.append(model)
-        elif core is not None and core and core < key:
-            # A minimized conjunct-level core subsumes the full key in
-            # the superset tier: any future superset of the *core* is
-            # UNSAT, which catches queries that share the contradiction
-            # but differ in unrelated conjuncts (e.g. one rotated bound
-            # per fixpoint round).  The core gets its own exact entry so
-            # cross-process deltas ship it as a first-class verdict.
-            self.put(core, False)
-            self.unsat_cores.append(core)
         else:
             self.unsat_cores.append(key)
 
@@ -493,25 +415,6 @@ class SolverService:
         self.budget: Optional[Budget] = None
         #: Deterministic fault injection for degradation testing.
         self.fault_injector: Optional[FaultInjector] = None
-        #: Solver strategy variant for full solves: "default",
-        #: "simplify", "intfirst", or "flip" (see repro.schedule).  Set
-        #: only inside speculative workers — the authoritative pass
-        #: always runs "default", keeping its cache *contents* (notably
-        #: the model-eval tier) byte-identical to a serial run.
-        self.strategy: str = "default"
-        #: Cooperative cancellation flag for portfolio race losers,
-        #: polled at query entry and inside the CDCL/lazy loops.
-        self.cancel_check: Optional[Callable[[], bool]] = None
-        #: Probe order for the subset/superset cache tiers.  The two
-        #: tiers are mutually exclusive (a conjunct set cannot be both a
-        #: subset of a SAT set and a superset of an UNSAT core), so any
-        #: order yields identical verdicts and cache mutations — hints
-        #: put the historically-hot tier first (see repro.schedule).
-        self.tier_order: tuple[str, str] = ("subset", "superset")
-        #: Conjunct-level UNSAT core produced by the most recent
-        #: ``intfirst`` direct solve, consumed (and cleared) by
-        #: :meth:`_check_sat` when recording the verdict.
-        self._last_core: Optional[frozenset[Term]] = None
         #: Trust ring 2: re-evaluate every SAT model against the original
         #: conjuncts before returning it or letting any cache tier keep it.
         #: Defaults from the REPRO_PARANOID environment variable (CI).
@@ -592,10 +495,7 @@ class SolverService:
                     self.stats.model_eval_hits += 1
                     return model
         result, model = self._solve(
-            conjuncts,
-            int_budget,
-            corrupt=fault == FaultInjector.BAD_MODEL,
-            need_model=True,
+            conjuncts, int_budget, corrupt=fault == FaultInjector.BAD_MODEL
         )
         if result is not SatResult.SAT or model is None:
             raise SolverError(f"no model: query is not satisfiable: {list(formulas)}")
@@ -621,8 +521,6 @@ class SolverService:
         return result
 
     def _check_sat(self, formulas: Iterable[Term], int_budget: int) -> SatResult:
-        if self.cancel_check is not None and self.cancel_check():
-            raise SatCancelled  # race already lost: do no work at all
         self.stats.queries += 1
         fault = self._next_fault()
         if fault == FaultInjector.DIE:
@@ -664,22 +562,18 @@ class SolverService:
             if cached is not None:
                 self.stats.exact_hits += 1
                 return SatResult.SAT if cached else SatResult.UNSAT
-            # Tiers 2 and 3: subset-of-SAT-set / superset-of-UNSAT-core,
-            # probed in ``tier_order`` (hits are mutually exclusive, so
-            # the learned reordering cannot change verdict or cache).
-            for tier in self.tier_order:
-                if tier == "subset":
-                    for sat_set in shard.sat_sets:
-                        if conjuncts <= sat_set:
-                            self.stats.subset_hits += 1
-                            shard.put(conjuncts, True)
-                            return SatResult.SAT
-                else:
-                    for core in shard.unsat_cores:
-                        if core <= conjuncts:
-                            self.stats.superset_hits += 1
-                            shard.put(conjuncts, False)
-                            return SatResult.UNSAT
+            # Tier 2: subset of a satisfiable set.
+            for sat_set in shard.sat_sets:
+                if conjuncts <= sat_set:
+                    self.stats.subset_hits += 1
+                    shard.put(conjuncts, True)
+                    return SatResult.SAT
+            # Tier 3: superset of an UNSAT core.
+            for core in shard.unsat_cores:
+                if core <= conjuncts:
+                    self.stats.superset_hits += 1
+                    shard.put(conjuncts, False)
+                    return SatResult.UNSAT
             # Tier 4: reuse a recent model as a total interpretation.
             for model in reversed(shard.models):
                 if model.satisfies(conjuncts):
@@ -688,7 +582,6 @@ class SolverService:
                     return SatResult.SAT
 
         # Tier 5: full DPLL(T) on the shared incremental solver.
-        self._last_core = None
         result, model = self._solve(
             conjuncts, int_budget, corrupt=fault == FaultInjector.BAD_MODEL
         )
@@ -698,9 +591,8 @@ class SolverService:
             # the solver's, but the assignment itself is untrustworthy).
             if model is not None and fault is not None and not model.satisfies(conjuncts):
                 model = None
-            core = self._last_core if result is SatResult.UNSAT else None
             self._shard(int_budget).record(
-                conjuncts, result is SatResult.SAT, model, core=core
+                conjuncts, result is SatResult.SAT, model
             )
         return result
 
@@ -896,11 +788,7 @@ class SolverService:
         return fault
 
     def _solve(
-        self,
-        conjuncts: frozenset[Term],
-        int_budget: int,
-        corrupt: bool = False,
-        need_model: bool = False,
+        self, conjuncts: frozenset[Term], int_budget: int, corrupt: bool = False
     ) -> tuple[SatResult, Optional[Model]]:
         deadline: Optional[float] = None
         if self.budget is not None:
@@ -909,7 +797,7 @@ class SolverService:
                 self.stats.deadline_breaches += 1
                 return SatResult.UNKNOWN, None
             deadline = self.budget.query_deadline_at()
-        result, model = self._solve_once(conjuncts, int_budget, deadline, need_model)
+        result, model = self._solve_once(conjuncts, int_budget, deadline)
         if corrupt and model is not None:
             model = self._corrupted(model)
         if (
@@ -923,9 +811,7 @@ class SolverService:
             # on a fresh solver; if that one lies too, the query is
             # undecided as far as we are concerned.
             self.stats.self_check_failures += 1
-            result, model = self._solve_once(
-                conjuncts, int_budget, deadline, need_model
-            )
+            result, model = self._solve_once(conjuncts, int_budget, deadline)
             if (
                 result is SatResult.SAT
                 and model is not None
@@ -935,36 +821,11 @@ class SolverService:
         return result, model
 
     def _solve_once(
-        self,
-        conjuncts: frozenset[Term],
-        int_budget: int,
-        deadline: Optional[float],
-        need_model: bool = False,
+        self, conjuncts: frozenset[Term], int_budget: int, deadline: Optional[float]
     ) -> tuple[SatResult, Optional[Model]]:
-        strategy = self.strategy
-        if strategy == "intfirst" and not need_model:
-            # Pure linear conjunctions skip the Tseitin/CDCL machinery
-            # (and UNSAT-core minimization) entirely: one direct call to
-            # the integer engine decides them.  Non-conjunctive structure
-            # falls through to the normal lazy loop.
-            direct = self._solve_integer_direct(conjuncts, int_budget)
-            if direct is not None:
-                return direct
-        goal = conjuncts
-        if strategy == "simplify":
-            # Verdict-preserving rewrite of each conjunct before
-            # encoding; the cache key stays the original conjunct set.
-            from repro.smt.simplify import simplify
-
-            goal = frozenset(simplify(c) for c in conjuncts)
         self.stats.full_solves += 1
-        solver = Solver(
-            int_budget=int_budget,
-            deadline=deadline,
-            flip_phase=strategy == "flip",
-            cancel=self.cancel_check,
-        )
-        solver.add(*goal)
+        solver = Solver(int_budget=int_budget, deadline=deadline)
+        solver.add(*conjuncts)
         started = time.perf_counter()
         try:
             result = solver.check()
@@ -983,79 +844,6 @@ class SolverService:
         model = solver.model() if result is SatResult.SAT else None
         return result, model
 
-    def _solve_integer_direct(
-        self, conjuncts: frozenset[Term], int_budget: int
-    ) -> Optional[tuple[SatResult, Optional[Model]]]:
-        """The "intfirst" strategy's fast path: if every conjunct is a
-        linear-arithmetic literal, one :func:`check_integer` call decides
-        the conjunction.  Returns None (fall back to the lazy loop) on
-        any non-literal conjunct.  No model is produced — worker-side
-        only, where deltas never ship models anyway.
-
-        On UNSAT the conjunction is additionally *minimized* with the
-        same deletion probing the lazy loop applies to theory lemmas,
-        but at the conjunct level: the resulting core is recorded in
-        the superset tier (see :meth:`_Shard.record`), where it keeps
-        answering future queries that share the contradiction but
-        differ in unrelated conjuncts.  Each probe is one cheap integer
-        check — worth it precisely because the worker's delta ships the
-        core to the authoritative pass."""
-        pairs: list[tuple[Term, list[LinAtom]]] = []
-        for term in conjuncts:
-            lits = _linear_literal_atoms(term)
-            if lits is None:
-                return None
-            pairs.append((term, lits))
-        self.stats.full_solves += 1
-        started = time.perf_counter()
-        try:
-            result = check_integer(
-                [a for _, lits in pairs for a in lits], budget=int_budget
-            )
-            if not result.feasible:
-                self._last_core = self._minimize_conjunct_core(pairs, int_budget)
-        except IntBudgetExceeded:
-            # Same degradation the lazy loop's theory check would reach.
-            return SatResult.UNKNOWN, None
-        finally:
-            self.stats.solve_seconds += time.perf_counter() - started
-            self.stats.theory_rounds += 1
-        return (SatResult.SAT if result.feasible else SatResult.UNSAT), None
-
-    #: Above this many conjuncts, deletion-based minimization costs more
-    #: than the re-solves it can ever save (mirrors Solver's own bound).
-    MAX_CORE_CONJUNCTS = 40
-
-    def _minimize_conjunct_core(
-        self, pairs: list[tuple[Term, list[LinAtom]]], int_budget: int
-    ) -> Optional[frozenset[Term]]:
-        """Deletion-based minimization of an infeasible conjunct set;
-        returns None when no conjunct could be dropped (the full key is
-        then recorded, exactly as before)."""
-        if len(pairs) > self.MAX_CORE_CONJUNCTS:
-            return None
-        core = list(pairs)
-        i = 0
-        while i < len(core):
-            if self.cancel_check is not None and self.cancel_check():
-                raise SatCancelled  # race lost mid-minimization
-            candidate = core[:i] + core[i + 1 :]
-            try:
-                result = check_integer(
-                    [a for _, lits in candidate for a in lits],
-                    budget=int_budget,
-                )
-            except IntBudgetExceeded:
-                i += 1
-                continue
-            if result.feasible:
-                i += 1
-            else:
-                core = candidate
-        if len(core) == len(pairs):
-            return None
-        self.stats.cores_minimized += 1
-        return frozenset(term for term, _ in core)
 
 
 # ---------------------------------------------------------------------------

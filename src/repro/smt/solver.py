@@ -47,13 +47,13 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from enum import Enum, unique
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.smt.cnf import CnfBuilder
 from repro.smt.intsolve import IntBudgetExceeded, check_integer
 from repro.smt.linear import LinAtom, atom_from_comparison
 from repro.smt.preprocess import Preprocessor
-from repro.smt.sat import SatCancelled, SatSolver, SatTimeout
+from repro.smt.sat import SatSolver, SatTimeout
 from repro.smt.terms import (
     BOOL,
     INT,
@@ -217,24 +217,11 @@ class Solver:
     #: Cap on theory-conflict iterations of the lazy loop per ``check``.
     max_theory_rounds = 10_000
 
-    def __init__(
-        self,
-        int_budget: int = 4000,
-        deadline: Optional[float] = None,
-        flip_phase: bool = False,
-        cancel: Optional[Callable[[], bool]] = None,
-    ) -> None:
+    def __init__(self, int_budget: int = 4000, deadline: Optional[float] = None) -> None:
         self._assertions: list[Term] = []
         self._scopes: list[int] = []
         self._model: Optional[Model] = None
         self._int_budget = int_budget
-        #: Portfolio racing variant: invert the CDCL core's initial
-        #: branching phase (same verdicts, different search order).
-        self._flip_phase = flip_phase
-        #: Cooperative poison flag (portfolio race losers): polled in
-        #: the lazy loop and inside the CDCL search; reading true
-        #: raises :class:`SatCancelled`.
-        self._cancel = cancel
         #: Absolute :func:`time.monotonic` instant checks must stop at
         #: (the resource governor's per-query deadline); None = unbounded.
         self.deadline = deadline
@@ -295,7 +282,7 @@ class Solver:
     def _engine(self) -> tuple[Preprocessor, SatSolver, CnfBuilder]:
         if self._sat is None:
             self._pre = Preprocessor()
-            self._sat = SatSolver(flip_phase=self._flip_phase)
+            self._sat = SatSolver()
             self._cnf = CnfBuilder(self._sat)
         assert self._pre is not None and self._cnf is not None
         return self._pre, self._sat, self._cnf
@@ -386,12 +373,8 @@ class Solver:
                 if self.deadline is not None and time.monotonic() >= self.deadline:
                     self.timed_out = True
                     return SatResult.UNKNOWN
-                if self._cancel is not None and self._cancel():
-                    raise SatCancelled
                 try:
-                    bool_model = sat.solve(
-                        assumptions, deadline=self.deadline, cancel=self._cancel
-                    )
+                    bool_model = sat.solve(assumptions, deadline=self.deadline)
                 except SatTimeout:
                     self.timed_out = True
                     return SatResult.UNKNOWN
@@ -437,8 +420,6 @@ class Solver:
             return core  # out of time — block as-is rather than overshoot
         i = 0
         while i < len(core):
-            if self._cancel is not None and self._cancel():
-                raise SatCancelled  # race lost mid-minimization: abort now
             candidate = core[:i] + core[i + 1 :]
             try:
                 result = check_integer(

@@ -35,9 +35,9 @@ it).  MIXY names symbols per block
 MIXY block shifts no other block's names and needs no fast-forward.
 Keys are content hashes over the block's text, its
 transitive callee cone, and its typed calling context
-(:func:`repro.schedule.block_content_hash` widened with a context), so
-editing one function invalidates exactly that function's dependency
-cone and nothing else.
+(:func:`block_content_hash` widened with a context), so editing one
+function invalidates exactly that function's dependency cone and
+nothing else.
 
 **Integrity: per-section checksums, two generations.**  Saves alternate
 between two file *slots* per section: generation ``n`` writes its
@@ -53,15 +53,15 @@ previous generation's copy (counted in ``sections_recovered``), and
 only when both generations fail does that section start cold — with a
 stderr note either way.
 
-Durability contract, same as the PR-6 hint files: the store is an
-accelerator, never a correctness input.  All writes go through
-:func:`repro.fsio.atomic_write`; a missing, torn, corrupt, or
-version-mismatched store degrades to a cold start with a note on
-stderr, never a crash.
+Durability contract: the store is an accelerator, never a correctness
+input.  All writes go through :func:`repro.fsio.atomic_write`; a
+missing, torn, corrupt, or version-mismatched store degrades to a cold
+start with a note on stderr, never a crash.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -91,6 +91,29 @@ _LOAD_ERRORS = (
     pickle.UnpicklingError,
     json.JSONDecodeError,
 )
+
+
+def block_content_hash(program, name: str, context: object = None) -> str:
+    """A stable identity for one function's *content*: the SHA-1 of its
+    pretty-printed text.  The pretty-printer renders from the parsed
+    AST, so the hash is normalized by construction — whitespace and
+    comment edits to the source cannot retire store entries (pinned by
+    ``tests/test_store.py``).  It survives renames of other functions,
+    global reorderings, and annotation edits elsewhere; any edit to the
+    function itself changes it.
+
+    ``context``, when given, widens the key with a stable ``repr`` of
+    the block's typed calling context — the block memo keys results on
+    (content, context) so that one function body analyzed under two
+    qualifier states gets two entries."""
+    from repro.mixy.c.pretty import function_text  # local: layering
+
+    fn = program.functions[name]
+    digest = hashlib.sha1(function_text(fn).encode("utf-8"))
+    if context is not None:
+        digest.update(b"\x00")
+        digest.update(repr(context).encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 class AnalysisStore:

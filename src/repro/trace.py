@@ -576,16 +576,13 @@ def aggregate(events: Iterable[dict]) -> dict:
             (s["kind"], s["name"]),
             {"kind": s["kind"], "name": s["name"], "count": 0, "seconds": 0.0,
              "queries": 0, "solver_seconds": 0.0, "cache_hits": 0,
-             "chash": None, "tiers": {}, "spec_runs": 0, "spec_queries": 0,
-             "spec_solver_seconds": 0.0, "spec_first_solver_seconds": 0.0,
-             "spec_later_solver_seconds": 0.0},
+             "tiers": {}, "spec_runs": 0, "spec_queries": 0,
+             "spec_solver_seconds": 0.0},
         )
         agg["count"] += 1
         agg["seconds"] += s["dur"]
         if s.get("cached"):
             agg["cache_hits"] += 1
-        if s.get("chash"):
-            agg["chash"] = s["chash"]
     for q in parent_queries:
         block = nearest_block(q)
         if block is None:
@@ -598,22 +595,13 @@ def aggregate(events: Iterable[dict]) -> dict:
             blocks[key]["tiers"][tier] = blocks[key]["tiers"].get(tier, 0) + 1
 
     # Speculative (worker-side) per-block attribution.  Worker spans
-    # carry real block names inside their worker.task wrappers; bucket
-    # their query time by enclosing parallel.fanout so hint emission can
-    # split cold (first fanout) from later-round re-speculation.
-    fanouts = sorted(
-        (s for s in parent_spans if s["kind"] == "parallel.fanout"),
-        key=lambda s: s["t"],
-    )
-    fanout_index = {s["id"]: i for i, s in enumerate(fanouts)}
+    # carry real block names inside their worker.task wrappers.
     for s in worker_spans:
         if s["kind"] not in ("mixy.block", "mix.block"):
             continue
         key = (s["kind"], s["name"])
         if key in blocks:
             blocks[key]["spec_runs"] += 1
-            if s.get("chash") and blocks[key]["chash"] is None:
-                blocks[key]["chash"] = s["chash"]
     for q in worker_queries:
         block = nearest_ancestor(q, ("mixy.block", "mix.block"))
         if block is None:
@@ -626,11 +614,6 @@ def aggregate(events: Iterable[dict]) -> dict:
         b["spec_solver_seconds"] += q["dur"]
         tier = q.get("tier", "uncached")
         b["tiers"][tier] = b["tiers"].get(tier, 0) + 1
-        fan = nearest_ancestor(q, ("parallel.fanout",))
-        if fan is not None and fanout_index.get(fan["id"], 0) > 0:
-            b["spec_later_solver_seconds"] += q["dur"]
-        else:
-            b["spec_first_solver_seconds"] += q["dur"]
 
     # Per-round table (MIXY).
     rounds = [
@@ -656,24 +639,6 @@ def aggregate(events: Iterable[dict]) -> dict:
     for s in parent_spans:
         if s["kind"] == "witness.replay" and "verdict" in s:
             verdicts[s["verdict"]] = verdicts.get(s["verdict"], 0) + 1
-
-    # Scheduler activity, summed over fanout spans (repro.schedule).
-    sched_modes = [s["mode"] for s in fanouts if s.get("mode")]
-    race_winners: dict[str, str] = {}
-    for s in fanouts:
-        if isinstance(s.get("winners"), dict):
-            race_winners.update(s["winners"])
-    scheduler = {
-        "mode": next(
-            (m for m in sched_modes if m != "fifo"),
-            sched_modes[0] if sched_modes else "fifo",
-        ),
-        "waves": sum(s.get("waves") or 0 for s in fanouts),
-        "races": sum(s.get("races") or 0 for s in fanouts),
-        "skipped": sum(s.get("skipped") or 0 for s in fanouts),
-        "cancelled": sum(s.get("cancelled") or 0 for s in fanouts),
-        "race_winners": dict(sorted(race_winners.items())),
-    }
 
     def rounded(table: dict[str, dict]) -> dict[str, dict]:
         return {
@@ -707,17 +672,10 @@ def aggregate(events: Iterable[dict]) -> dict:
                     "queries": b["queries"],
                     "solver_seconds": round(b["solver_seconds"], 6),
                     "cache_hits": b["cache_hits"],
-                    "chash": b["chash"],
                     "tiers": dict(sorted(b["tiers"].items())),
                     "spec_runs": b["spec_runs"],
                     "spec_queries": b["spec_queries"],
                     "spec_solver_seconds": round(b["spec_solver_seconds"], 6),
-                    "spec_first_solver_seconds": round(
-                        b["spec_first_solver_seconds"], 6
-                    ),
-                    "spec_later_solver_seconds": round(
-                        b["spec_later_solver_seconds"], 6
-                    ),
                 }
                 for b in blocks.values()
             ),
@@ -731,7 +689,6 @@ def aggregate(events: Iterable[dict]) -> dict:
             "query_tiers": rounded(tier_table(worker_queries)),
             "point_events": dict(sorted(worker_point_counts.items())),
         },
-        "scheduler": scheduler,
         "witness_verdicts": dict(sorted(verdicts.items())),
         "counters": counters,
     }
@@ -822,20 +779,6 @@ def format_report(digest: dict, top: int = 10) -> str:
                 ],
             )
         )
-    sched = digest.get("scheduler") or {}
-    if sched.get("mode", "fifo") != "fifo":
-        lines.append("")
-        lines.append(
-            f"scheduler: mode {sched['mode']}, {sched['waves']} wave(s) "
-            f"dispatched, {sched['races']} race(s) "
-            f"({sched['cancelled']} loser(s) cancelled), "
-            f"{sched['skipped']} converged block speculation(s) skipped"
-        )
-        if sched.get("race_winners"):
-            winners = ", ".join(
-                f"{name}={strat}" for name, strat in sched["race_winners"].items()
-            )
-            lines.append(f"race winners: {winners}")
     if digest["point_events"]:
         lines.append("")
         lines.extend(

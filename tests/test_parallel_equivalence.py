@@ -111,67 +111,6 @@ class TestMixyEquivalence:
         assert _normalize("qual #12 flows to #3") == "qual #N flows to #N"
 
 
-class TestScheduleEquivalence:
-    """``--schedule waves|portfolio`` must stay bitwise-identical to
-    fifo and to ``--jobs 1`` — the scheduler only redistributes
-    *speculative* work (docs/ARCHITECTURE.md §1.6)."""
-
-    @pytest.mark.parametrize("schedule", ["waves", "portfolio"])
-    def test_scheduled_modes_match_serial(self, schedule):
-        source = parallel_vsftpd(depth=2)
-        serial, _ = _run_mixy(source, jobs=1)
-        scheduled, _ = _run_mixy(source, jobs=JOBS, schedule=schedule)
-        assert serial == scheduled
-        assert len(serial) == 1
-
-    def test_hinted_portfolio_matches_serial(self, tmp_path):
-        # Hints steer dispatch (strategies, tier order, cold_only) but
-        # must never steer verdicts; exercise every hint field plus a
-        # stale entry that matches no current block.
-        from repro.mixy.c import parse_program as _parse
-        from repro.schedule import (
-            BlockHint,
-            ScheduleHints,
-            block_content_hash,
-        )
-
-        source = parallel_vsftpd(depth=2)
-        program = _parse(source)
-        names = sorted(n for n in program.functions if n.startswith("crunch_"))
-        hints = ScheduleHints()
-        for rank, name in enumerate(names):
-            chash = block_content_hash(program, name)
-            hints.blocks[chash] = BlockHint(
-                name=name,
-                rank=rank,
-                solver_seconds=1.0,
-                queries=10,
-                tier_order=("superset", "subset") if rank % 2 else None,
-                strategy=("intfirst", "simplify", "flip", None)[rank % 4],
-                cold_only=rank % 2 == 0,
-            )
-        hints.blocks["feedfacecafebeef"] = BlockHint(name="gone", rank=99)
-        hints.hot = tuple(hints.blocks)
-        path = tmp_path / "hints.json"
-        hints.save(str(path))
-
-        serial, _ = _run_mixy(source, jobs=1)
-        hinted, _ = _run_mixy(
-            source, jobs=JOBS, schedule="portfolio", sched_hints=str(path)
-        )
-        assert serial == hinted
-
-    def test_corrupt_hints_degrade_to_unhinted(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        source = parallel_vsftpd(depth=1)
-        serial, _ = _run_mixy(source, jobs=1)
-        hinted, _ = _run_mixy(
-            source, jobs=JOBS, schedule="waves", sched_hints=str(path)
-        )
-        assert serial == hinted
-
-
 MIX_PROGRAMS = [
     # Symbolic block whose feasible failing paths give the MIX engine
     # multiple independent outcome queries to fan out.
@@ -185,8 +124,7 @@ MIX_PROGRAMS = [
 
 class TestMixEquivalence:
     @pytest.mark.parametrize("source", MIX_PROGRAMS)
-    @pytest.mark.parametrize("schedule", ["fifo", "waves"])
-    def test_reports_identical(self, source, schedule):
+    def test_reports_identical(self, source):
         env = TypeEnv({"x": INT})
 
         def run(jobs):
@@ -195,7 +133,7 @@ class TestMixEquivalence:
                 source,
                 env=env,
                 entry="typed",
-                config=MixConfig(jobs=jobs, schedule=schedule),
+                config=MixConfig(jobs=jobs),
             )
             return (
                 report.ok,

@@ -57,6 +57,14 @@ class TestAnalyzeSource:
         second = analyze_source("mixy", SOURCE, {})
         assert first == second
 
+    def test_retired_scheduling_options_do_not_change_the_reply(self):
+        # Clients written against older daemons may still send one.
+        for options in ({}, {"jobs": 2}):
+            retired = {**options, "schedule": "portfolio"}
+            assert analyze_source("mixy", SOURCE, retired) == (
+                analyze_source("mixy", SOURCE, options)
+            )
+
     def test_mixy_parse_error_is_exit_2(self):
         result = analyze_source("mixy", "int main( {", {})
         assert result["exit"] == 2

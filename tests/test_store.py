@@ -28,7 +28,7 @@ from repro.mixy import Mixy, MixyConfig
 from repro.mixy.corpus import CASES
 from repro.mixy.corpus_vsftpd import parallel_vsftpd
 from repro.mixy.qual import QVar
-from repro.store import STORE_VERSION, AnalysisStore
+from repro.store import STORE_VERSION, AnalysisStore, block_content_hash
 from repro.symexec import values
 
 #: Fast corpus for degradation tests.  Its symbolic blocks all make
@@ -617,3 +617,66 @@ class TestNestedBlocks:
         assert len(mixy.run()) == 1
         assert mixy.stats["symbolic_blocks_run"] > 2  # nesting happened
         assert strays == []
+
+
+#: A small function for the content-hash tests.
+FN_SOURCE = """
+int helper(int a) {
+  if (a < 0) { return 0; }
+  return a + 1;
+}
+"""
+
+#: Same function, gratuitously reformatted: the hash must not move.
+FN_REFORMATTED = """
+
+int   helper( int   a )
+{
+    if (a < 0)
+        { return 0; }
+
+    return a    + 1;
+}
+"""
+
+
+class TestBlockContentHash:
+    """The store key is the SHA-1 of the *pretty-printed* function,
+    so it is normalized by construction: whitespace and layout edits
+    cannot retire memo entries; any edit to the function itself does."""
+
+    def _hash(self, source, name="helper", context=None):
+        from repro.mixy.c import parse_program
+
+        return block_content_hash(parse_program(source), name, context)
+
+    def test_reformatting_is_hash_stable(self):
+        assert self._hash(FN_SOURCE) == self._hash(FN_REFORMATTED)
+
+    def test_body_edits_change_the_hash(self):
+        edited = FN_SOURCE.replace("a + 1", "a + 2")
+        assert self._hash(FN_SOURCE) != self._hash(edited)
+
+    def test_edits_elsewhere_do_not_change_the_hash(self):
+        grown = FN_SOURCE + "\nint other(int b) { return b; }\n"
+        assert self._hash(FN_SOURCE) == self._hash(grown)
+
+    def test_context_widens_the_key_and_stays_normalized(self):
+        plain = self._hash(FN_SOURCE)
+        ctx = ("cone-text", "ctx-key")
+        assert self._hash(FN_SOURCE, context=ctx) != plain
+        # Same context, reformatted body: still the same widened key.
+        assert self._hash(FN_SOURCE, context=ctx) == self._hash(
+            FN_REFORMATTED, context=ctx
+        )
+        assert self._hash(FN_SOURCE, context=("other",)) != self._hash(
+            FN_SOURCE, context=ctx
+        )
+
+    def test_digest_is_pinned_across_releases(self):
+        # A saved store is keyed on these digests, so a change here
+        # would silently turn every existing store cold.
+        assert self._hash(FN_SOURCE) == "ac08a88a77b6b682"
+        assert self._hash(FN_SOURCE, context=("cone-text", "ctx-key")) == (
+            "46674d73f59f3784"
+        )

@@ -205,6 +205,12 @@ class TestAggregate:
         (block,) = digest["blocks"]
         assert block["name"] == "b1"
         assert block["queries"] == 1
+        assert sorted(block) == [
+            "cache_hits", "count", "kind", "name", "queries", "seconds",
+            "solver_seconds", "spec_queries", "spec_runs",
+            "spec_solver_seconds", "tiers",
+        ]
+        assert "scheduler" not in digest
         assert digest["query_tiers"]["exact"]["count"] == 1
         assert digest["point_events"] == {"path.fork": 1}
         report = format_report(digest)
@@ -276,6 +282,13 @@ class TestTraceDeterminism:
         serial = _traced_run(tmp_path, jobs=1)
         parallel = _traced_run(tmp_path, jobs=4)
         assert _deterministic_view(serial) == _deterministic_view(parallel)
+        # Block and fan-out spans carry only their work fields.
+        for event in read_trace(tmp_path / "trace-j4.jsonl"):
+            if event.get("kind") == "mixy.block":
+                assert "chash" not in event
+            if event.get("kind") == "parallel.fanout":
+                assert not {"mode", "waves", "races", "skipped", "winners",
+                            "cancelled"} & set(event)
         # The parallel run actually speculated, and its raw stream is a
         # strict superset: worker spans ride along without perturbing the
         # deterministic view above.
@@ -335,6 +348,36 @@ class TestSolverStatsTable:
         lines = stats.format_table().splitlines()
         assert len(lines[1]) == max(len(line) for line in lines[2:])
         assert set(lines[1]) == {"-"}
+
+    #: The ``--solver-stats`` rows, in order.  A field added to or
+    #: dropped from ``SolverStats.as_dict`` must update this list on
+    #: purpose (the benchmark reads several of these rows by name).
+    AS_DICT_KEYS = [
+        "queries", "syntactic_hits", "exact_hits", "subset_hits",
+        "superset_hits", "model_eval_hits", "cache_hits", "hit_rate",
+        "full_solves", "solve_seconds", "sat_conflicts", "sat_restarts",
+        "theory_rounds", "query_timeouts", "deadline_breaches",
+        "path_budget_breaches", "memlog_breaches", "injected_faults",
+        "solver_errors_contained", "self_check_failures",
+        "witnesses_confirmed", "witnesses_unconfirmed", "witnesses_diverged",
+        "blocks_contained", "speculative_blocks", "speculation_failures",
+        "cache_entries_imported",
+    ]
+    SPECULATIVE_KEYS = [
+        "queries", "syntactic_hits", "exact_hits", "subset_hits",
+        "superset_hits", "model_eval_hits", "full_solves", "solve_seconds",
+        "sat_conflicts", "sat_restarts", "theory_rounds", "query_timeouts",
+        "deadline_breaches", "path_budget_breaches", "memlog_breaches",
+        "solver_errors_contained", "cache_hits", "hit_rate",
+    ]
+
+    def test_as_dict_keys_are_pinned(self):
+        stats = SolverStats()
+        assert list(stats.as_dict()) == self.AS_DICT_KEYS
+        stats.merge_perf(SolverStats(queries=1))
+        out = stats.as_dict()
+        assert list(out) == self.AS_DICT_KEYS + ["speculative"]
+        assert list(out["speculative"]) == self.SPECULATIVE_KEYS
 
     def test_snapshot_of_the_default_table_header(self):
         lines = SolverStats().format_table().splitlines()

@@ -36,6 +36,10 @@ DEPTH = 4
 JOBS = 4
 #: Full solves of the cold ``--jobs 1`` proof (measured; host-independent).
 SERIAL_FULL_SOLVES_CEILING = 1318
+#: Theory conflicts of the same proof (measured: 157).  A ceiling, not an
+#: equality: the lazy loop meets atoms in memory-layout order, so the count
+#: can drift.  Weaker theory cores re-learn conflicts and would exceed it.
+SERIAL_THEORY_ROUNDS_CEILING = 157
 
 EXAMPLES = sorted(glob.glob(str(REPO_ROOT / "examples/properties/*")))
 
@@ -67,6 +71,7 @@ def _run(jobs: int):
         "exact_hits": stats.exact_hits,
         "hit_rate": stats.hit_rate,
         "full_solves": stats.full_solves,
+        "theory_rounds": stats.theory_rounds,
         "speculative_blocks": stats.speculative_blocks,
         "imported": stats.cache_entries_imported,
         "timeouts": stats.query_timeouts,
@@ -109,6 +114,10 @@ def test_e22_serial_full_solve_ceiling(measurements):
     assert serial["full_solves"] <= SERIAL_FULL_SOLVES_CEILING, (
         f"--jobs 1 made {serial['full_solves']} full solves; ceiling is "
         f"{SERIAL_FULL_SOLVES_CEILING}"
+    )
+    assert serial["theory_rounds"] <= SERIAL_THEORY_ROUNDS_CEILING, (
+        f"--jobs 1 had {serial['theory_rounds']} theory rounds; ceiling is "
+        f"{SERIAL_THEORY_ROUNDS_CEILING}"
     )
 
 

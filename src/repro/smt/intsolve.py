@@ -10,6 +10,18 @@ full linear integer arithmetic, so the search carries a budget; exhausting
 it raises :class:`IntBudgetExceeded` and the top-level solver reports
 ``UNKNOWN`` rather than guessing.  None of the formulas produced by the
 analyses in this repository come close to the budget.
+
+**Cores.**  An infeasible :class:`IntResult` names the input atoms that
+refute it (``core``, positions in the ``atoms`` argument), so the lazy
+loop can block exactly those without a minimization search:
+
+- refuted at the root: the simplex explanation (see
+  :mod:`repro.smt.simplex`);
+- refuted by branch-and-bound: the union of every leaf's explanation,
+  with the branch bounds dropped.  This is sound over the integers
+  because each branch ``x <= floor(v)  or  x >= ceil(v)`` is valid, so
+  the atoms behind the leaves' refutations are infeasible without the
+  branch bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ class IntBudgetExceeded(Exception):
 class IntResult:
     feasible: bool
     model: dict[Hashable, int]
+    #: When infeasible: positions of input atoms that are infeasible alone.
+    core: frozenset[int] = frozenset()
 
 
 Bounds = dict[Hashable, tuple[Optional[Fraction], Optional[Fraction]]]
@@ -38,11 +52,10 @@ Bounds = dict[Hashable, tuple[Optional[Fraction], Optional[Fraction]]]
 
 def check_integer(atoms: Sequence[LinAtom], budget: int = 4000) -> IntResult:
     """Decide integer feasibility of the conjunction of ``atoms``."""
-    for atom in atoms:
+    for index, atom in enumerate(atoms):
         if atom.is_trivially_false:
-            return IntResult(False, {})
-    nontrivial = [a for a in atoms if a.coeffs]
-    return _branch(nontrivial, {}, _Budget(budget))
+            return IntResult(False, {}, frozenset((index,)))
+    return _branch(atoms, {}, _Budget(budget))
 
 
 class _Budget:
@@ -60,11 +73,13 @@ def _branch(atoms: Sequence[LinAtom], bounds: Bounds, budget: _Budget) -> IntRes
     # of cuts deep on wide integer ranges, which would blow the Python
     # recursion limit long before the search budget.
     stack: list[Bounds] = [bounds]
+    core: set[int] = set()
     while stack:
         bounds = stack.pop()
         budget.spend()
         result = check_rational(atoms, bounds)
         if not result.feasible:
+            core |= result.core
             continue
         fractional = _pick_fractional(result.assignment)
         if fractional is None:
@@ -82,7 +97,7 @@ def _branch(atoms: Sequence[LinAtom], bounds: Bounds, budget: _Budget) -> IntRes
         up[v] = (Fraction(ceil(value)), hi)
         stack.append(up)
         stack.append(down)  # LIFO: the down branch is explored first
-    return IntResult(False, {})
+    return IntResult(False, {}, frozenset(core))
 
 
 def _pick_fractional(

@@ -39,8 +39,11 @@ class LinAtom:
     constant: int
 
     def negate(self) -> "LinAtom":
-        flipped = tuple((v, -c) for v, c in self.coeffs)
-        return make_atom(dict(flipped), -self.constant - 1)
+        negation = _NEGATIONS.get(self)
+        if negation is None:
+            flipped = {v: -c for v, c in self.coeffs}
+            negation = _NEGATIONS[self] = make_atom(flipped, -self.constant - 1)
+        return negation
 
     @property
     def is_trivially_true(self) -> bool:
@@ -57,6 +60,14 @@ class LinAtom:
         for v, c in self.coeffs:
             parts.append(f"{c}*{v}" if c != 1 else str(v))
         return f"{' + '.join(parts)} <= {self.constant}"
+
+
+# Process-wide memos of pure functions over hash-consed terms (which are
+# never freed, so the memos keep nothing alive that would otherwise be).
+# Concurrent threads can at worst both compute an entry; they store equal
+# atoms.
+_NEGATIONS: dict[LinAtom, LinAtom] = {}
+_COMPARISONS: dict[tuple[Term, Term, bool], LinAtom] = {}
 
 
 def make_atom(coeffs: dict[Term, int], constant: int) -> LinAtom:
@@ -118,6 +129,16 @@ def linearize(term: Term) -> tuple[dict[Term, int], int]:
 
 def atom_from_comparison(kind: Kind, left: Term, right: Term) -> LinAtom:
     """Build the canonical atom for ``left <= right`` or ``left < right``."""
+    if kind is not Kind.LE and kind is not Kind.LT:
+        raise SortError(f"not a comparison kind: {kind}")
+    key = (left, right, kind is Kind.LT)
+    atom = _COMPARISONS.get(key)
+    if atom is None:
+        atom = _COMPARISONS[key] = _comparison_atom(kind, left, right)
+    return atom
+
+
+def _comparison_atom(kind: Kind, left: Term, right: Term) -> LinAtom:
     lc, lk = linearize(left)
     rc, rk = linearize(right)
     coeffs = dict(lc)
@@ -126,6 +147,4 @@ def atom_from_comparison(kind: Kind, left: Term, right: Term) -> LinAtom:
     constant = rk - lk
     if kind is Kind.LT:
         constant -= 1  # over integers, e < k  iff  e <= k - 1
-    elif kind is not Kind.LE:
-        raise SortError(f"not a comparison kind: {kind}")
     return make_atom(coeffs, constant)

@@ -581,7 +581,7 @@ class SolverService:
                     shard.record(conjuncts, True, None)
                     return SatResult.SAT
 
-        # Tier 5: full DPLL(T) on the shared incremental solver.
+        # Tier 5: full DPLL(T) on a fresh solver.
         result, model = self._solve(
             conjuncts, int_budget, corrupt=fault == FaultInjector.BAD_MODEL
         )

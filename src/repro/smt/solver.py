@@ -2,10 +2,11 @@
 
 ``check()`` runs the classic lazy loop: the SAT engine proposes a boolean
 model; the conjunction of linear-arithmetic literals it asserts is checked
-for integer feasibility; on theory conflict a (deletion-minimized)
-blocking clause is learned and the search resumes.  Uninterpreted
-functions and arrays were already reduced to arithmetic by Ackermann
-expansion in preprocessing, so a single theory engine suffices.
+for integer feasibility; on theory conflict a clause blocking the core
+the integer engine explains (see :mod:`repro.smt.intsolve`) is learned
+and the search resumes.  Uninterpreted functions and arrays were already
+reduced to arithmetic by Ackermann expansion in preprocessing, so a
+single theory engine suffices.
 
 This is the reproduction's substitute for STP (the solver used by the
 paper's Otter symbolic executor).  The interface the mix rules need:
@@ -400,39 +401,13 @@ class Solver:
                     self._model = self._build_model(cnf, pre, bool_model, result.model)
                     return SatResult.SAT
                 self.stats["theory_rounds"] += 1
-                core = self._minimize_core(asserted)
-                # Theory lemma: this atom conjunction has no integer model.
+                # Theory lemma: the explained core has no integer model.
                 # Globally valid, so it survives pops and future checks.
-                sat.add_clause([-lit for lit, _ in core])
+                sat.add_clause([-asserted[i][0] for i in sorted(result.core)])
             return SatResult.UNKNOWN
         finally:
             if temp_sel is not None:
                 sat.add_clause([-temp_sel])
-
-    def _minimize_core(
-        self, asserted: list[tuple[int, LinAtom]]
-    ) -> list[tuple[int, LinAtom]]:
-        """Deletion-based minimization of an infeasible atom set."""
-        core = list(asserted)
-        if len(core) > 40:
-            return core  # minimization cost would dominate; block as-is
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            return core  # out of time — block as-is rather than overshoot
-        i = 0
-        while i < len(core):
-            candidate = core[:i] + core[i + 1 :]
-            try:
-                result = check_integer(
-                    [a for _, a in candidate], budget=self._int_budget
-                )
-            except IntBudgetExceeded:
-                i += 1
-                continue
-            if result.feasible:
-                i += 1
-            else:
-                core = candidate
-        return core
 
     def _build_model(
         self,
@@ -466,8 +441,8 @@ def is_satisfiable(*formulas: Term, int_budget: int = 4000) -> bool:
     """True iff the conjunction of ``formulas`` has a model.
 
     Routed through the process-wide :class:`repro.smt.service.SolverService`
-    (query cache + shared incremental solver).  Raises :class:`SolverError`
-    if the solver cannot decide the query.
+    (query cache, then a fresh :class:`Solver` per full solve).  Raises
+    :class:`SolverError` if the solver cannot decide the query.
     """
     from repro.smt.service import get_service
 

@@ -572,14 +572,16 @@ class TestClientFailureModes:
 
         def behavior(conn):
             conn.recv(65536)
+            # Record each hit before replying: the client may return and
+            # assert as soon as the reply arrives.
             if not hits:
+                hits.append("busy")
                 conn.sendall(
                     b'{"ok": false, "status": "busy", "retry_after_ms": 10}\n'
                 )
-                hits.append("busy")
                 return True
-            conn.sendall(b'{"ok": true, "status": "ok", "pong": true}\n')
             hits.append("ok")
+            conn.sendall(b'{"ok": true, "status": "ok", "pong": true}\n')
             return False
 
         address, server = self._one_shot_server(behavior)

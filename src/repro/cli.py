@@ -79,6 +79,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     mixy.add_argument("--no-cache", action="store_true", help="disable block caching")
     mixy.add_argument(
+        "--jobs",
+        type=_job_count,
+        default=None,
+        metavar="N",
+        help="worker processes for speculative query-cache warming "
+        "(see docs/ARCHITECTURE.md §1.4); 1 = serial, the default",
+    )
+    mixy.add_argument(
         "--solver-stats",
         action="store_true",
         help="print solver-service counters (queries, cache hits, solve time)",
@@ -99,7 +107,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     prove.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=1,
         metavar="N",
         help="prove up to N property files concurrently (verdict lines "
@@ -454,6 +462,17 @@ def _pool_width(text: str) -> int:
     return width
 
 
+def _job_count(text: str) -> int:
+    """``--jobs N``: at least one process does the work."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--deadline",
@@ -516,22 +535,6 @@ def _add_trust_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_perf_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for speculative query-cache warming "
-        "(see docs/ARCHITECTURE.md §1.4); 1 = serial, the default",
-    )
-    sub.add_argument(
-        "--profile",
-        type=int,
-        default=None,
-        metavar="N",
-        help="profile the run with cProfile and print the top N functions "
-        "by cumulative time, per phase, to stderr",
-    )
     sub.add_argument(
         "--trace",
         default=None,
@@ -644,16 +647,6 @@ def _warn_on_divergence() -> int:
     return diverged
 
 
-def _apply_perf_flags(args: argparse.Namespace, config, profiler) -> None:
-    """Fold --jobs into the config and arm worker-side profiling sidecars
-    when --profile meets --jobs N."""
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    if profiler.enabled and config.jobs > 1:
-        profiler.enable_workers(args.trace or f".repro-profile-{os.getpid()}")
-    profiler.warn_if_parallel(config.jobs)
-
-
 def _open_store(args: argparse.Namespace):
     """Open ``--store DIR`` and warm the solver service from it."""
     if not getattr(args, "store", None):
@@ -717,9 +710,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_prove(args: argparse.Namespace) -> int:
     from repro.prove import prove_files
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     options = {
         "entry": args.entry,
         "entry_function": args.entry_function,
@@ -899,13 +889,9 @@ def _parse_env(spec: str) -> TypeEnv:
 
 
 def _run_mix(args: argparse.Namespace, source: str) -> int:
-    from repro.profiling import PhaseProfiler
-
-    profiler = PhaseProfiler(args.profile)
     try:
-        with profiler.phase("parse"):
-            program = parse(source)
-            env = _parse_env(args.env)
+        program = parse(source)
+        env = _parse_env(args.env)
     except (ParseError, LexError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -920,22 +906,19 @@ def _run_mix(args: argparse.Namespace, source: str) -> int:
         budget=_make_budget(args),
         crash_dir=args.crash_dir,
     )
-    _apply_perf_flags(args, config, profiler)
     if args.validate_witnesses:
         config.validate_witnesses = True
     config.store = _open_store(args)
-    with profiler.phase("analyze"):
-        if args.auto_refine:
-            result = auto_place_blocks(program, env, args.entry, config)
-            for i, step in enumerate(result.steps, 1):
-                print(f"refinement step {i}: {step}")
-            if result.steps:
-                print(f"annotated program: {result.annotated_source}")
-            report = result.report
-        else:
-            report = analyze(program, env, args.entry, config)
+    if args.auto_refine:
+        result = auto_place_blocks(program, env, args.entry, config)
+        for i, step in enumerate(result.steps, 1):
+            print(f"refinement step {i}: {step}")
+        if result.steps:
+            print(f"annotated program: {result.annotated_source}")
+        report = result.report
+    else:
+        report = analyze(program, env, args.entry, config)
     _save_store(config.store)
-    profiler.report()
     print(report)
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -951,24 +934,21 @@ def _run_mixy(args: argparse.Namespace, source: str) -> int:
     from repro.mixy import Mixy, MixyConfig
     from repro.mixy.c.parser import CParseError
     from repro.mixy.qual import QualConfig
-    from repro.profiling import PhaseProfiler
 
-    profiler = PhaseProfiler(args.profile)
     config = MixyConfig(
         qual=QualConfig(deref_requires_nonnull=args.strict_deref),
         enable_cache=not args.no_cache,
         budget=_make_budget(args),
         crash_dir=args.crash_dir,
     )
-    _apply_perf_flags(args, config, profiler)
+    if args.jobs is not None:
+        config.jobs = args.jobs
     if args.validate_witnesses:
         config.validate_witnesses = True
     config.store = _open_store(args)
     try:
-        with profiler.phase("parse+infer"):
-            mixy = Mixy(source, config)
-        with profiler.phase("analyze"):
-            warnings = mixy.run(entry=args.entry, entry_function=args.entry_function)
+        mixy = Mixy(source, config)
+        warnings = mixy.run(entry=args.entry, entry_function=args.entry_function)
     except CParseError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -976,7 +956,6 @@ def _run_mixy(args: argparse.Namespace, source: str) -> int:
         print(f"error: no such function {error}", file=sys.stderr)
         return 2
     _save_store(config.store)
-    profiler.report()
     for warning in warnings:
         print(warning)
     summary = (

@@ -59,15 +59,11 @@ class MixConfig:
     contain_crashes: bool = True
     #: where contained crashes write their minimized repro reports
     crash_dir: str = ".repro-crashes"
-    #: worker processes for the parallel engine (``--jobs``; see
-    #: repro.parallel).  1 = the serial path, byte for byte.  Defaults
-    #: from the REPRO_JOBS environment variable (CI equivalence runs).
-    jobs: int = field(default_factory=lambda: _env_int("REPRO_JOBS", 1))
     #: cross-run analysis store (``--store DIR``; see repro.store): an
     #: opened :class:`repro.store.AnalysisStore`, or None.  Symbolic
     #: blocks that type-checked cleanly are memoized keyed on (block
-    #: text, Γ, config) and skipped on later runs; active only on the
-    #: serial path with no budget / validation / fault injection.
+    #: text, Γ, config) and skipped on later runs; active only with no
+    #: budget / validation / fault injection.
     store: Optional[object] = None
 
 

@@ -51,16 +51,6 @@ class MixTypeError(TypeError_):
         self.witness = witness
 
 
-def _engine_available() -> bool:
-    """Whether fork fan-out is possible here.  An analyzer built where
-    it is not (inside a pool worker, or on fork-less platforms) must
-    take the serial path byte for byte — parallel mode is more than a
-    cache warm, it also switches symbol-naming discipline."""
-    from repro.parallel import ParallelEngine
-
-    return ParallelEngine.available()
-
-
 class Mix:
     """The mixed analysis: a type checker and a symbolic executor, each
     hooked to delegate the other's blocks."""
@@ -85,12 +75,6 @@ class Mix:
             "feasibility_checks": 0,
             "budget_breaches": 0,
         }
-        if self.config.jobs > 1 and _engine_available():
-            from repro.parallel import ParallelEngine
-
-            self._parallel: Optional[ParallelEngine] = ParallelEngine(self.config.jobs)
-        else:
-            self._parallel = None
         #: Degradation notices (GOOD_ENOUGH mode only): budget breaches
         #: that truncated exploration instead of rejecting the program.
         self.warnings: list[str] = []
@@ -153,12 +137,11 @@ class Mix:
 
     def _store_active(self) -> bool:
         """Memoization is on only when a skip is provably transparent:
-        serial mode, no budget (a skipped block consumes none of it),
-        no witness validation, no fault injection (the fault schedule
-        indexes live queries a skip would renumber)."""
+        no budget (a skipped block consumes none of it), no witness
+        validation, no fault injection (the fault schedule indexes live
+        queries a skip would renumber)."""
         return (
             self.config.store is not None
-            and self._parallel is None
             and self.config.budget is None
             and not self.config.validate_witnesses
             and smt.get_service().fault_injector is None
@@ -258,8 +241,6 @@ class Mix:
         self.stats["symbolic_blocks"] += 1
         sigma, state = self.make_symbolic_context(gamma)
         outcomes = self._explore(block, sigma, state)
-        if self._parallel is not None:
-            self._warm_outcome_queries(outcomes)
         result_type: Optional[Type] = None
         surviving: list[Outcome] = []
         assumed_closed: list[Outcome] = []
@@ -320,48 +301,6 @@ class Mix:
             self._check_exhaustive(surviving + assumed_closed, block)
         assert result_type is not None
         return result_type
-
-    def _warm_outcome_queries(self, outcomes: list[Outcome]) -> None:
-        """Parallel engine: a block's independent verification queries —
-        one feasibility check per failing path, plus the exhaustiveness
-        check — fanned out to workers *before* the serial logic below
-        runs them.  Workers return only query-cache deltas, so the
-        serial verdict logic stays authoritative and unchanged; it just
-        finds its queries pre-answered (see repro.parallel)."""
-        assert self._parallel is not None
-        groups: list[tuple[smt.Term, ...]] = []
-        guards: list[smt.Term] = []
-        assumptions: list[smt.Term] = []
-        assumed: list[Outcome] = []
-        for out in outcomes:
-            if out.ok:
-                # Mirrors _check_exhaustive's formula construction.
-                guards.append(out.state.guard)
-                for d in out.state.defs:
-                    if d not in assumptions:
-                        assumptions.append(d)
-                continue
-            if out.kind is ErrKind.BUDGET:
-                continue
-            if out.kind is ErrKind.ASSUME:
-                # Assume-closed paths join the exhaustiveness formula
-                # *after* the surviving paths (the serial logic appends
-                # them), never the feasibility groups.
-                assumed.append(out)
-                continue
-            if out.kind is ErrKind.LOOP_BOUND and (
-                self.config.soundness is SoundnessMode.GOOD_ENOUGH
-            ):
-                continue
-            groups.append((out.state.condition(),))
-        for out in assumed:
-            guards.append(out.state.guard)
-            for d in out.state.defs:
-                if d not in assumptions:
-                    assumptions.append(d)
-        if self.config.soundness is SoundnessMode.SOUND and guards:
-            groups.append((*assumptions, smt.not_(smt.or_(*guards))))
-        self._parallel.warm_mix_queries(groups)
 
     def make_symbolic_context(self, gamma: TypeEnv) -> tuple[SymEnv, State]:
         """Σ(x) = α_x : Γ(x) for all x, and S = ⟨true; μ⟩ with fresh μ."""

@@ -1,20 +1,19 @@
-"""The parallel analysis engine: multi-process block fan-out with
+"""The parallel analysis engine: MIXY's per-round block fan-out with
 cross-process query-cache warming.
 
-Both analyzers spend their time in solver queries, and both already
-funnel every query through the process-wide
+Its one caller is the MIXY fixpoint (``Mixy`` under ``--jobs N``),
+which hands it each round's symbolic frontier.  MIXY spends its time in
+solver queries, and every query already goes through the process-wide
 :class:`repro.smt.service.SolverService` cache.  That makes a simple,
 *exactness-preserving* parallel architecture possible:
 
-1. **Speculative fan-out.**  At a point where independent work is known
-   (the MIXY fixpoint's per-round symbolic frontier; the MIX checker's
-   per-block outcome verification queries), the parent forks a
-   ``ProcessPoolExecutor`` of ``--jobs N`` workers.  Forking means each
-   worker inherits a read-only snapshot of the parent's entire state —
-   program, qualifier graph, block cache, and crucially the warm query
-   cache — for free.
-2. **Workers learn, they do not decide.**  Each worker runs its share of
-   the work against the snapshot and returns only a
+1. **Speculative fan-out.**  Once per fixpoint round, the parent forks
+   a ``ProcessPoolExecutor`` of ``--jobs N`` workers.  Forking means
+   each worker inherits a read-only snapshot of the parent's entire
+   state — program, qualifier graph, block cache, and crucially the
+   warm query cache — for free.
+2. **Workers learn, they do not decide.**  Each worker analyzes its
+   frontier blocks against the snapshot and returns only a
    :class:`~repro.smt.service.CacheDelta`: the solver verdicts it
    computed, wire-encoded (terms hash by identity and cannot be pickled;
    see ``terms.to_wire``), plus its perf-counter
@@ -45,9 +44,10 @@ of a block in a later fixpoint round regenerate identical terms, so
 cache reuse compounds across rounds with or without workers.
 ``--jobs 1`` differs only in what it skips: no forks, no deltas.
 
-Dispatch is first-in, first-out: one worker task per frontier block
-(MIXY) or one round-robin chunk of queries per worker (MIX), with
-deltas merged back in the serial order.
+Dispatch is first-in, first-out: one worker task per frontier block,
+with deltas merged back in the serial order.  Workers are observed
+through the tracer: each task is a ``worker.task`` span in a per-worker
+sidecar file that the parent merges after the pool drains.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import smt
-from repro.profiling import worker_task_profile
 from repro.smt.service import CacheDelta
-from repro.smt.terms import Wire, from_wire_many, to_wire_many
 from repro.trace import TRACER
 
 if TYPE_CHECKING:
@@ -114,21 +112,20 @@ def _mark_worker() -> None:
     # pool drains (see Tracer.merge_worker_files).
     mark_forked_child()
     driver = _WORKER_DRIVER
-    if driver is not None:
-        # Speculation needs verdicts, not trust-ring ceremony: witness
-        # replay happens authoritatively in the parent, and a worker
-        # crash is handled by the wrapper in _speculate_block (shrinking
-        # a repro twice — here and again in the parent — would double
-        # the containment cost for no information).
-        driver.executor.witness_checker = None
-        driver.config.contain_crashes = False
+    assert driver is not None
+    # Speculation needs verdicts, not trust-ring ceremony: witness
+    # replay happens authoritatively in the parent, and a worker crash
+    # is handled by the wrapper in _speculate_block (shrinking a repro
+    # twice — here and again in the parent — would double the
+    # containment cost for no information).
+    driver.executor.witness_checker = None
+    driver.config.contain_crashes = False
 
 
 @dataclass
 class SpeculationResult:
     """What one worker task sends home."""
 
-    label: str
     delta: Optional[CacheDelta]
     error: Optional[str] = None
 
@@ -146,46 +143,17 @@ def _speculate_block(name: str, path_cap: Optional[int]) -> SpeculationResult:
         budget.rescope_for_worker(path_cap)  # forked copy: parent unaffected
     error: Optional[str] = None
     with TRACER.span("worker.task", name, cap=path_cap):
-        with worker_task_profile():
-            try:
-                driver._analyze_symbolic_function(name)
-            except BaseException as exc:  # injected crashes included — contain all
-                error = f"{type(exc).__name__}: {exc}"
+        try:
+            driver._analyze_symbolic_function(name)
+        except BaseException as exc:  # injected crashes included — contain all
+            error = f"{type(exc).__name__}: {exc}"
     if TRACER.enabled:
         TRACER.flush()
     try:
         delta = service.collect_delta_since(mark, stats0)
     except Exception as exc:
-        return SpeculationResult(name, None, f"{type(exc).__name__}: {exc}")
-    return SpeculationResult(name, delta, error)
-
-
-def _speculate_queries(
-    wire: Wire, groups: Sequence[tuple[int, ...]], int_budget: int
-) -> SpeculationResult:
-    """Worker: decode and check a batch of conjunction queries (the MIX
-    checker's per-outcome verification), returning the cache delta."""
-    service = smt.get_service()
-    mark = service.cache_mark()
-    stats0 = replace(service.stats)
-    roots = from_wire_many(wire)
-    error: Optional[str] = None
-    with TRACER.span("worker.task", "queries", groups=len(groups)):
-        with worker_task_profile():
-            for positions in groups:
-                try:
-                    service.check_sat(
-                        tuple(roots[i] for i in positions), int_budget=int_budget
-                    )
-                except BaseException as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-    if TRACER.enabled:
-        TRACER.flush()
-    try:
-        delta = service.collect_delta_since(mark, stats0)
-    except Exception as exc:
-        return SpeculationResult("queries", None, f"{type(exc).__name__}: {exc}")
-    return SpeculationResult("queries", delta, error)
+        return SpeculationResult(None, f"{type(exc).__name__}: {exc}")
+    return SpeculationResult(delta, error)
 
 
 class ParallelEngine:
@@ -205,8 +173,6 @@ class ParallelEngine:
             and os.name == "posix"
             and "fork" in multiprocessing.get_all_start_methods()
         )
-
-    # -- MIXY: per-round frontier fan-out ----------------------------------
 
     def warm_mixy_round(self, driver: "Mixy", names: Sequence[str]) -> None:
         """Fan out one fixpoint round's symbolic frontier.  ``names``
@@ -228,7 +194,7 @@ class ParallelEngine:
         )
         if not caps:
             return  # path budget exhausted: nothing useful to speculate
-        results: dict[str, Optional[SpeculationResult]] = {}
+        results: list[Optional[SpeculationResult]] = []
         _WORKER_DRIVER = driver
         # Flush before forking so workers inherit an empty write buffer
         # (anything buffered would otherwise be duplicated into every
@@ -244,18 +210,18 @@ class ParallelEngine:
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_mark_worker,
             ) as pool:
-                futures = {
-                    name: pool.submit(_speculate_block, name, caps[i % len(caps)])
+                futures = [
+                    pool.submit(_speculate_block, name, caps[i % len(caps)])
                     for i, name in enumerate(names)
-                }
-                for name, future in futures.items():
+                ]
+                for name, future in zip(names, futures):
                     try:
-                        results[name] = future.result()
+                        results.append(future.result())
                     except (BrokenProcessPool, Exception) as exc:
                         # A worker process died (segfault, OOM kill, ...).
                         # Contained per block: record a repro, count it,
                         # and let the authoritative pass redo the block.
-                        results[name] = None
+                        results.append(None)
                         self._record_worker_death(driver, name, exc)
         finally:
             _WORKER_DRIVER = None
@@ -264,7 +230,7 @@ class ParallelEngine:
         with TRACER.span("parallel.merge", "mixy-round"):
             if TRACER.enabled:
                 TRACER.merge_worker_files()
-            self._merge(names, results)
+            self._merge(results)
 
     @staticmethod
     def _record_worker_death(driver: "Mixy", name: str, exc: Exception) -> None:
@@ -283,67 +249,11 @@ class ParallelEngine:
             injector=smt.get_service().fault_injector,
         )
 
-    # -- MIX: per-block outcome-verification fan-out -----------------------
-
-    def warm_mix_queries(
-        self, groups: Sequence[tuple["smt.Term", ...]], int_budget: int = 4000
-    ) -> None:
-        """Fan out a batch of independent conjunction queries (the MIX
-        checker's failing-path feasibility and exhaustiveness checks).
-        Queries are wire-encoded to the workers in round-robin chunks and
-        deltas merged back in chunk order."""
-        if not self.available() or len(groups) < 2:
-            return
-        flat: list["smt.Term"] = []
-        positions: list[tuple[int, ...]] = []
-        for group in groups:
-            positions.append(tuple(range(len(flat), len(flat) + len(group))))
-            flat.extend(group)
-        wire = to_wire_many(flat)
-        jobs = min(self.jobs, len(groups))
-        chunks = [positions[i::jobs] for i in range(jobs)]
-        results: list[Optional[SpeculationResult]] = []
-        if TRACER.enabled:
-            TRACER.flush()  # workers must not inherit buffered lines
-        fanout = TRACER.begin_span(
-            "parallel.fanout", "mix-queries", jobs=min(self.jobs, len(chunks)),
-            queries=len(groups),
-        ) if TRACER.enabled else None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_mark_worker,
-            ) as pool:
-                futures = [
-                    pool.submit(_speculate_queries, wire, chunk, int_budget)
-                    for chunk in chunks
-                ]
-                for future in futures:
-                    try:
-                        results.append(future.result())
-                    except (BrokenProcessPool, Exception):
-                        results.append(None)
-        finally:
-            if fanout is not None:
-                TRACER.end_span(fanout)
-        with TRACER.span("parallel.merge", "mix-queries"):
-            if TRACER.enabled:
-                TRACER.merge_worker_files()
-            self._merge([f"chunk{i}" for i in range(len(results))], dict(
-                (f"chunk{i}", r) for i, r in enumerate(results)
-            ))
-
-    # -- shared -------------------------------------------------------------
-
     @staticmethod
-    def _merge(
-        order: Sequence[str], results: dict[str, Optional[SpeculationResult]]
-    ) -> None:
-        """Merge worker deltas in the given deterministic order."""
+    def _merge(results: Sequence[Optional[SpeculationResult]]) -> None:
+        """Merge worker deltas in frontier (serial) order."""
         service = smt.get_service()
-        for name in order:
-            result = results.get(name)
+        for result in results:
             if result is None or result.delta is None:
                 service.stats.speculation_failures += 1
                 continue

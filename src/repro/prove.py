@@ -161,10 +161,6 @@ def _prove_mix(source, options, budget, store, name) -> PropertyResult:
         budget=budget,
         validate_witnesses=True,
     )
-    # Within-property query warming (repro.parallel); inert inside the
-    # suite driver's file-level fork workers, where the engine refuses
-    # to fan out again.
-    config.jobs = int(options.get("jobs", 1))
     config.store = store
     try:
         report = analyze(program, env, "symbolic", config)

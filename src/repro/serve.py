@@ -34,11 +34,11 @@ The terminal statuses (:data:`TERMINAL_STATUSES`):
   instead of dropping the connection, so a client always learns why.
 
 ``result`` is the request's *deterministic analysis payload*: the exit
-status and the exact diagnostic lines a fresh ``repro mix|mixy
---jobs 1`` run would print.  Wall-clock timing and cache-hit counters
-live in ``served`` — so ``result`` is bitwise identical between a cold
-run, a warm run, and a fresh process: the store accelerates, it never
-answers.
+status and the exact diagnostic lines a fresh ``repro mix`` or ``repro
+mixy --jobs 1`` run would print.  Wall-clock timing and cache-hit
+counters live in ``served`` — so ``result`` is bitwise identical
+between a cold run, a warm run, and a fresh process: the store
+accelerates, it never answers.
 
 **Request isolation.**  By default (POSIX) analyze requests run in a
 persistent prefork **worker pool** (``--pool N``): N long-lived workers
@@ -89,7 +89,9 @@ warm state and can never corrupt the store.
 Per-request equivalence with a fresh process is engineered, not hoped
 for: each analyze request resets the process-global qualifier-variable
 ids and string-intern table, builds a fresh analyzer on the *shared*
-solver service, and defaults to the serial path (``jobs: 1``).
+solver service, and runs MIXY on the serial path unless the request
+says otherwise (``jobs: 1``); MIX has no parallel path, so a MIX
+request's ``jobs`` is ignored like any other unknown option.
 Options may carry a per-request ``Budget`` (deadline / query timeout /
 path cap) and a fault-injection schedule (``inject_fault``, same
 ``N:KIND`` specs as ``--inject-fault``) — both budgeted and
@@ -273,7 +275,6 @@ def _analyze_mix(source: str, options: dict, budget, store) -> dict:
         budget=budget,
         validate_witnesses=bool(options.get("validate_witnesses", False)),
     )
-    config.jobs = int(options.get("jobs", 1))
     config.store = store
     report = analyze(program, env, options.get("entry", "typed"), config)
     lines = [str(report)]

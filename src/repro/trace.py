@@ -21,8 +21,7 @@ layer:
 
 **Cost discipline.**  Disabled tracing (the default) must stay off the
 profile: every hot call site guards with a single attribute check
-(``if TRACER.enabled:``), exactly the :class:`~repro.profiling.
-PhaseProfiler` discipline, and :meth:`Tracer.span` is a no-op context
+(``if TRACER.enabled:``), and :meth:`Tracer.span` is a no-op context
 manager that allocates no span object when disabled.  The trace
 benchmark (``benchmarks/test_bench_trace.py``) verifies both the
 disabled-check cost and the enabled overhead.

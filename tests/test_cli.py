@@ -115,3 +115,29 @@ class TestMixyCommand:
 
     def test_missing_entry_function(self, c_file):
         assert main(["mixy", c_file("int helper(void) { return 0; }")]) == 2
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["mixy", "prove"])
+    def test_jobs_below_one_exits_2(self, command, jobs, c_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, c_file("int main(void) { return 0; }"), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs" in err and "must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [("mix", "jobs", "2"), ("mix", "profile", "5"), ("mixy", "profile", "5")],
+    )
+    def test_retired_options_exit_2(self, command, option, value, tmp_path, capsys):
+        """MIX has no parallel path, and neither subcommand profiles:
+        ``python -m cProfile`` covers serial runs and ``--trace`` covers
+        workers."""
+        path = tmp_path / "program"
+        path.write_text("{s 1 s}" if command == "mix" else "int main(void) { return 0; }")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(path), f"--{option}", value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""``--jobs 1`` / ``--jobs N`` output equivalence.
+"""MIXY ``--jobs 1`` / ``--jobs N`` output equivalence.
 
 The parallel engine's contract (docs/ARCHITECTURE.md §1.4) is that
 speculation only warms the query cache — the authoritative serial pass
@@ -17,7 +17,6 @@ import re
 import pytest
 
 from repro import smt
-from repro.core import MixConfig, analyze_source
 from repro.mixy import Mixy, MixyConfig
 from repro.mixy.c import parse_program
 from repro.mixy.corpus_vsftpd import (
@@ -26,8 +25,6 @@ from repro.mixy.corpus_vsftpd import (
     parallel_vsftpd,
 )
 from repro.mixy.qual import QVar
-from repro.typecheck import TypeEnv
-from repro.typecheck.types import INT
 
 JOBS = 4
 
@@ -114,37 +111,3 @@ class TestMixyEquivalence:
         # The exact comparison above subsumes the normalized one; this
         # guards the normalizer itself for use on uncontrolled runs.
         assert _normalize("qual #12 flows to #3") == "qual #N flows to #N"
-
-
-MIX_PROGRAMS = [
-    # Symbolic block whose feasible failing paths give the MIX engine
-    # multiple independent outcome queries to fan out.
-    "{t if x < 3 then (if x < 1 then 1 + 1 else 4 + true) else 7 t}",
-    # Nested blocks: typed inside symbolic inside typed.
-    "{s ({t if x < 0 then {s 1 s} + 1 else 2 t}) + 3 s}",
-    # Error-free: the fan-out must not invent diagnostics.
-    "{t if x < 5 then x + 1 else x - 1 t}",
-]
-
-
-class TestMixEquivalence:
-    @pytest.mark.parametrize("source", MIX_PROGRAMS)
-    def test_reports_identical(self, source):
-        env = TypeEnv({"x": INT})
-
-        def run(jobs):
-            _fresh_process_state()
-            report = analyze_source(
-                source,
-                env=env,
-                entry="typed",
-                config=MixConfig(jobs=jobs),
-            )
-            return (
-                report.ok,
-                str(report),
-                [str(d) for d in report.diagnostics],
-                [str(w) for w in report.warnings],
-            )
-
-        assert run(1) == run(JOBS)

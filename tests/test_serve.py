@@ -64,6 +64,12 @@ class TestAnalyzeSource:
             assert analyze_source("mixy", SOURCE, retired) == (
                 analyze_source("mixy", SOURCE, options)
             )
+        # MIX has no parallel path: a request's ``jobs`` is ignored.
+        mix = "{s if x < 5 then x + 1 else (if x < 9 then 1 + true else 0) s}"
+        env = {"env": "x:int"}
+        assert analyze_source("mix", mix, {**env, "jobs": 2}) == (
+            analyze_source("mix", mix, env)
+        )
 
     def test_mixy_parse_error_is_exit_2(self):
         result = analyze_source("mixy", "int main( {", {})

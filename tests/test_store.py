@@ -23,6 +23,7 @@ import pytest
 
 from repro import smt
 from repro.budget import Budget
+from repro.core import MixConfig, analyze_source
 from repro.fsio import atomic_write
 from repro.mixy import Mixy, MixyConfig
 from repro.mixy.corpus import CASES
@@ -30,6 +31,7 @@ from repro.mixy.corpus_vsftpd import parallel_vsftpd
 from repro.mixy.qual import QVar
 from repro.store import STORE_VERSION, AnalysisStore, block_content_hash
 from repro.symexec import values
+from repro.typecheck.types import INT, TypeEnv
 
 #: Fast corpus for degradation tests.  Its symbolic blocks all make
 #: typed calls, so it exercises the store plumbing without recording.
@@ -617,6 +619,42 @@ class TestNestedBlocks:
         assert len(mixy.run()) == 1
         assert mixy.stats["symbolic_blocks_run"] > 2  # nesting happened
         assert strays == []
+
+
+# ---------------------------------------------------------------------------
+# MIX block memos end to end
+# ---------------------------------------------------------------------------
+
+#: A mini-ML program with one symbolic block inside a typed one.
+MIX_SOURCE = "{t let y = {s if x < 5 then x + 1 else x - 1 s} in y + 1 t}"
+
+
+class TestMixBlockMemo:
+    @pytest.mark.parametrize("repro_jobs", [None, "2"])
+    def test_warm_run_replays_the_block_and_reports_identically(
+        self, repro_jobs, monkeypatch, tmp_path
+    ):
+        """REPRO_JOBS steers only MIXY; a MIX run memoizes its blocks
+        whatever the environment says."""
+        if repro_jobs is None:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_JOBS", repro_jobs)
+        store = AnalysisStore.open(str(tmp_path / "store"))
+
+        def run():
+            _fresh_process_state()
+            report = analyze_source(
+                MIX_SOURCE, env=TypeEnv({"x": INT}), config=MixConfig(store=store)
+            )
+            return str(report), [str(d) for d in report.diagnostics]
+
+        cold = run()
+        assert store.stats["mix_records"] >= 1
+        warm = run()
+        assert warm == cold
+        assert cold[0] == "accepted: int"
+        assert store.stats["mix_hits"] >= 1
 
 
 #: A small function for the content-hash tests.

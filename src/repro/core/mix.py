@@ -97,7 +97,7 @@ class Mix:
         if budget is not None:
             budget.start()  # idempotent: the clock arms at first use
         name = str(block.pos) if block.pos is not None else f"block{self.stats['symbolic_blocks'] + 1}"
-        with smt.get_service().governed(budget), TRACER.span("mix.block", name):
+        with smt.get_service().governed(budget), TRACER.span("mix.block", name) as span:
             try:
                 memo_key = self._store_key(gamma, block) if self._store_active() else None
                 if memo_key is not None:
@@ -108,6 +108,8 @@ class Mix:
                         # before.  Replay its observable effects — name
                         # consumption and stat deltas — and return the
                         # stored result type without re-exploring.
+                        if span is not None:
+                            span.fields["store_hit"] = True
                         return self._replay_block_entry(entry)
                 names_mark = self.names.mark()
                 stats_before = dict(self.stats)

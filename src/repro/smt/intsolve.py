@@ -1,7 +1,8 @@
 """Integer feasibility for conjunctions of linear atoms.
 
 Strategy: gcd-tightened atoms (see :mod:`repro.smt.linear`) + exact
-rational simplex + branch-and-bound on fractional variables.  Tightening
+rational simplex + branch-and-bound on fractional variables (branch
+bounds are ``int``, like every integral value in the simplex).  Tightening
 already refutes the classic divisibility traps (e.g. ``3x - 3y = 1``);
 branch-and-bound resolves the rest of the population MIX generates.
 
@@ -27,12 +28,11 @@ loop can block exactly those without a minimization search:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, floor
 from typing import Hashable, Optional, Sequence
 
 from repro.smt.linear import LinAtom
-from repro.smt.simplex import check_rational
+from repro.smt.simplex import Rational, check_rational
 
 
 class IntBudgetExceeded(Exception):
@@ -47,7 +47,7 @@ class IntResult:
     core: frozenset[int] = frozenset()
 
 
-Bounds = dict[Hashable, tuple[Optional[Fraction], Optional[Fraction]]]
+Bounds = dict[Hashable, tuple[Optional[Rational], Optional[Rational]]]
 
 
 def check_integer(atoms: Sequence[LinAtom], budget: int = 4000) -> IntResult:
@@ -92,17 +92,17 @@ def _branch(atoms: Sequence[LinAtom], bounds: Bounds, budget: _Budget) -> IntRes
         v, value = fractional
         lo, hi = bounds.get(v, (None, None))
         down = dict(bounds)
-        down[v] = (lo, Fraction(floor(value)))
+        down[v] = (lo, floor(value))
         up = dict(bounds)
-        up[v] = (Fraction(ceil(value)), hi)
+        up[v] = (ceil(value), hi)
         stack.append(up)
         stack.append(down)  # LIFO: the down branch is explored first
     return IntResult(False, {}, frozenset(core))
 
 
 def _pick_fractional(
-    assignment: dict[Hashable, Fraction]
-) -> Optional[tuple[Hashable, Fraction]]:
+    assignment: dict[Hashable, Rational]
+) -> Optional[tuple[Hashable, Rational]]:
     for v, value in assignment.items():
         if isinstance(v, tuple):
             continue  # slack or internal variables need not be integral

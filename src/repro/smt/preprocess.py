@@ -62,11 +62,44 @@ class Preprocessed:
         return and_(self.goal, *self.side_conditions)
 
 
-class Preprocessor:
-    """Stateful rewriter; one instance per ``check()`` call.
+#: Process-wide memo: assertion -> goal, for assertions whose simplified
+#: form is pure (:func:`is_pure`).  Such a goal is a function of the
+#: hash-consed term alone and has no side conditions, so every solver can
+#: share it.  Terms are never freed, so the memo keeps nothing alive that
+#: would otherwise be; concurrent threads can at worst both compute an
+#: entry, and they store the same term.
+_PURE_GOALS: dict[Term, Term] = {}
+#: Process-wide memo of :func:`is_pure`.
+_PURITY: dict[Term, bool] = {}
 
-    State is shared across the assertions of one check so that Ackermann
-    congruence constraints relate applications from *different* assertions.
+_STATEFUL_KINDS = (Kind.SELECT, Kind.STORE, Kind.APPLY)
+
+
+def is_pure(term: Term) -> bool:
+    """True iff rewriting ``term`` touches no :class:`Preprocessor` state:
+    it contains no ``select``, ``store`` or application and no ``ite`` at
+    a non-Bool sort, so it needs no fresh variable, no Ackermann instance
+    and no side condition.  Decided by the term's syntax alone."""
+    pure = _PURITY.get(term)
+    if pure is None:
+        kind = term.kind
+        if kind in _STATEFUL_KINDS or (kind is Kind.ITE and term.sort != BOOL):
+            pure = False
+        else:
+            pure = all(is_pure(a) for a in term.args)
+        _PURITY[term] = pure
+    return pure
+
+
+class Preprocessor:
+    """Stateful rewriter; one instance per :class:`~repro.smt.solver.Solver`.
+
+    State is shared across the assertions of one solver so that Ackermann
+    congruence constraints relate applications from *different*
+    assertions.  Only *stateful* assertions need it: an assertion whose
+    simplified form is pure (:func:`is_pure`) is rewritten once per
+    process, and every later :meth:`process` of it, in any solver, reads
+    the goal from a process-wide memo.
     """
 
     def __init__(self) -> None:
@@ -78,9 +111,16 @@ class Preprocessor:
         self._select_decls: dict[Term, FuncDecl] = {}
 
     def process(self, assertion: Term) -> Preprocessed:
+        goal = _PURE_GOALS.get(assertion)
+        if goal is not None:
+            return Preprocessed(goal)
         if assertion.sort != BOOL:
             raise SortError(f"assertions must be boolean, got {assertion.sort}")
-        goal = self._rewrite(simplify(assertion))
+        simplified = simplify(assertion)
+        if is_pure(simplified):
+            goal = _PURE_GOALS[assertion] = simplify(self._rewrite(simplified))
+            return Preprocessed(goal)
+        goal = self._rewrite(simplified)
         side = self._side_conditions
         self._side_conditions = []
         return Preprocessed(simplify(goal), [simplify(s) for s in side])

@@ -18,6 +18,13 @@ service answers from a tiered cache before ever touching DPLL(T):
 4. **model eval** — KLEE-style counterexample caching: recent models are
    total interpretations (unassigned variables default to 0 / false), so
    if every conjunct evaluates to true under one of them the query is SAT.
+   The tier is indexed (:meth:`_Shard.find_model`): each recorded model
+   gets a serial number, and per conjunct the shard keeps bitmasks of the
+   live models it was evaluated under and of those it was false under,
+   so a model known to falsify any conjunct of the query is skipped
+   without evaluation.  The answer is still the *newest* satisfying
+   model, and no (conjunct, model) pair is evaluated that a plain
+   newest-first scan would not evaluate.
 5. **full solve** — only now does the query reach a :class:`Solver`.  Each
    miss gets a fresh solver sized to the query: CDCL model search assigns
    *every* variable in its database, so sharing one growing solver across
@@ -346,6 +353,15 @@ class _Shard:
         self.sat_sets: Deque[frozenset[Term]] = deque(maxlen=self.MAX_SETS)
         self.unsat_cores: Deque[frozenset[Term]] = deque(maxlen=self.MAX_SETS)
         self.models: Deque[Model] = deque(maxlen=self.MAX_MODELS)
+        #: Serial number the next recorded model gets; the ring holds
+        #: serials ``model_serial - len(models)`` .. ``model_serial - 1``,
+        #: and the model with serial ``s`` owns bit ``s % MAX_MODELS``.
+        self.model_serial = 0
+        #: The model-eval index: conjunct -> ``[known, false, serial]``,
+        #: bitmasks over the ring of the models the conjunct has been
+        #: evaluated under and of those it was false (or ill-sorted)
+        #: under, valid for the models recorded before ``serial``.
+        self.evals: dict[Term, list[int]] = {}
         #: Insertion journal: every *new* exact-tier key, in insertion
         #: order, so ``journal == list(exact)`` always holds.  A
         #: :meth:`SolverService.cache_mark` is just a journal position,
@@ -366,6 +382,7 @@ class _Shard:
             if len(self.exact) >= self.MAX_EXACT:
                 self.exact.clear()  # cheap wholesale eviction; refills fast
                 self.journal.clear()
+                self.evals.clear()
                 self.resets += 1
             self.journal.append(key)
         self.exact[key] = verdict
@@ -376,8 +393,69 @@ class _Shard:
             self.sat_sets.append(key)
             if model is not None:
                 self.models.append(model)
+                self.model_serial += 1
         else:
             self.unsat_cores.append(key)
+
+    def find_model(self, conjuncts: frozenset[Term]) -> Optional[Model]:
+        """The newest recorded model satisfying every conjunct, or None.
+
+        The answer is that of a newest-first ``Model.satisfies`` scan,
+        and so is the order of evaluation; the index only skips the
+        (conjunct, model) pairs whose value it already knows — a model
+        is passed over outright once any conjunct is known false under
+        it.  So no pair is evaluated that the scan would not evaluate.
+        """
+        if not self.models:
+            return None
+        entries = [(term, self._eval_entry(term)) for term in conjuncts]
+        excluded = 0
+        for _, entry in entries:
+            excluded |= entry[1]
+        serial = self.model_serial
+        for model in reversed(self.models):
+            serial -= 1
+            bit = 1 << (serial % self.MAX_MODELS)
+            if excluded & bit:
+                continue
+            for term, entry in entries:
+                if entry[0] & bit:
+                    continue  # known true: known false was excluded above
+                try:
+                    holds = model.eval(term) is True
+                except SortError:
+                    holds = False
+                entry[0] |= bit
+                if not holds:
+                    entry[1] |= bit
+                    break
+            else:
+                return model
+        return None
+
+    def _eval_entry(self, term: Term) -> list[int]:
+        """``term``'s index entry, with the bits of ring slots refilled
+        since it was last brought up to date cleared."""
+        entry = self.evals.get(term)
+        now = self.model_serial
+        if entry is None:
+            entry = self.evals[term] = [0, 0, now]
+        elif entry[2] != now:
+            stale = _slot_mask(entry[2], now, self.MAX_MODELS)
+            entry[0] &= ~stale
+            entry[1] &= ~stale
+            entry[2] = now
+        return entry
+
+
+def _slot_mask(start: int, stop: int, slots: int) -> int:
+    """Bits of the ring slots that serials ``start`` .. ``stop - 1`` own."""
+    count = stop - start
+    if count >= slots:
+        return (1 << slots) - 1
+    first = start % slots
+    mask = ((1 << count) - 1) << first
+    return (mask | (mask >> slots)) & ((1 << slots) - 1)
 
 
 @dataclass
@@ -489,11 +567,10 @@ class SolverService:
         if conjuncts is None:
             raise SolverError(f"no model: query is not satisfiable: {list(formulas)}")
         if self.cache_enabled and fault is None:
-            shard = self._shard(int_budget)
-            for model in reversed(shard.models):
-                if model.satisfies(conjuncts):
-                    self.stats.model_eval_hits += 1
-                    return model
+            model = self._shard(int_budget).find_model(conjuncts)
+            if model is not None:
+                self.stats.model_eval_hits += 1
+                return model
         result, model = self._solve(
             conjuncts, int_budget, corrupt=fault == FaultInjector.BAD_MODEL
         )
@@ -575,11 +652,10 @@ class SolverService:
                     shard.put(conjuncts, False)
                     return SatResult.UNSAT
             # Tier 4: reuse a recent model as a total interpretation.
-            for model in reversed(shard.models):
-                if model.satisfies(conjuncts):
-                    self.stats.model_eval_hits += 1
-                    shard.record(conjuncts, True, None)
-                    return SatResult.SAT
+            if shard.find_model(conjuncts) is not None:
+                self.stats.model_eval_hits += 1
+                shard.record(conjuncts, True, None)
+                return SatResult.SAT
 
         # Tier 5: full DPLL(T) on a fresh solver.
         result, model = self._solve(

@@ -23,27 +23,53 @@ is found:
   input rows, so these bounds alone are contradictory (a Farkas
   certificate).
 
-All arithmetic is exact (:class:`fractions.Fraction`), so the verdicts are
-sound — there is no floating-point drift.
+**Exact, ints while integral.**  All arithmetic is exact, so the
+verdicts are sound — there is no floating-point drift.  Coefficients,
+bounds and assignments stay Python ``int`` while they are integral, the
+common case on the formulas the analyses produce; a
+:class:`fractions.Fraction` appears only for a division that does not come
+out even, and any result with denominator 1 is turned back into an
+``int`` (:func:`_norm`).  An ``int`` and the equal ``Fraction`` compare,
+add and multiply alike, so pivot choices, cores and assignments are the
+same as with ``Fraction`` everywhere; only the constructions go.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Union
 
 from repro.smt.linear import LinAtom
 
+#: An exact rational: an ``int`` while integral, else a ``Fraction``.
+Rational = Union[int, Fraction]
+
 #: A bound: its value and the index of the atom that set it (None when it
 #: came from :meth:`Simplex.set_bounds`).
-Bound = tuple[Fraction, Optional[int]]
+Bound = tuple[Rational, Optional[int]]
+
+
+def _norm(value: Rational) -> Rational:
+    """``value`` as an ``int`` if it is integral (a ``Fraction`` with
+    denominator 1 becomes its numerator)."""
+    if type(value) is int or value.denominator != 1:
+        return value
+    return value.numerator
+
+
+def _div(a: Rational, b: Rational) -> Rational:
+    """Exact ``a / b``: an ``int`` when it divides evenly."""
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        return Fraction(a, b) if remainder else quotient
+    return _norm(a / b)
 
 
 @dataclass
 class SimplexResult:
     feasible: bool
-    assignment: dict[Hashable, Fraction] = field(default_factory=dict)
+    assignment: dict[Hashable, Rational] = field(default_factory=dict)
     #: When infeasible: indices of input atoms whose bounds alone are
     #: infeasible (bounds from ``set_bounds`` are left out).
     core: frozenset[int] = frozenset()
@@ -54,8 +80,8 @@ class Simplex:
 
     def __init__(self) -> None:
         # Tableau: rows[basic] = {nonbasic: coeff}; basic = sum(coeff * nb).
-        self._rows: dict[Hashable, dict[Hashable, Fraction]] = {}
-        self._assignment: dict[Hashable, Fraction] = {}
+        self._rows: dict[Hashable, dict[Hashable, Rational]] = {}
+        self._assignment: dict[Hashable, Rational] = {}
         self._lower: dict[Hashable, Bound] = {}
         self._upper: dict[Hashable, Bound] = {}
         self._slack_index: dict[tuple[tuple[Hashable, int], ...], Hashable] = {}
@@ -67,7 +93,7 @@ class Simplex:
     def _register(self, v: Hashable) -> None:
         if v not in self._order:
             self._order[v] = len(self._order)
-            self._assignment.setdefault(v, Fraction(0))
+            self._assignment.setdefault(v, 0)
 
     def add_atom(self, atom: LinAtom, why: Optional[int] = None) -> None:
         """Assert ``atom`` (``sum coeffs <= constant``); ``why`` is the
@@ -78,13 +104,13 @@ class Simplex:
                 # bound on a dedicated variable.
                 v = ("__false__",)
                 self._register(v)
-                self._set_upper(v, Fraction(-1), why)
-                self._set_lower(v, Fraction(0), why)
+                self._set_upper(v, -1, why)
+                self._set_lower(v, 0, why)
             return
         if len(atom.coeffs) == 1:
             ((v, c),) = atom.coeffs
             self._register(v)
-            bound = Fraction(atom.constant, c)
+            bound = _div(atom.constant, c)
             if c > 0:
                 self._set_upper(v, bound, why)
             else:
@@ -96,35 +122,35 @@ class Simplex:
             slack = ("__slack__", len(self._slack_index))
             self._slack_index[key] = slack
             self._register(slack)
-            row: dict[Hashable, Fraction] = {}
+            row: dict[Hashable, Rational] = {}
             for v, c in atom.coeffs:
                 self._register(v)
-                row[v] = Fraction(c)
+                row[v] = c
             self._rows[slack] = row
-            self._assignment[slack] = sum(
-                (c * self._assignment[v] for v, c in row.items()), Fraction(0)
+            self._assignment[slack] = _norm(
+                sum(c * self._assignment[v] for v, c in row.items())
             )
-        self._set_upper(slack, Fraction(atom.constant), why)
+        self._set_upper(slack, atom.constant, why)
 
-    def _set_upper(self, v: Hashable, bound: Fraction, why: Optional[int]) -> None:
+    def _set_upper(self, v: Hashable, bound: Rational, why: Optional[int]) -> None:
         current = self._upper.get(v)
         if current is None or bound < current[0]:
             self._upper[v] = (bound, why)
 
-    def _set_lower(self, v: Hashable, bound: Fraction, why: Optional[int]) -> None:
+    def _set_lower(self, v: Hashable, bound: Rational, why: Optional[int]) -> None:
         current = self._lower.get(v)
         if current is None or bound > current[0]:
             self._lower[v] = (bound, why)
 
     def set_bounds(
-        self, v: Hashable, lower: Optional[Fraction], upper: Optional[Fraction]
+        self, v: Hashable, lower: Optional[Rational], upper: Optional[Rational]
     ) -> None:
         """Externally constrain a variable (used by branch-and-bound)."""
         self._register(v)
         if lower is not None:
-            self._set_lower(v, lower, None)
+            self._set_lower(v, _norm(lower), None)
         if upper is not None:
-            self._set_upper(v, upper, None)
+            self._set_upper(v, _norm(upper), None)
 
     # -- solving --------------------------------------------------------------
 
@@ -196,38 +222,39 @@ class Simplex:
                 bounds.append((self._upper if up else self._lower)[nonbasic])
         return _explain(bounds)
 
-    def _update_nonbasic(self, v: Hashable, value: Fraction) -> None:
-        delta = value - self._assignment[v]
+    def _update_nonbasic(self, v: Hashable, value: Rational) -> None:
+        assignment = self._assignment
+        delta = value - assignment[v]
         if delta == 0:
             return
-        self._assignment[v] = value
+        assignment[v] = value
         for basic, row in self._rows.items():
             coeff = row.get(v)
             if coeff:
-                self._assignment[basic] += coeff * delta
+                assignment[basic] = _norm(assignment[basic] + coeff * delta)
 
     def _pivot_and_update(
-        self, basic: Hashable, nonbasic: Hashable, target: Fraction
+        self, basic: Hashable, nonbasic: Hashable, target: Rational
     ) -> None:
         assignment = self._assignment
         row = self._rows.pop(basic)
         coeff = row.pop(nonbasic)
         # Moving ``nonbasic`` by theta drives ``basic`` to its target.
-        theta = (target - assignment[basic]) / coeff
+        theta = _div(target - assignment[basic], coeff)
         assignment[basic] = target
-        assignment[nonbasic] += theta
+        assignment[nonbasic] = _norm(assignment[nonbasic] + theta)
         # basic = coeff * nonbasic + rest  =>  nonbasic = (basic - rest)/coeff
-        new_row: dict[Hashable, Fraction] = {basic: Fraction(1) / coeff}
+        new_row: dict[Hashable, Rational] = {basic: _div(1, coeff)}
         for v, c in row.items():
-            new_row[v] = -c / coeff
+            new_row[v] = _div(-c, coeff)
         # Substitute into every other row; each row that mentioned
         # ``nonbasic`` with coefficient c moves by c * theta.
         for other, other_row in self._rows.items():
             c = other_row.pop(nonbasic, None)
             if c:
-                assignment[other] += c * theta
+                assignment[other] = _norm(assignment[other] + c * theta)
                 for v, nc in new_row.items():
-                    updated = other_row.get(v, 0) + c * nc
+                    updated = _norm(other_row.get(v, 0) + c * nc)
                     if updated:
                         other_row[v] = updated
                     else:
@@ -241,7 +268,7 @@ def _explain(bounds: Iterable[Bound]) -> frozenset[int]:
 
 def check_rational(
     atoms: Iterable[LinAtom],
-    bounds: Optional[dict[Hashable, tuple[Optional[Fraction], Optional[Fraction]]]] = None,
+    bounds: Optional[dict[Hashable, tuple[Optional[Rational], Optional[Rational]]]] = None,
 ) -> SimplexResult:
     """One-shot rational feasibility of a conjunction of atoms; a core
     holds positions in ``atoms``."""

@@ -205,6 +205,32 @@ class Model:
         return out
 
 
+#: Process-wide memo of :func:`_theory_atoms` (a pure function of the
+#: hash-consed term; terms are never freed).
+_GOAL_ATOMS: dict[Term, tuple[LinAtom, ...]] = {}
+
+
+def _theory_atoms(term: Term) -> tuple[LinAtom, ...]:
+    """The theory atoms syntactically inside ``term``, each once, in the
+    order a depth-first walk meets them."""
+    atoms = _GOAL_ATOMS.get(term)
+    if atoms is None:
+        found: dict[LinAtom, None] = {}
+        stack = [term]
+        seen: set[int] = set()
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            if t.kind is Kind.LE or t.kind is Kind.LT:
+                found[atom_from_comparison(t.kind, t.args[0], t.args[1])] = None
+                continue
+            stack.extend(t.args)
+        atoms = _GOAL_ATOMS[term] = tuple(found)
+    return atoms
+
+
 class Solver:
     """An SMT solver instance with *incremental* assertion-stack semantics.
 
@@ -297,22 +323,14 @@ class Solver:
         return sel
 
     def _collect_atom_vars(self, term: Term, cnf: CnfBuilder) -> set[int]:
-        """SAT vars of the theory atoms syntactically inside ``term``."""
+        """SAT vars of the theory atoms syntactically inside ``term``,
+        added in traversal order (the set's iteration order, and with it
+        the theory check's atom order, depends on it)."""
         out: set[int] = set()
-        stack = [term]
-        seen: set[int] = set()
-        while stack:
-            t = stack.pop()
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            if t.kind in (Kind.LE, Kind.LT):
-                atom = atom_from_comparison(t.kind, t.args[0], t.args[1])
-                v = cnf.atom_to_var.get(atom)
-                if v is not None:
-                    out.add(v)
-                continue
-            stack.extend(t.args)
+        for atom in _theory_atoms(term):
+            v = cnf.atom_to_var.get(atom)
+            if v is not None:
+                out.add(v)
         return out
 
     def _encode_pending(self) -> None:

@@ -1,5 +1,8 @@
 """Edge cases and failure modes of the SMT stack."""
 
+import random
+from contextlib import contextmanager
+
 import pytest
 
 from repro import smt
@@ -19,7 +22,9 @@ from repro.smt import (
     store,
     var,
 )
-from repro.smt.preprocess import Preprocessor, UnsupportedTermError
+from repro.smt import preprocess
+from repro.smt.preprocess import Preprocessor, UnsupportedTermError, is_pure
+from repro.smt.simplify import simplify
 from repro.smt.terms import Sort, SortError
 
 x = var("x", INT)
@@ -108,6 +113,128 @@ class TestPreprocessor:
             not_(eq(x, y)), eq(select(m, x), int_const(1))
         )
         assert smt.is_valid(claim)
+
+
+def random_assertion(rng, depth=3):
+    """A random Bool term over Int/Bool variables, an uninterpreted
+    function, an array and Int-sorted ite (the last three are stateful)."""
+    ints = [var(f"pm_i{k}", INT) for k in range(3)]
+    bools = [var(f"pm_b{k}", BOOL) for k in range(2)]
+    f = FuncDecl("pm_f", (INT,), INT)
+    mem = var("pm_mem", array_sort(INT, INT))
+
+    def int_term(d):
+        if d == 0 or rng.random() < 0.3:
+            return rng.choice(ints) if rng.random() < 0.7 else int_const(rng.randint(-4, 4))
+        k = rng.randrange(7)
+        if k == 0:
+            return smt.add(int_term(d - 1), int_term(d - 1))
+        if k == 1:
+            return mul(int_const(rng.randint(-3, 3)), int_term(d - 1))
+        if k == 2:
+            return f(int_term(d - 1))
+        if k == 3:
+            return smt.ite(bool_term(d - 1), int_term(d - 1), int_term(d - 1))
+        if k == 4:
+            return select(store(mem, int_term(d - 1), int_term(d - 1)), int_term(d - 1))
+        if k == 5:
+            return select(mem, int_term(d - 1))
+        return smt.neg(int_term(d - 1))
+
+    def bool_term(d):
+        if d == 0 or rng.random() < 0.3:
+            k = rng.randrange(4)
+            if k == 0:
+                return rng.choice(bools)
+            if k == 1:
+                return smt.le(int_term(1), int_term(1))
+            if k == 2:
+                return smt.distinct(int_term(1), int_term(1), int_term(1))
+            return eq(int_term(1), int_term(1))
+        k = rng.randrange(5)
+        if k == 0:
+            return not_(bool_term(d - 1))
+        if k == 1:
+            return smt.and_(bool_term(d - 1), bool_term(d - 1))
+        if k == 2:
+            return smt.or_(bool_term(d - 1), bool_term(d - 1))
+        if k == 3:
+            return smt.ite(bool_term(d - 1), bool_term(d - 1), bool_term(d - 1))
+        return eq(bool_term(d - 1), bool_term(d - 1))
+
+    return bool_term(depth)
+
+
+@contextmanager
+def empty_pure_memo():
+    """Run with an empty process-wide pure-goal memo (restored after)."""
+    saved = preprocess._PURE_GOALS
+    preprocess._PURE_GOALS = {}
+    try:
+        yield preprocess._PURE_GOALS
+    finally:
+        preprocess._PURE_GOALS = saved
+
+
+def fresh_goal(term):
+    """The goal an empty memo and a fresh preprocessor give ``term``."""
+    with empty_pure_memo():
+        return Preprocessor().process(term)
+
+
+class TestPureGoalMemo:
+    """The process-wide memo of pure goals must be invisible: a pure
+    conjunct gets the goal a fresh preprocessor would give it, whatever
+    its preprocessor rewrote before, and stateful conjuncts (and the
+    Ackermann / ite state they build) never go through it."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pure_goal_after_stateful_ones_matches_a_fresh_preprocessor(self, seed):
+        rng = random.Random(seed)
+        pool = [random_assertion(rng) for _ in range(40)]
+        stateful = [t for t in pool if not is_pure(simplify(t))]
+        pure = [t for t in pool if is_pure(simplify(t))]
+        assert stateful and pure
+        with empty_pure_memo() as memo:
+            pre = Preprocessor()
+            for term in stateful:
+                pre.process(term)
+            for term in pure:
+                processed = pre.process(term)
+                reference = fresh_goal(term)
+                assert processed.goal is reference.goal
+                assert processed.side_conditions == reference.side_conditions == []
+                assert memo[term] is processed.goal
+            assert not any(term in memo for term in stateful)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_memo_hits_leave_stateful_rewriting_unchanged(self, seed):
+        rng = random.Random(100 + seed)
+        sequence = [random_assertion(rng) for _ in range(25)]
+        with empty_pure_memo() as memo:
+            cold = Preprocessor()
+            cold_out = [cold.process(t) for t in sequence]
+            assert memo  # the cold pass filled it
+            warm = Preprocessor()
+            warm_out = [warm.process(t) for t in sequence]
+        for a, b in zip(cold_out, warm_out):
+            assert a.goal is b.goal
+            assert len(a.side_conditions) == len(b.side_conditions)
+            assert all(s is t for s, t in zip(a.side_conditions, b.side_conditions))
+        assert cold._fresh_counter == warm._fresh_counter
+        assert cold._applications == warm._applications
+        assert cold._select_decls == warm._select_decls
+
+    def test_purity_is_syntactic(self):
+        f = FuncDecl("pm_g", (INT,), INT)
+        mem = var("pm_arr", array_sort(INT, INT))
+        assert is_pure(smt.and_(smt.le(x, y), smt.ite(smt.lt(x, y), eq(x, y), not_(eq(x, y)))))
+        assert not is_pure(eq(f(x), y))
+        assert not is_pure(eq(select(mem, x), y))
+        assert not is_pure(smt.le(smt.ite(smt.lt(x, y), x, y), y))
+        # simplify's read-over-write leaves an Int-sorted ite: stateful.
+        read = select(store(mem, x, int_const(1)), y)
+        assert not is_pure(simplify(eq(read, int_const(1))))
 
 
 class TestModelDetails:

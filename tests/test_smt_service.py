@@ -9,6 +9,8 @@ result obtained under one budget is never served under another.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from repro.smt import (
     Solver,
     SolverService,
     and_,
+    array_sort,
     eq,
     false,
     gt,
@@ -32,6 +35,8 @@ from repro.smt import (
     true,
     var,
 )
+from repro.smt.service import _Shard
+from repro.smt.solver import Model
 
 x = var("x", INT)
 y = var("y", INT)
@@ -154,6 +159,128 @@ class TestCacheTiers:
         assert svc.check_sat(query) is SatResult.SAT
         assert svc.stats.full_solves == 2
         assert svc.stats.cache_hits == 0
+
+
+class _Sink:
+    """Where the recording models of one query write their evaluations."""
+
+    log: list = []
+
+
+class _RecordingModel:
+    """A model that logs each top-level ``(conjunct, model)`` evaluation;
+    ``satisfies`` is :class:`Model`'s own, so the scan oracle logs too."""
+
+    satisfies = Model.satisfies
+
+    def __init__(self, model: Model) -> None:
+        self._model = model
+
+    def eval(self, term):
+        _Sink.log.append((term, self))
+        return self._model.eval(term)
+
+
+ARRAY = array_sort(INT, INT)
+#: Model.eval raises SortError on array equality: it must count as false.
+ILL_SORTED = eq(var("arr_a", ARRAY), var("arr_b", ARRAY))
+INDEX_CONJUNCTS = [
+    p, not_(p), q, not_(q), gt(x, int_const(0)), le(x, int_const(1)),
+    lt(x, y), le(y, z), eq(x, z), gt(z, int_const(-2)), or_(p, lt(y, int_const(0))),
+    and_(q, le(z, int_const(2))), ILL_SORTED,
+]
+
+
+class TestModelEvalIndex:
+    """``_Shard.find_model`` (the model-eval index) against the plain
+    newest-first ``Model.satisfies`` scan: same model returned, and no
+    ``(conjunct, model)`` pair evaluated that the scan would not
+    evaluate, nor any pair evaluated twice while its model is live."""
+
+    @staticmethod
+    def _scan(shard, conjuncts):
+        return next(
+            (m for m in reversed(shard.models) if m.satisfies(conjuncts)), None
+        )
+
+    @staticmethod
+    def _model(rng):
+        return _RecordingModel(
+            Model(
+                {p: rng.random() < 0.5, q: rng.random() < 0.5},
+                {v: rng.randint(-3, 3) for v in (x, y, z)},
+                {},
+                {},
+            )
+        )
+
+    def _run(self, shard, seed, steps):
+        rng = random.Random(seed)
+        index_pairs: set = set()
+        recorded = hits = 0
+        for _ in range(steps):
+            if rng.random() < 0.3:
+                recorded += 1
+                key = frozenset([gt(x, int_const(recorded))])
+                shard.record(key, True, self._model(rng))
+                continue
+            conjuncts = frozenset(
+                rng.sample(INDEX_CONJUNCTS, rng.randint(1, 4))
+            )
+            _Sink.log = scan_log = []
+            expected = self._scan(shard, conjuncts)
+            _Sink.log = index_log = []
+            found = shard.find_model(conjuncts)
+            assert found is expected
+            hits += found is not None
+            assert set(index_log) <= set(scan_log)
+            assert len(set(index_log)) == len(index_log)
+            assert not index_pairs & set(index_log)
+            index_pairs |= set(index_log)
+        return recorded, hits
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_agrees_with_the_scan(self, seed):
+        recorded, hits = self._run(_Shard(), seed, 300)
+        assert recorded and hits
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ring_wrap_around(self, seed):
+        class SmallRing(_Shard):
+            MAX_MODELS = 5
+
+        shard = SmallRing()
+        recorded, _ = self._run(shard, seed, 200)
+        assert recorded > 3 * SmallRing.MAX_MODELS
+        assert shard.model_serial == recorded
+
+    def test_default_ring_wraps(self):
+        shard = _Shard()
+        recorded, _ = self._run(shard, 99, 4 * shard.MAX_MODELS)
+        assert recorded > shard.MAX_MODELS
+
+    def test_ill_sorted_conjunct_is_false_under_every_model(self):
+        shard = _Shard()
+        rng = random.Random(0)
+        for serial in range(3):
+            shard.record(frozenset([gt(x, int_const(serial))]), True, self._model(rng))
+        assert shard.find_model(frozenset([ILL_SORTED])) is None
+        known, false, _ = shard.evals[ILL_SORTED]
+        assert known == false == 0b111
+
+    def test_wholesale_eviction_clears_the_index(self):
+        class Tiny(_Shard):
+            MAX_EXACT = 4
+
+        shard = Tiny()
+        shard.record(frozenset([p]), True, self._model(random.Random(1)))
+        _Sink.log = []
+        shard.find_model(frozenset([q, gt(x, int_const(0))]))
+        assert shard.evals
+        for bound in range(Tiny.MAX_EXACT):
+            shard.put(frozenset([lt(x, int_const(bound))]), True)
+        assert shard.resets == 1
+        assert shard.evals == {}
 
 
 class TestBudgetSharding:

@@ -8,6 +8,9 @@
 - The cores that explain infeasible results are checked to be infeasible
   on their own (brute force, linprog), and compared with the deletion
   minimizer the solver used before it read cores off the simplex.
+- The simplex keeps integral values as ``int``: bounds given as ``int``
+  or as the equal ``Fraction`` must give equal verdicts, assignments,
+  cores and models, with every integral value an ``int``.
 """
 
 import itertools
@@ -19,7 +22,7 @@ import pytest
 from scipy.optimize import linprog
 
 from repro.smt import INT, var
-from repro.smt.intsolve import IntBudgetExceeded, check_integer
+from repro.smt.intsolve import IntBudgetExceeded, _branch, _Budget, check_integer
 from repro.smt.linear import LinAtom, make_atom
 from repro.smt.simplex import Simplex, check_rational
 
@@ -283,3 +286,65 @@ class TestExplanationSources:
         atoms = [make_atom({u: 1}, 0), LinAtom((), -1)]
         assert check_integer(atoms).core == {1}
         assert check_rational(atoms).core == {1}
+
+
+def random_bounds(rng):
+    """Random integral (lower, upper) bounds on some of the variables."""
+    bounds = {}
+    for t in VARS:
+        if rng.random() < 0.7:
+            lower = rng.randint(-5, 3) if rng.random() < 0.8 else None
+            upper = rng.randint(-3, 5) if rng.random() < 0.8 else None
+            bounds[t] = (lower, upper)
+    return bounds
+
+
+def as_fractions(bounds):
+    return {
+        t: tuple(None if b is None else Fraction(b) for b in pair)
+        for t, pair in bounds.items()
+    }
+
+
+def integral_values_are_ints(values):
+    return all(type(value) is int or value.denominator != 1 for value in values)
+
+
+def branch_outcome(atoms, bounds):
+    try:
+        result = _branch(atoms, bounds, _Budget(300))
+    except IntBudgetExceeded:
+        return "budget"
+    return result.feasible, result.model, result.core
+
+
+class TestIntegerFastPath:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_int_and_fraction_bounds_agree(self, seed):
+        rng = random.Random(seed)
+        atoms, _ = random_system(rng, rng.randint(1, 5))
+        # Untightened atoms make the simplex divide unevenly.
+        atoms.append(LinAtom(((u, 2), (v, 3)), rng.randint(-6, 6)))
+        atoms.append(LinAtom(((w, -3),), rng.randint(-6, 6)))
+        bounds = random_bounds(rng)
+        ints = check_rational(atoms, bounds)
+        fractions = check_rational(atoms, as_fractions(bounds))
+        assert ints.feasible == fractions.feasible
+        assert ints.core == fractions.core
+        assert ints.assignment == fractions.assignment
+        assert integral_values_are_ints(ints.assignment.values())
+        assert integral_values_are_ints(fractions.assignment.values())
+        assert branch_outcome(atoms, bounds) == branch_outcome(
+            atoms, as_fractions(bounds)
+        )
+
+    def test_uneven_division_yields_a_fraction(self):
+        atoms = [make_atom({u: 2, v: 2}, 2), LinAtom(((u, 2), (v, -2)), 1)]
+        simplex = Simplex()
+        for index, atom in enumerate(atoms):
+            simplex.add_atom(atom, index)
+        simplex.set_bounds(u, Fraction(1, 2), None)
+        result = simplex.check()
+        assert result.feasible
+        assert result.assignment[u] == Fraction(1, 2)
+        assert integral_values_are_ints(result.assignment.values())

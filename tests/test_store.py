@@ -31,6 +31,7 @@ from repro.mixy.corpus_vsftpd import parallel_vsftpd
 from repro.mixy.qual import QVar
 from repro.store import STORE_VERSION, AnalysisStore, block_content_hash
 from repro.symexec import values
+from repro.trace import TRACER, read_trace
 from repro.typecheck.types import INT, TypeEnv
 
 #: Fast corpus for degradation tests.  Its symbolic blocks all make
@@ -651,10 +652,20 @@ class TestMixBlockMemo:
 
         cold = run()
         assert store.stats["mix_records"] >= 1
-        warm = run()
+        trace_path = tmp_path / "warm.jsonl"
+        TRACER.enable(trace_path)
+        try:
+            warm = run()
+        finally:
+            TRACER.close()
         assert warm == cold
         assert cold[0] == "accepted: int"
         assert store.stats["mix_hits"] >= 1
+        blocks = [
+            e for e in read_trace(trace_path)
+            if e["ev"] == "span" and e["kind"] == "mix.block"
+        ]
+        assert blocks and all(e.get("store_hit") is True for e in blocks)
 
 
 #: A small function for the content-hash tests.

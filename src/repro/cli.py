@@ -172,7 +172,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="persist the store after every N analyze requests (default 1)",
+        help="persist the store after every N analyze requests (default 1); "
+        "a save writes a new generation only if a block memo or the solver "
+        "cache changed since the last one",
     )
     serve.add_argument(
         "--max-requests",
@@ -272,8 +274,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=float,
         default=30.0,
         metavar="S",
-        help="persist dirty warm state every S seconds, on top of "
-        "--save-every (default 30; 0 disables)",
+        help="persist unsaved warm state (block memos or solver entries) "
+        "every S seconds, on top of --save-every (default 30; 0 disables)",
     )
     serve.add_argument(
         "--crash-dir",

@@ -82,9 +82,12 @@ slow-loris) and a max-request-size cap (anti memory bomb); both produce
 
 **Durability.**  The store uses per-section CRC32 checksums and a
 two-generation write scheme (see :mod:`repro.store`), and a checkpoint
-thread persists dirty warm state every ``--checkpoint-secs`` — so
+thread persists unsaved warm state every ``--checkpoint-secs`` — so
 ``kill -9`` at any instruction loses at most one checkpoint interval of
-warm state and can never corrupt the store.
+warm state and can never corrupt the store.  Every save — per request,
+checkpoint, shutdown — writes a generation only when a block memo or
+the solver cache changed since the last one, so all-hits traffic does
+no store I/O.
 
 Per-request equivalence with a fresh process is engineered, not hoped
 for: each analyze request resets the process-global qualifier-variable
@@ -129,6 +132,28 @@ WORKER_KILL_GRACE = 2.0
 
 #: Socket poll interval: how often blocked reads re-check stop flags.
 _POLL_SECS = 0.25
+
+#: The modules analyze and prove requests import lazily, down to their
+#: crash-containment and witness-replay paths.  :meth:`ReproDaemon.bind`
+#: imports them before the first pool fork, so every worker — reforks
+#: after an epoch bump included — inherits them instead of paying the
+#: imports (~60 ms for the MIXY driver alone) on its first request.
+PRELOAD_MODULES = (
+    "repro.budget",
+    "repro.core",
+    "repro.crash",
+    "repro.lang.effects",
+    "repro.lang.parser",
+    "repro.mixy.c.interp",
+    "repro.mixy.c.pretty",
+    "repro.mixy.driver",
+    "repro.prove",
+    "repro.shrink",
+    "repro.smt.encodings",
+    "repro.symexec",
+    "repro.typecheck.types",
+    "repro.witness",
+)
 
 
 def _reply(status: str, **fields) -> dict:
@@ -909,11 +934,16 @@ class ReproDaemon:
     # -- lifecycle -----------------------------------------------------------
 
     def bind(self) -> str:
-        """Open the store, bind the socket, and return the announce
-        string (``unix:PATH`` or ``tcp:HOST:PORT`` with the real port)."""
+        """Import the request path (:data:`PRELOAD_MODULES`), open the
+        store, bind the socket, and return the announce string
+        (``unix:PATH`` or ``tcp:HOST:PORT`` with the real port)."""
+        import importlib
+
         from repro import smt
         from repro.store import AnalysisStore
 
+        for module in PRELOAD_MODULES:
+            importlib.import_module(module)
         if self.store_dir is not None:
             self.store = AnalysisStore.open(self.store_dir)
             loaded = self.store.load_into_service(smt.get_service())
@@ -1541,17 +1571,21 @@ class ReproDaemon:
     # -- periodic checkpointing ---------------------------------------------
 
     def _checkpoint_loop(self) -> None:
-        """Persist dirty warm state every ``checkpoint_secs`` so a
+        """Persist unsaved warm state every ``checkpoint_secs`` so a
         ``kill -9`` loses at most one interval, on top of the per-N
-        ``--save-every`` saves."""
+        ``--save-every`` saves.  New block memos and solver entries
+        learned without one (budgeted requests, blocks with typed calls)
+        both count: :meth:`~repro.store.AnalysisStore.unsaved` decides."""
         from repro import smt
 
         while not self._stop_event.wait(self.checkpoint_secs):
-            if self._stop or self.store is None or not self.store.dirty:
+            if self._stop or self.store is None:
                 continue
             with self._serial:
-                with TRACER.span("checkpoint", "periodic"):
-                    self.store.save(smt.get_service())
+                service = smt.get_service()
+                if self.store.unsaved(service):
+                    with TRACER.span("checkpoint", "periodic"):
+                        self.store.save(service)
 
     def _request_tracer(self, options: dict) -> bool:
         """Per-request tracing: honor ``options["trace"]`` when the

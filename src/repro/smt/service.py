@@ -372,6 +372,10 @@ class _Shard:
         #: postdates the eviction).
         self.journal: list[frozenset[Term]] = []
         self.resets = 0
+        #: Count of writes that change what :meth:`SolverService.
+        #: export_cache` reads: exact-tier inserts, verdict changes and
+        #: evictions, and sat-set / unsat-core appends.
+        self.writes = 0
 
     def put(self, key: frozenset[Term], verdict: bool) -> None:
         """Insert one exact-tier entry, journaling genuinely new keys
@@ -385,17 +389,28 @@ class _Shard:
                 self.evals.clear()
                 self.resets += 1
             self.journal.append(key)
+        elif self.exact[key] == verdict:
+            return
         self.exact[key] = verdict
+        self.writes += 1
+
+    def add_sat_set(self, key: frozenset[Term]) -> None:
+        self.sat_sets.append(key)
+        self.writes += 1
+
+    def add_unsat_core(self, key: frozenset[Term]) -> None:
+        self.unsat_cores.append(key)
+        self.writes += 1
 
     def record(self, key: frozenset[Term], sat: bool, model: Optional[Model]) -> None:
         self.put(key, sat)
         if sat:
-            self.sat_sets.append(key)
+            self.add_sat_set(key)
             if model is not None:
                 self.models.append(model)
                 self.model_serial += 1
         else:
-            self.unsat_cores.append(key)
+            self.add_unsat_core(key)
 
     def find_model(self, conjuncts: frozenset[Term]) -> Optional[Model]:
         """The newest recorded model satisfying every conjunct, or None.
@@ -489,6 +504,9 @@ class SolverService:
         self.stats = SolverStats()
         self.cache_enabled = cache_enabled
         self._shards: dict[int, _Shard] = {}
+        #: :meth:`cache_version` carried over the shards dropped by
+        #: :meth:`reset`, so the version never repeats.
+        self._retired_writes = 0
         #: The active run's resource budget (installed via ``governed``).
         self.budget: Optional[Budget] = None
         #: Deterministic fault injection for degradation testing.
@@ -675,6 +693,7 @@ class SolverService:
     def reset(self) -> None:
         """Drop all cached state and counters (tests and benchmarks)."""
         self.stats = SolverStats()
+        self._retired_writes = self.cache_version() + 1
         self._shards.clear()
 
     # -- cross-process cache deltas (see repro.parallel) -----------------------
@@ -762,14 +781,14 @@ class SolverService:
                 if view is None:
                     view = sat_views[int_budget] = set(shard.sat_sets)
                 if key not in view:
-                    shard.sat_sets.append(key)
+                    shard.add_sat_set(key)
                     view.add(key)
             if in_cores:
                 view = core_views.get(int_budget)
                 if view is None:
                     view = core_views[int_budget] = set(shard.unsat_cores)
                 if key not in view:
-                    shard.unsat_cores.append(key)
+                    shard.add_unsat_core(key)
                     view.add(key)
         return imported
 
@@ -784,6 +803,15 @@ class SolverService:
         as deltas: the model-eval tier refills from live solves."""
         delta = self.collect_delta_since({}, self.stats)
         return CacheDelta(wire=delta.wire, entries=delta.entries, stats=SolverStats())
+
+    def cache_version(self) -> int:
+        """A number that grows with every write :meth:`export_cache`
+        reads, and only with those — equal versions mean an equal
+        export.  O(#shards), so :meth:`repro.store.AnalysisStore.save`
+        can ask it after every request."""
+        return self._retired_writes + sum(
+            shard.writes for shard in self._shards.values()
+        )
 
     def import_cache(self, delta: CacheDelta) -> int:
         """Load a persisted :meth:`export_cache` into the shards;

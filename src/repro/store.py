@@ -51,7 +51,10 @@ is never the one being overwritten.  On load each section is verified
 against its CRC; a damaged current section **rolls back** to the
 previous generation's copy (counted in ``sections_recovered``), and
 only when both generations fail does that section start cold — with a
-stderr note either way.
+stderr note either way.  A save writes nothing when neither a block memo
+nor the solver cache changed since the last load or save
+(:meth:`AnalysisStore.unsaved`); a store that opened damaged writes a
+healthy generation at its next save.
 
 Durability contract: the store is an accelerator, never a correctness
 input.  All writes go through :func:`repro.fsio.atomic_write`; a
@@ -128,8 +131,13 @@ class AnalysisStore:
         self.mix_blocks: dict[str, dict] = {}
         #: why (part of) the store was ignored, for stderr surfacing
         self.notes: list[str] = []
-        #: set by put(); save() is a no-op on a clean store
+        #: a block memo changed since the last save, or the store opened
+        #: without a healthy generation; save() skips a clean store
+        #: whose solver cache is also unchanged
         self.dirty = False
+        #: ``(service, service.cache_version())`` as of the last load or
+        #: save: the solver-cache contents the store already holds.
+        self._cache_seen: Optional[tuple] = None
         #: last persisted generation (0 = never saved); save() writes
         #: generation+1 into slot (generation+1) % 2.
         self.generation = 0
@@ -166,6 +174,10 @@ class AnalysisStore:
                 store._load_sections(manifest)
         elif os.path.exists(root) and not os.path.isdir(root):
             store.notes.append(f"store {root}: not a directory; starting cold")
+        # No generation on disk yet, or a damaged one (a rolled-back,
+        # lost or unreadable section): the next save writes a healthy
+        # generation even if nothing new is learned.
+        store.dirty = store._current_manifest is None or bool(store.notes)
         store._surface(quiet)
         return store
 
@@ -272,19 +284,36 @@ class AnalysisStore:
     def load_into_service(self, service) -> int:
         """Import the persisted solver cache into ``service``; returns
         the number of entries imported (0 on a cold store)."""
-        if self.solver_cache is None:
-            return 0
-        try:
-            imported = service.import_cache(self.solver_cache)
-        except _LOAD_ERRORS as error:
-            self.notes.append(
-                f"store {self.root}: solver cache failed to import "
-                f"({type(error).__name__}: {error}); continuing cold"
-            )
-            print(f"note: {self.notes[-1]}", file=sys.stderr)
-            return 0
+        imported = 0
+        if self.solver_cache is not None:
+            try:
+                imported = service.import_cache(self.solver_cache)
+            except _LOAD_ERRORS as error:
+                self.notes.append(
+                    f"store {self.root}: solver cache failed to import "
+                    f"({type(error).__name__}: {error}); continuing cold"
+                )
+                print(f"note: {self.notes[-1]}", file=sys.stderr)
+                return 0
         self.stats["solver_entries_loaded"] += imported
+        self._cache_seen = (service, service.cache_version())
         return imported
+
+    def unsaved(self, service=None) -> bool:
+        """Whether :meth:`save` has anything to write: a block memo
+        changed (``dirty``), or ``service``'s cache may differ from what
+        this store last loaded or saved (always, for a service it never
+        saw)."""
+        if self.dirty:
+            return True
+        if service is None:
+            return False
+        seen = self._cache_seen
+        return (
+            seen is None
+            or seen[0] is not service
+            or seen[1] != service.cache_version()
+        )
 
     def save(self, service=None, force: bool = False) -> None:
         """Persist the store as a new generation: sections land in the
@@ -292,8 +321,12 @@ class AnalysisStore:
         manifest flips to record the new generation with the old one as
         its last-known-good fallback.  Write failures are swallowed with
         a note — persisting is an optimization, never worth failing an
-        analysis over."""
-        if not (self.dirty or force or service is not None):
+        analysis over.
+
+        A save that would rewrite what the store already holds is
+        skipped: it writes only when ``force`` is set or
+        :meth:`unsaved` says so — so an all-hits request costs no I/O."""
+        if not (force or self.unsaved(service)):
             return
         generation = self.generation + 1
         slot = generation % 2
@@ -302,6 +335,7 @@ class AnalysisStore:
             sections: dict[str, dict] = {}
             delta = self.solver_cache
             if service is not None:
+                version = service.cache_version()
                 delta = service.export_cache()
             if delta is not None:
                 name = f"solver-cache.{slot}.pkl"
@@ -346,6 +380,8 @@ class AnalysisStore:
             self.generation = generation
             self._current_manifest = manifest
             self.dirty = False
+            if service is not None:
+                self._cache_seen = (service, version)
         except OSError as error:
             note = f"store {self.root}: could not persist ({error})"
             self.notes.append(note)
@@ -366,10 +402,12 @@ class AnalysisStore:
         fresh = any(key not in self.mixy_blocks for key in mixy_new) or any(
             key not in self.mix_blocks for key in mix_new
         )
+        if _changes(self.mixy_blocks, mixy_new) or _changes(
+            self.mix_blocks, mix_new
+        ):
+            self.dirty = True
         self.mixy_blocks.update(mixy_new)
         self.mix_blocks.update(mix_new)
-        if mixy_new or mix_new:
-            self.dirty = True
         for key, delta_value in (stats_delta or {}).items():
             self.stats[key] = self.stats.get(key, 0) + delta_value
         return fresh
@@ -395,3 +433,8 @@ class AnalysisStore:
         self.mix_blocks[key] = entry
         self.stats["mix_records"] += 1
         self.dirty = True
+
+
+def _changes(memos: dict, new: dict) -> bool:
+    """Whether folding ``new`` into ``memos`` changes any entry."""
+    return any(memos.get(key) != entry for key, entry in new.items())

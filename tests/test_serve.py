@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -312,8 +313,10 @@ class TestDaemonEndToEnd:
         proc, address = _start_daemon(tmp_path, "--max-requests", "1")
         expected = _analyze_request(address, source=STAIRCASE)["result"]
         _finish(proc)
+        # The second life must learn something: a save with nothing new
+        # writes no generation.
         proc, address = _start_daemon(tmp_path, "--max-requests", "1")
-        _analyze_request(address, source=STAIRCASE)
+        _analyze_request(address, source=parallel_vsftpd(depth=2))
         _finish(proc)
         store_dir = tmp_path / "store"
         meta = json.loads((store_dir / "meta.json").read_text())
@@ -329,6 +332,55 @@ class TestDaemonEndToEnd:
         assert "rolled back to last-known-good generation" in err
         assert response["result"] == expected
         assert response["served"]["store"].get("mixy_hits", 0) > 0
+
+    def test_checkpoint_persists_solver_entries_learned_without_memos(
+        self, tmp_path
+    ):
+        # A budgeted request records no block memo, only solver entries;
+        # with --save-every out of reach, the checkpoint alone must
+        # persist them before the kill -9.
+        proc, address = _start_daemon(
+            tmp_path, "--save-every", "1000", "--checkpoint-secs", "0.5"
+        )
+        budgeted = _analyze_request(address, source=STAIRCASE, deadline=300)
+        meta = tmp_path / "store" / "meta.json"
+        deadline = time.monotonic() + 10.0
+        while not meta.exists() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=20)
+        proc.stdout.close()
+        proc.stderr.close()
+        proc, address = _start_daemon(tmp_path, "--max-requests", "1")
+        request(address, {"cmd": "ping"})
+        err = _finish(proc)
+        assert budgeted["ok"]
+        assert "warmed" in err
+
+    def test_saves_write_a_generation_only_on_change(self, tmp_path):
+        # A repeated warm analyze learns nothing and leaves the store's
+        # generation alone; an edit learns a new cone and bumps it.
+        proc, address = _start_daemon(tmp_path, "--max-requests", "4")
+        meta = tmp_path / "store" / "meta.json"
+
+        def generation():
+            return json.loads(meta.read_text())["generation"]
+
+        cold = _analyze_request(address, source=STAIRCASE)
+        after_cold = generation()
+        warm = _analyze_request(address, source=STAIRCASE)
+        after_warm = generation()
+        edited = STAIRCASE.replace("r = r + 1;", "r = r + 0 + 1;", 1)
+        assert edited != STAIRCASE
+        edit = _analyze_request(address, source=edited)
+        after_edit = generation()
+        request(address, {"cmd": "ping"})
+        _finish(proc)
+        assert cold["ok"] and warm["ok"] and edit["ok"]
+        assert warm["result"] == cold["result"]
+        assert after_cold >= 1
+        assert after_warm == after_cold
+        assert after_edit == after_cold + 1
 
     def test_ping_shutdown_cycle(self, tmp_path):
         proc, address = _start_daemon(tmp_path, "--no-store")
@@ -382,6 +434,61 @@ class TestWorkerIsolation:
         assert response["ok"] is False and response["status"] == "error"
         assert "RuntimeError: analyzer bug" in response["error"]
         assert daemon.handle_line('{"cmd": "ping"}')["ok"]
+
+    def test_workers_inherit_the_request_path_imports(self, tmp_path):
+        # A fresh interpreter runs the daemon (this test process has the
+        # analysis stack imported already); its pool workers must import
+        # no repro module of their own while serving a MIXY analyze, a
+        # MIXY prove and a MIX prove — bind() imported them before the
+        # first fork.
+        properties = pathlib.Path(SRC_DIR).parent / "examples" / "properties"
+        requests = [
+            {"cmd": "analyze", "lang": "mixy", "source": STAIRCASE},
+            {"cmd": "prove", "lang": "mixy",
+             "source": (properties / "backsolve_diff.c").read_text()},
+            {"cmd": "prove", "lang": "mix",
+             "source": (properties / "overflow_guard.mix").read_text()},
+        ]
+        (tmp_path / "requests.json").write_text(json.dumps(requests))
+        script = """
+import itertools, json, os, sys
+import repro.serve as serve
+
+inner = serve._worker_payload
+served = itertools.count()
+
+def recording(*args, **kwargs):
+    before = set(sys.modules)
+    payload = inner(*args, **kwargs)
+    with open(f"imports.{os.getpid()}.{next(served)}", "w") as fh:
+        json.dump(sorted(
+            name for name in set(sys.modules) - before
+            if name.startswith("repro")
+        ), fh)
+    return payload
+
+serve._worker_payload = recording
+daemon = serve.ReproDaemon(
+    listen="127.0.0.1:0", store_dir="store", pool_size=1
+)
+daemon.bind()
+replies = [
+    daemon.handle_line(json.dumps(request))
+    for request in json.load(open("requests.json"))
+]
+daemon._pool.close()
+print(json.dumps([reply["status"] for reply in replies]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=_subprocess_env(), cwd=tmp_path, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["ok", "ok", "ok"]
+        records = sorted(tmp_path.glob("imports.*"))
+        assert len(records) == 3
+        for record in records:
+            assert json.loads(record.read_text()) == [], record.name
 
     def test_faulted_request_never_poisons_the_warm_cache(self, tmp_path):
         # A request with an injected solver fault — whether it degrades

@@ -311,6 +311,46 @@ class TestBudgetSharding:
         assert all(not shard.exact for shard in svc._shards.values())
 
 
+class TestCacheVersion:
+    """``cache_version`` moves with every write ``export_cache`` reads and
+    with nothing else — the store's "anything to save?" check."""
+
+    def test_answers_from_the_cache_leave_the_version(self):
+        svc = SolverService()
+        query = (gt(x, int_const(0)), lt(x, int_const(5)))
+        start = svc.cache_version()
+        svc.check_sat(query)
+        solved = svc.cache_version()
+        assert solved > start
+        svc.check_sat(query)  # exact hit
+        svc.check_sat((false(),))  # syntactic tier
+        assert svc.cache_version() == solved
+
+    def test_imports_move_it_only_when_they_add(self):
+        source = SolverService()
+        source.check_sat((gt(x, int_const(3)), lt(x, int_const(4))))
+        source.check_sat((gt(y, int_const(0)),))
+        svc = SolverService()
+        start = svc.cache_version()
+        assert svc.import_cache(source.export_cache()) == 2
+        imported = svc.cache_version()
+        assert imported > start
+        assert svc.import_cache(source.export_cache()) == 0
+        assert svc.cache_version() == imported
+
+    def test_reset_and_eviction_move_it(self, monkeypatch):
+        svc = SolverService()
+        svc.check_sat((gt(x, int_const(0)),))
+        before = svc.cache_version()
+        svc.reset()
+        assert svc.cache_version() > before
+        monkeypatch.setattr(_Shard, "MAX_EXACT", 1)
+        svc.check_sat((gt(x, int_const(0)),))
+        filled = svc.cache_version()
+        svc.check_sat((gt(y, int_const(0)),))  # evicts, then inserts
+        assert svc.cache_version() > filled
+
+
 class TestGlobalService:
     def test_one_shot_helpers_route_through_service(self):
         svc = smt.reset_service()

@@ -549,6 +549,102 @@ class TestGenerationRollback:
 
 
 # ---------------------------------------------------------------------------
+# Saves write a new generation only when the store's contents changed
+# ---------------------------------------------------------------------------
+
+
+class TestSaveOnlyOnChange:
+    def _reopened(self, tmp_path):
+        """A saved warm store, reopened and loaded into a fresh service."""
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        _analyze(store, source=STAIRCASE)
+        store.save(smt.get_service())
+        assert store.generation == 1
+        service = smt.reset_service()
+        reopened = AnalysisStore.open(root)
+        assert reopened.load_into_service(service) > 0
+        return root, reopened, service
+
+    def _meta(self, root):
+        with open(os.path.join(root, "meta.json"), "rb") as fh:
+            return fh.read()
+
+    def test_unchanged_save_writes_no_generation(self, tmp_path):
+        root, store, service = self._reopened(tmp_path)
+        meta = self._meta(root)
+        store.save(service)
+        store.save()
+        assert store.generation == 1
+        assert self._meta(root) == meta
+
+    def test_known_memos_from_a_worker_write_no_generation(self, tmp_path):
+        root, store, service = self._reopened(tmp_path)
+        known = dict(itertools.islice(store.mixy_blocks.items(), 1))
+        assert not store.merge_worker(known, {}, {"mixy_hits": 1})
+        store.save(service)
+        assert store.generation == 1
+
+    def test_an_import_writes_a_generation(self, tmp_path):
+        root, store, service = self._reopened(tmp_path)
+        from repro.smt import eq, int_const, var
+        from repro.smt.terms import INT as SMT_INT
+
+        other = smt.SolverService()
+        other.check_sat((eq(var("save_only_x", SMT_INT), int_const(7)),))
+        assert service.merge_delta(other.export_cache()) == 1
+        store.save(service)
+        assert store.generation == 2
+        assert AnalysisStore.open(root).solver_cache is not None
+
+    def test_a_new_memo_writes_a_generation(self, tmp_path):
+        root, store, service = self._reopened(tmp_path)
+        assert store.merge_worker({"fresh-key": {"v": 1}}, {}, {})
+        store.save(service)
+        assert store.generation == 2
+        assert AnalysisStore.open(root).mixy_get("fresh-key") == {"v": 1}
+
+    def test_force_writes_a_generation(self, tmp_path):
+        root, store, service = self._reopened(tmp_path)
+        store.save(service, force=True)
+        assert store.generation == 2
+
+    def test_a_rollback_on_open_makes_the_next_save_write(
+        self, tmp_path, capsys
+    ):
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        store.mixy_put("k1", {"v": 1})
+        store.save()
+        store.mixy_put("k2", {"v": 2})
+        store.save()
+        _flip_byte(_section_file(root, "blocks"))
+        service = smt.reset_service()
+        rolled = AnalysisStore.open(root)
+        capsys.readouterr()
+        assert rolled.stats["sections_recovered"] == 1
+        rolled.load_into_service(service)
+        rolled.save(service)
+        assert rolled.generation == 3
+        healthy = AnalysisStore.open(root)
+        assert healthy.notes == []
+        assert healthy.mixy_get("k1") == {"v": 1}
+
+    def test_a_lost_section_makes_the_next_save_write(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        store.mixy_put("k1", {"v": 1})
+        store.save()
+        _flip_byte(_section_file(root, "blocks"))
+        lost = AnalysisStore.open(root)
+        capsys.readouterr()
+        assert lost.stats["sections_lost"] == 1
+        lost.save()
+        assert lost.generation == 2
+        assert AnalysisStore.open(root).notes == []
+
+
+# ---------------------------------------------------------------------------
 # Nested blocks: block-scoped naming makes a mid-block skip transparent
 # ---------------------------------------------------------------------------
 

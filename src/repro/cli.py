@@ -826,7 +826,10 @@ def _run_client(args: argparse.Namespace) -> int:
 def _run_client_bench(args: argparse.Namespace, payload: dict) -> int:
     """``repro client --bench N --concurrency C``: hammer the daemon with
     N copies of this analyze request over C connections and print
-    throughput plus latency percentiles."""
+    throughput plus latency percentiles.  Exits 1 unless every request
+    got an ``ok`` reply and all replies carry the same ``result``."""
+    import json
+
     from repro.serve import bench
 
     if args.bench < 1 or args.concurrency < 1:
@@ -863,6 +866,20 @@ def _run_client_bench(args: argparse.Namespace, payload: dict) -> int:
         report["completed"] != report["requests"]
         or report["ok"] != report["completed"]
     )
+    # Every request sent the same payload, so every reply must carry the
+    # same deterministic result, whatever order replies completed in.
+    distinct = {
+        json.dumps(result, sort_keys=True)
+        for result in report["results"]
+        if result is not None
+    }
+    if len(distinct) > 1:
+        print(
+            f"error: replies disagree: {len(distinct)} distinct results "
+            "for one request",
+            file=sys.stderr,
+        )
+        failed = True
     return 1 if failed else 0
 
 

@@ -218,6 +218,12 @@ class Mixy:
         #: entry -> (qualifier-graph edge count, (typed, frontier)); the
         #: call-graph walk is invalidated only when the graph gained edges
         self._partition_cache: dict[str, tuple[int, tuple[frozenset[str], frozenset[str]]]] = {}
+        #: store-key parts that are fixed for the run (the program and
+        #: its points-to graph never change): per-function pretty text,
+        #: callee cones, and the struct-layout texts
+        self._function_texts: dict[str, str] = {}
+        self._cones: dict[str, frozenset[str]] = {}
+        self._struct_texts: Optional[tuple[str, ...]] = None
         self._parallel: Optional["ParallelEngine"] = None
         if self.config.jobs > 1:
             # Where fork fan-out is impossible (inside a pool worker, on
@@ -483,19 +489,20 @@ class Mixy:
         its transitive callee cone, struct layouts, the typed calling
         context, and the analysis configuration.  Editing one function
         retires exactly the keys whose cone contains it."""
-        from repro.mixy.c.pretty import function_text, struct_text
+        from repro.mixy.c.pretty import struct_text
         from repro.store import block_content_hash
 
         cone = []
         for cname in sorted(self._callee_cone(fn.name) - {fn.name}):
             cfn = self.program.functions.get(cname)
             if cfn is not None and cfn.body is not None:
-                cone.append(function_text(cfn))
+                cone.append(self._function_text(cfn))
             else:
                 cone.append(f"extern {cname}")
-        structs = [
-            struct_text(s) for _, s in sorted(self.program.structs.items())
-        ]
+        if self._struct_texts is None:
+            self._struct_texts = tuple(
+                struct_text(s) for _, s in sorted(self.program.structs.items())
+            )
         config_fp = repr(
             (
                 self.config.qual,
@@ -508,13 +515,25 @@ class Mixy:
         return block_content_hash(
             self.program,
             fn.name,
-            context=(tuple(cone), tuple(structs), context_key, config_fp),
+            context=(tuple(cone), self._struct_texts, context_key, config_fp),
+            text=self._function_text(fn),
         )
 
-    def _callee_cone(self, name: str) -> set[str]:
+    def _function_text(self, fn: CFunction) -> str:
+        text = self._function_texts.get(fn.name)
+        if text is None:
+            from repro.mixy.c.pretty import function_text
+
+            text = self._function_texts[fn.name] = function_text(fn)
+        return text
+
+    def _callee_cone(self, name: str) -> frozenset[str]:
         """``name`` plus every function transitively callable from it
         (by text, not by what actually executed — an over-approximation
         is a safe invalidation key)."""
+        cone = self._cones.get(name)
+        if cone is not None:
+            return cone
         seen: set[str] = set()
         stack = [name]
         while stack:
@@ -525,7 +544,8 @@ class Mixy:
             fn = self.program.functions.get(current)
             if fn is not None and fn.body is not None:
                 stack.extend(self._called_functions(fn))
-        return seen
+        cone = self._cones[name] = frozenset(seen)
+        return cone
 
     def _replay_block_entry(
         self,

@@ -62,9 +62,14 @@ analysis is then fate-shared with the daemon.
 **Concurrency and determinism.**  Pooled requests *execute*
 concurrently — only admission sequencing and warm-state merges
 serialize.  Determinism survives because answers are cache-independent
-(the store accelerates, it never answers) and merges are
-admission-ordered by a sequencer, so the shared cache evolves as a
-deterministic function of the admission sequence.  Each worker's
+(the store accelerates, it never answers) and merges that carry new
+solver-cache entries or block memos are admission-ordered by a
+sequencer, so the shared cache evolves as a deterministic function of
+the admission sequence.  Replies need no order: a request that learned
+nothing (an all-hits warm analyze or prove, an error, a fault-injected
+or dead worker) folds its additive counters and replies at once
+instead of waiting behind earlier requests' merges, while a request
+that learned something replies only after its own merge.  Each worker's
 snapshot is labeled with a warm-state **epoch**; a merge that changes
 what a fresh fork would inherit bumps the epoch, and stale idle workers
 are lazily recycled — killed and reforked from the now-warmer parent —
@@ -563,15 +568,24 @@ class PoolWorker:
 
 class _MergeSequencer:
     """Admission-ordered merge gate.  Pooled requests *execute*
-    concurrently, but their warm-state merges (and therefore their
-    replies) complete strictly in worker-grant order — so the shared
-    cache and the epoch counter evolve as a deterministic function of
-    the admission sequence, never of thread-scheduling races."""
+    concurrently, but their warm-state merges complete strictly in
+    worker-grant order — so the shared cache and the epoch counter
+    evolve as a deterministic function of the admission sequence, never
+    of thread-scheduling races.
+
+    Only merges need that order, not replies.  A request whose
+    completion has nothing order-sensitive to merge passes its turn
+    with :meth:`skip` instead of waiting for it: the turn advances past
+    a skipped number as soon as every earlier one is done or skipped.
+    Every admitted number must pass :meth:`done` or :meth:`skip` exactly
+    once, or the line stalls."""
 
     def __init__(self) -> None:
         self._cv = threading.Condition()
         self._admitted = 0
         self._turn = 0
+        #: Skipped numbers the turn has not reached yet.
+        self._skipped: set[int] = set()
 
     def admit(self) -> int:
         with self._cv:
@@ -587,8 +601,25 @@ class _MergeSequencer:
     def done(self, seq: int) -> None:
         with self._cv:
             assert self._turn == seq, (self._turn, seq)
-            self._turn = seq + 1
-            self._cv.notify_all()
+            self._advance_locked(seq + 1)
+
+    def skip(self, seq: int) -> None:
+        """Give up ``seq``'s turn without waiting for it."""
+        with self._cv:
+            assert seq >= self._turn and seq not in self._skipped, (
+                self._turn, seq,
+            )
+            if seq == self._turn:
+                self._advance_locked(seq + 1)
+            else:
+                self._skipped.add(seq)
+
+    def _advance_locked(self, turn: int) -> None:
+        while turn in self._skipped:
+            self._skipped.remove(turn)
+            turn += 1
+        self._turn = turn
+        self._cv.notify_all()
 
 
 class WorkerPool:
@@ -1365,10 +1396,11 @@ class ReproDaemon:
     ) -> dict:
         """One request through the worker pool: acquire a current-epoch
         worker (admission seq assigned with the grant), exchange frames
-        concurrently with other requests, then merge — and reply — in
-        admission order.  The worker is held across its merge so its
-        epoch can self-advance (its local state already contains its own
-        contribution); it returns to the pool, or is recycled, after."""
+        concurrently with other requests, then merge what it learned in
+        admission order and reply (see :class:`_MergeSequencer`).  The
+        worker is held across its merge so its epoch can self-advance
+        (its local state already contains its own contribution); it
+        returns to the pool, or is recycled, after."""
         pool = self._ensure_pool()
         kill_after = self._kill_after(options)
         job = pickle.dumps(
@@ -1473,9 +1505,15 @@ class ReproDaemon:
                     served["store"] = dict(payload.get("store_stats") or {})
                 reply = _reply("ok", result=payload["result"], served=served)
         finally:
-            # Merge — and therefore reply — strictly in admission order;
-            # every admitted seq MUST pass done() or the line stalls.
-            self._sequencer.wait_turn(seq)
+            # A completion that learned something merges — and only then
+            # replies — in admission order.  Everything else (no new
+            # cache entry or memo, a fault-injected run, an error, a
+            # death) folds its additive counters and passes its turn at
+            # once: its reply waits for nobody's merge.  Every admitted
+            # seq MUST pass done() or skip() or the line stalls.
+            ordered = payload is not None and _learned(payload)
+            if ordered:
+                self._sequencer.wait_turn(seq)
             try:
                 if payload is not None:
                     with self._serial:
@@ -1483,7 +1521,10 @@ class ReproDaemon:
                         if reply is not None and reply["status"] == "ok":
                             self._save_if_due()
             finally:
-                self._sequencer.done(seq)
+                if ordered:
+                    self._sequencer.done(seq)
+                else:
+                    self._sequencer.skip(seq)
                 if worker is not None:
                     pool.release(worker, retire=retire)
         return reply
@@ -1606,6 +1647,21 @@ class ReproDaemon:
 
             with self._serial:
                 self.store.save(smt.get_service())
+
+
+def _learned(payload: dict) -> bool:
+    """Whether a clean pooled completion carries order-sensitive warm
+    state: solver-cache entries or block memos.  Its merge must then
+    happen in admission order; any other payload merges only additive
+    counters, which commute."""
+    if payload.get("faulted"):
+        return False  # _merge_pooled folds nothing from a faulted run
+    delta = payload.get("delta")
+    return bool(
+        (delta is not None and delta.entries)
+        or payload.get("mixy_new")
+        or payload.get("mix_new")
+    )
 
 
 def _death_reason(status: int) -> str:

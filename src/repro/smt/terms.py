@@ -33,12 +33,40 @@ class SortError(TypeError):
     """Raised when a term constructor is applied at the wrong sorts."""
 
 
-@dataclass(frozen=True)
 class Sort:
-    """A sort (SMT type).  ``params`` holds element sorts for arrays."""
+    """A sort (SMT type).  ``params`` holds element sorts for arrays.
+
+    Sorts are interned: ``Sort(name, params)`` returns the one canonical
+    instance per distinct sort, so ``object``'s identity equality and
+    hashing are sound (as for hash-consed terms) and a sort check is a
+    pointer compare.  Unpickling goes back through the constructor, so
+    sorts crossing a process boundary stay canonical."""
+
+    __slots__ = ("name", "params")
 
     name: str
-    params: tuple["Sort", ...] = ()
+    params: tuple["Sort", ...]
+
+    def __new__(cls, name: str, params: tuple["Sort", ...] = ()) -> "Sort":
+        params = tuple(params)
+        key = (name, params)
+        sort = _SORTS.get(key)
+        if sort is None:
+            sort = object.__new__(cls)
+            object.__setattr__(sort, "name", name)
+            object.__setattr__(sort, "params", params)
+            # setdefault: a racing thread's instance wins consistently.
+            sort = _SORTS.setdefault(key, sort)
+        return sort
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Sort objects are immutable")
+
+    def __reduce__(self) -> tuple:
+        return (Sort, (self.name, self.params))
+
+    def __repr__(self) -> str:
+        return f"Sort(name={self.name!r}, params={self.params!r})"
 
     def __str__(self) -> str:
         if not self.params:
@@ -62,6 +90,10 @@ class Sort:
             raise SortError(f"{self} is not an array sort")
         return self.params[1]
 
+
+#: (name, params) -> the canonical :class:`Sort`; params are themselves
+#: canonical, so the key hashes by identity below the top level.
+_SORTS: dict[tuple[str, tuple[Sort, ...]], Sort] = {}
 
 BOOL = Sort("Bool")
 INT = Sort("Int")

@@ -8,7 +8,7 @@ that reuse survive the process: a small on-disk store that a later run
 — or a long-lived ``repro serve`` daemon across restarts — loads to
 start warm.
 
-Layout of one store directory (format version 3)::
+Layout of one store directory (format version 4)::
 
     .repro-store/
       meta.json            # manifest: schema, generation, per-section CRCs
@@ -73,7 +73,9 @@ from typing import Optional
 
 from repro.fsio import atomic_write, checksummed_write, read_checksummed
 
-STORE_VERSION = 3
+#: 4: sorts pickle as ``Sort(name, params)`` calls (interned sorts), so
+#: a version-3 solver-cache section no longer unpickles.
+STORE_VERSION = 4
 STORE_SCHEMA = "repro-store"
 
 #: The persisted sections, in save order.
@@ -96,7 +98,9 @@ _LOAD_ERRORS = (
 )
 
 
-def block_content_hash(program, name: str, context: object = None) -> str:
+def block_content_hash(
+    program, name: str, context: object = None, text: Optional[str] = None
+) -> str:
     """A stable identity for one function's *content*: the SHA-1 of its
     pretty-printed text.  The pretty-printer renders from the parsed
     AST, so the hash is normalized by construction — whitespace and
@@ -108,11 +112,14 @@ def block_content_hash(program, name: str, context: object = None) -> str:
     ``context``, when given, widens the key with a stable ``repr`` of
     the block's typed calling context — the block memo keys results on
     (content, context) so that one function body analyzed under two
-    qualifier states gets two entries."""
-    from repro.mixy.c.pretty import function_text  # local: layering
+    qualifier states gets two entries.  ``text``, when given, is the
+    function's already pretty-printed text (callers that key many blocks
+    print each function once)."""
+    if text is None:
+        from repro.mixy.c.pretty import function_text  # local: layering
 
-    fn = program.functions[name]
-    digest = hashlib.sha1(function_text(fn).encode("utf-8"))
+        text = function_text(program.functions[name])
+    digest = hashlib.sha1(text.encode("utf-8"))
     if context is not None:
         digest.update(b"\x00")
         digest.update(repr(context).encode("utf-8"))

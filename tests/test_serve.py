@@ -27,6 +27,7 @@ from repro.serve import (
     ClientError,
     ReproDaemon,
     TERMINAL_STATUSES,
+    _MergeSequencer,
     analyze_source,
     bench,
     request,
@@ -714,6 +715,118 @@ class TestClientFailureModes:
                 retries=0,
             )
 
+    def test_bench_fails_when_replies_disagree(self, tmp_path, capsys):
+        """``repro client --bench`` sends one payload N times, so every
+        reply must carry the same result: two ``ok`` replies with
+        different results exit 1 with a message."""
+        from repro.cli import main
+
+        served = []
+
+        def behavior(conn):
+            conn.recv(65536)
+            result = {"exit": 0, "lines": [f"answer {len(served)}"]}
+            served.append(result)
+            conn.sendall(
+                (json.dumps({"ok": True, "status": "ok", "result": result})
+                 + "\n").encode("utf-8")
+            )
+            return len(served) < 2
+
+        address, server = self._one_shot_server(behavior)
+        path = tmp_path / "prog.c"
+        path.write_text(SOURCE)
+        try:
+            code = main([
+                "client", "mixy", str(path), "--connect", address,
+                "--bench", "2", "--concurrency", "1",
+            ])
+        finally:
+            server.close()
+        assert len(served) == 2
+        assert code == 1
+        assert "replies disagree" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The merge sequencer: learning merges in admission order, skips pass
+# ---------------------------------------------------------------------------
+
+
+def _turn_reached(sequencer, seq, timeout=5.0) -> bool:
+    """Whether ``wait_turn(seq)`` returns within ``timeout`` seconds."""
+    waiter = threading.Thread(
+        target=sequencer.wait_turn, args=(seq,), daemon=True
+    )
+    waiter.start()
+    waiter.join(timeout)
+    return not waiter.is_alive()
+
+
+class TestMergeSequencer:
+    def test_skip_at_the_turn_passes_it(self):
+        sequencer = _MergeSequencer()
+        first, second = sequencer.admit(), sequencer.admit()
+        sequencer.skip(first)
+        assert _turn_reached(sequencer, second)
+        sequencer.done(second)
+        assert _turn_reached(sequencer, sequencer.admit())
+
+    def test_skip_before_the_turn_is_passed_when_the_turn_arrives(self):
+        sequencer = _MergeSequencer()
+        first, second, third = (sequencer.admit() for _ in range(3))
+        sequencer.skip(second)  # not its turn yet: first still merging
+        assert not _turn_reached(sequencer, third, timeout=0.2)
+        sequencer.done(first)
+        assert _turn_reached(sequencer, third)
+
+    def test_a_chain_of_skips_is_passed_in_one_step(self):
+        sequencer = _MergeSequencer()
+        seqs = [sequencer.admit() for _ in range(6)]
+        for seq in (seqs[3], seqs[1], seqs[4], seqs[2]):
+            sequencer.skip(seq)
+        assert not _turn_reached(sequencer, seqs[5], timeout=0.2)
+        sequencer.done(seqs[0])
+        assert _turn_reached(sequencer, seqs[5])
+
+    def test_mixed_skips_and_merges_never_stall(self):
+        """Every admitted number either merges (waits for its turn, then
+        ``done``) or skips, from its own thread in a shuffled start
+        order: the line always drains, and merges finish in admission
+        order."""
+        import random
+
+        rng = random.Random(7)
+        sequencer = _MergeSequencer()
+        seqs = [sequencer.admit() for _ in range(40)]
+        merging = {seq for seq in seqs if rng.random() < 0.5}
+        merged = []
+
+        def complete(seq):
+            if seq in merging:
+                sequencer.wait_turn(seq)
+                merged.append(seq)
+                sequencer.done(seq)
+            else:
+                sequencer.skip(seq)
+
+        threads = [
+            threading.Thread(target=complete, args=(seq,), daemon=True)
+            for seq in rng.sample(seqs, len(seqs))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert merged == sorted(merging)
+        assert _turn_reached(sequencer, sequencer.admit())
+
 
 # ---------------------------------------------------------------------------
 # The prefork pool: concurrent dispatch, epochs, recycling
@@ -816,6 +929,75 @@ class TestPoolConcurrency:
         assert len(distinct) == 1
         assert report["p50_ms"] <= report["p95_ms"] <= report["p99_ms"]
         assert report["throughput_rps"] > 0
+
+    def test_warm_prove_overtakes_a_slow_cold_analyze(self, tmp_path):
+        """Only merges are admission-ordered, not replies: a warm prove
+        that learns nothing, admitted while a slow cold analyze runs on
+        the other worker, replies first.  Both replies match their
+        one-shot runs, and the analyze's reply still implies its merge:
+        a follow-up of the same program is served from the store."""
+        prop = (
+            pathlib.Path(SRC_DIR).parent / "examples" / "properties"
+            / "midpoint_bounds.c"
+        )
+        slow = parallel_vsftpd(depth=4)
+        analyze_baseline = _fresh_cli_result(tmp_path, slow)
+        prove_baseline = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "prove", str(prop)],
+            capture_output=True, text=True, env=_subprocess_env(),
+            cwd=tmp_path, timeout=300,
+        )
+        prove = {
+            "cmd": "prove", "lang": "mixy", "source": prop.read_text(),
+            "options": {"name": str(prop)},
+        }
+        proc, address = _start_daemon(tmp_path, "--pool", "2")
+        try:
+            cold_prove = request(address, prove, timeout=300.0)
+            finished = []
+            replies = {}
+
+            def send(kind, payload):
+                replies[kind] = request(address, payload, timeout=300.0)
+                finished.append(kind)
+
+            analyze = threading.Thread(
+                target=send,
+                args=("analyze", {"cmd": "analyze", "lang": "mixy",
+                                  "source": slow, "options": {}}),
+            )
+            analyze.start()
+
+            def busy_workers():
+                workers = request(address, {"cmd": "stats"})["stats"]
+                return sum(w["busy"] for w in workers["pool"]["workers"])
+
+            # A busy worker means the analyze holds the earlier
+            # admission number (both are assigned under the pool lock).
+            deadline = time.monotonic() + 60
+            while not busy_workers():
+                assert time.monotonic() < deadline, "analyze never started"
+                time.sleep(0.01)
+            send("prove", prove)
+            # The prove's reply came while the analyze still ran.
+            busy_after_prove = busy_workers()
+            analyze.join(timeout=300)
+            follow_up = _analyze_request(address, source=slow)
+        finally:
+            request(address, {"cmd": "shutdown"})
+            _finish(proc)
+        assert finished == ["prove", "analyze"]
+        assert busy_after_prove == 1
+        assert replies["analyze"]["status"] == "ok"
+        assert replies["analyze"]["result"] == analyze_baseline
+        for reply in (cold_prove, replies["prove"]):
+            assert reply["status"] == "ok"
+            assert reply["result"]["exit"] == prove_baseline.returncode
+            assert reply["result"]["lines"] == (
+                prove_baseline.stdout.splitlines()[:1]
+            )
+        assert follow_up["result"] == analyze_baseline
+        assert follow_up["served"]["store"].get("mixy_hits", 0) > 0
 
     def test_retry_hint_accounts_for_pool_width(self):
         """The shed-client backoff hint divides the in-flight queue over

@@ -32,7 +32,40 @@ from repro.smt import (
     true,
     var,
 )
-from repro.smt.terms import Kind
+from repro.smt.terms import Kind, Sort
+
+
+class TestSortInterning:
+    def test_constructor_returns_the_canonical_instance(self):
+        assert Sort("Int") is INT
+        assert Sort("Bool") is BOOL
+        assert Sort("Widget") is Sort("Widget")
+        assert Sort("Widget") is not Sort("Gadget")
+
+    def test_array_sorts_are_shared(self):
+        assert array_sort(INT, INT) is array_sort(INT, INT)
+        assert array_sort(INT, BOOL) is not array_sort(INT, INT)
+        nested = array_sort(INT, array_sort(INT, BOOL))
+        assert nested is Sort("Array", [INT, array_sort(INT, BOOL)])
+        assert nested.elem_sort is array_sort(INT, BOOL)
+
+    def test_pickle_and_copy_preserve_identity(self):
+        import copy
+        import pickle
+
+        for sort in (INT, BOOL, Sort("Widget"), array_sort(INT, INT)):
+            assert pickle.loads(pickle.dumps(sort)) is sort
+            assert copy.deepcopy(sort) is sort
+        decl = FuncDecl("f", (INT, array_sort(INT, BOOL)), BOOL)
+        assert pickle.loads(pickle.dumps(decl)).arg_sorts[1] is (
+            array_sort(INT, BOOL)
+        )
+
+    def test_sorts_are_immutable_and_keep_their_repr(self):
+        with pytest.raises(AttributeError):
+            INT.name = "Real"
+        assert repr(INT) == "Sort(name='Int', params=())"
+        assert str(array_sort(INT, BOOL)) == "Array(Int, Bool)"
 
 
 class TestHashConsing:

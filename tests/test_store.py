@@ -818,6 +818,28 @@ class TestBlockContentHash:
             FN_SOURCE, context=ctx
         )
 
+    def test_store_backed_run_prints_each_function_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Store keys cover a block's callee cone, so one function's text
+        # enters many keys; a run prints it once and reuses the text.
+        import collections
+
+        import repro.mixy.c.pretty as pretty
+
+        printed = collections.Counter()
+        inner = pretty.function_text
+
+        def counting(fn):
+            printed[fn.name] += 1
+            return inner(fn)
+
+        monkeypatch.setattr(pretty, "function_text", counting)
+        store = AnalysisStore.open(str(tmp_path / "store"), quiet=True)
+        _, stats = _analyze(store=store, source=parallel_vsftpd(depth=2))
+        assert stats["mixy_misses"] > len(printed) > 1
+        assert max(printed.values()) == 1, printed.most_common(3)
+
     def test_digest_is_pinned_across_releases(self):
         # A saved store is keyed on these digests, so a change here
         # would silently turn every existing store cold.

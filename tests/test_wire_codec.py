@@ -97,6 +97,22 @@ class TestRoundTrip:
         assert from_wire(to_wire(term)) is term
 
 
+    def test_sorts_survive_the_pickled_wire_as_identical_objects(self):
+        import pickle
+
+        widget = smt.Sort("Widget")
+        mem = smt.var("mem", smt.array_sort(smt.INT, widget))
+        f = FuncDecl("g", (widget,), smt.BOOL)
+        terms = [
+            smt.apply_func(f, smt.select(mem, INT_VARS[0])),
+            smt.eq(smt.var("w", widget), smt.var("v", widget)),
+        ]
+        back = from_wire_many(pickle.loads(pickle.dumps(to_wire_many(terms))))
+        assert all(a is b for a, b in zip(back, terms))
+        assert back[1].args[0].sort is widget
+        assert back[0].args[0].args[0].sort is smt.array_sort(smt.INT, widget)
+
+
 class TestStructureSharing:
     def test_shared_subterms_encoded_once(self):
         i = INT_VARS[0]

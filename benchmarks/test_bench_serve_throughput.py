@@ -189,11 +189,7 @@ def _one_shot(tmp, source):
         [sys.executable, "-m", "repro.cli", "mixy", str(path), "--jobs", "1"],
         capture_output=True, text=True, env=_env(), cwd=tmp, timeout=300,
     )
-    warnings = proc.stdout.splitlines()[:-1]  # drop the perf summary
-    return {
-        "exit": proc.returncode,
-        "lines": warnings + [f"{len(warnings)} warning(s)"],
-    }
+    return {"exit": proc.returncode, "lines": proc.stdout.splitlines()}
 
 
 @pytest.fixture(scope="module")

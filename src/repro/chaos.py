@@ -14,10 +14,11 @@ contract the serving layer promises:
 * degraded answers stay sound (a budget-starved analyze may report less,
   never garbage);
 * after the dust settles, a fresh analyze against the survivor is
-  bitwise-identical to a clean one-shot ``repro analyze`` of the same
-  source.
+  bitwise-identical to the stdout of a clean one-shot ``repro mixy``
+  (or ``repro mix``) run of the same source.
 
-Run it as ``repro chaos --faults 200`` (or ``python tools/chaos.py``).
+Run it as ``repro-analyze chaos -- --faults 200`` (from a checkout:
+``PYTHONPATH=src python -m repro.cli chaos -- --faults 200``).
 """
 
 from __future__ import annotations
@@ -208,18 +209,10 @@ def one_shot_result(lang: str, source: str) -> dict:
         )
     finally:
         os.unlink(path)
-    if proc.returncode == 2:
-        return {"exit": proc.returncode, "lines": proc.stderr.splitlines()}
-    if lang != "mixy":
-        return {"exit": proc.returncode, "lines": proc.stdout.splitlines()}
-    # The one-shot mixy CLI appends a perf summary (timings, block/solver
-    # counts) to the warning list; the daemon result carries only the
-    # deterministic `N warning(s)` count. Normalize to the daemon shape.
-    warnings = proc.stdout.splitlines()[:-1]
-    return {
-        "exit": proc.returncode,
-        "lines": warnings + [f"{len(warnings)} warning(s)"],
-    }
+    # The one-shot CLI prints the daemon's result lines verbatim: on
+    # stdout, or on stderr for a usage or parse error (exit 2).
+    out = proc.stderr if proc.returncode == 2 else proc.stdout
+    return {"exit": proc.returncode, "lines": out.splitlines()}
 
 
 class ChaosCampaign:

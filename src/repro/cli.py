@@ -21,12 +21,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.budget import Budget
-from repro.core import MixConfig, SoundnessMode, analyze, auto_place_blocks
-from repro.lang.parser import ParseError, parse, parse_type
-from repro.lang.lexer import LexError
-from repro.symexec import IfStrategy, SymConfig
-from repro.typecheck.types import TypeEnv
+from repro.core.config import _env_flag, _env_int
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -81,10 +76,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     mixy.add_argument(
         "--jobs",
         type=_job_count,
-        default=None,
+        default=_env_int("REPRO_JOBS", 1),
         metavar="N",
         help="worker processes for speculative query-cache warming "
-        "(see docs/ARCHITECTURE.md §1.4); 1 = serial, the default",
+        "(see docs/ARCHITECTURE.md §1.4); 1 = serial, the default "
+        "unless REPRO_JOBS says otherwise",
     )
     mixy.add_argument(
         "--solver-stats",
@@ -424,23 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if forwarded and forwarded[0] == "--":
             forwarded = forwarded[1:]
         return chaos_main(forwarded)
-    try:
-        source = _read(args.file)
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        _apply_trust_flags(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    traced = _start_trace(args)
-    try:
-        if args.command == "mix":
-            return _run_mix(args, source)
-        return _run_mixy(args, source)
-    finally:
-        _finish_trace(traced)
+    return _run_analysis(args)
 
 
 def _read(path: str) -> str:
@@ -506,10 +486,11 @@ def _add_trust_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--validate-witnesses",
         action="store_true",
-        default=None,
+        default=_env_flag("REPRO_VALIDATE_WITNESSES"),
         help="replay each reported error path through the concrete "
         "interpreter and attach a CONFIRMED / UNCONFIRMED / "
-        "REPLAY_DIVERGED verdict (trust ring 1)",
+        "REPLAY_DIVERGED verdict (trust ring 1; on by default when "
+        "REPRO_VALIDATE_WITNESSES is set)",
     )
     sub.add_argument(
         "--paranoid",
@@ -521,7 +502,7 @@ def _add_trust_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--inject-fault",
         action="append",
-        default=[],
+        default=None,
         metavar="N:KIND",
         help="inject a solver fault at the N-th query; KIND is one of "
         "timeout, unknown, error, bad_model, crash (repeatable; for "
@@ -561,26 +542,95 @@ def _add_perf_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_trust_flags(args: argparse.Namespace) -> None:
-    """Configure the shared solver service for rings 2 and 3."""
-    from repro import smt
-    from repro.smt.service import FaultInjector
+#: Request options that are copies of the flag of the same name.  Every
+#: front door (mix, mixy, prove, client) builds its options from this one
+#: table, so a flag means the same thing whichever command takes it.
+_OPTION_FLAGS = (
+    "entry",
+    "entry_function",
+    "strict_deref",
+    "no_cache",
+    "jobs",
+    "env",
+    "defer",
+    "good_enough",
+    "max_unroll",
+    "validate_witnesses",
+    "inject_fault",
+    "deadline",
+    "query_timeout_ms",
+    "max_paths",
+)
 
-    service = smt.get_service()
+
+def _request_options(args: argparse.Namespace) -> dict:
+    """A subcommand's flags as request ``options``.  A flag the command
+    lacks, or left at ``None``, sends nothing, so the analysis default
+    applies (e.g. ``client``'s entry: typed for an analyze, symbolic for
+    a proof).  Environment defaults were resolved into the flags'
+    defaults: the analysis itself never reads the environment."""
+    return {
+        name: getattr(args, name)
+        for name in _OPTION_FLAGS
+        if getattr(args, name, None) is not None
+    }
+
+
+def _print_result(result: dict) -> int:
+    """Print a request ``result`` the way every front door does: its
+    lines on stdout, or on stderr for a usage or parse error (exit 2).
+    Returns its exit code."""
+    out = sys.stderr if result["exit"] == 2 else sys.stdout
+    for line in result["lines"]:
+        print(line, file=out)
+    return int(result["exit"])
+
+
+def _run_analysis(args: argparse.Namespace) -> int:
+    """``repro mix`` / ``repro mixy``: one request through
+    :func:`repro.serve.analyze_source`, so stdout is exactly the
+    ``result`` a daemon would reply with.  Run facts that are not part
+    of it — the MIXY perf summary and, with ``--store``, the store
+    counters — go to stderr."""
+    import json
+
+    from repro import smt
+    from repro.serve import analyze_source, injector_from_options
+
+    options = _request_options(args)
+    try:
+        source = _read(args.file)
+        injector_from_options(options)  # a malformed N:KIND is usage
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.paranoid:
-        service.paranoid = True
-    if args.inject_fault:
-        faults: dict[int, str] = {}
-        for spec in args.inject_fault:
-            n_text, _, kind = spec.partition(":")
-            try:
-                n = int(n_text)
-            except ValueError:
-                raise ValueError(
-                    f"bad --inject-fault {spec!r}; expected N:KIND"
-                ) from None
-            faults[n] = kind or FaultInjector.TIMEOUT
-        service.fault_injector = FaultInjector(faults=faults)
+        smt.get_service().paranoid = True
+    traced = _start_trace(args)
+    try:
+        store = _open_store(args)
+        run = analyze_source(
+            args.command,
+            source,
+            options,
+            store=store,
+            crash_dir=args.crash_dir,
+            refine=getattr(args, "auto_refine", False),
+        )
+    finally:
+        _finish_trace(traced)
+    code = _print_result(run.result)
+    if code == 2:
+        return code
+    _save_store(store)
+    if run.summary:
+        print(run.summary, file=sys.stderr)
+    if store is not None:
+        print(f"store: {json.dumps(run.store, sort_keys=True)}", file=sys.stderr)
+    if args.solver_stats:
+        print(smt.get_service().stats.format_table())
+    _warn_on_divergence()
+    return code
 
 
 def _start_trace(args: argparse.Namespace) -> bool:
@@ -712,18 +762,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_prove(args: argparse.Namespace) -> int:
     from repro.prove import prove_files
 
-    options = {
-        "entry": args.entry,
-        "entry_function": args.entry_function,
-        "env": args.env,
-        "max_unroll": args.max_unroll,
-        "no_cache": args.no_cache,
-        "jobs": args.jobs,
-        "deadline": args.deadline,
-        "query_timeout_ms": args.query_timeout_ms,
-        "max_paths": args.max_paths,
-    }
-    return prove_files(args.files, options, jobs=args.jobs)
+    return prove_files(args.files, _request_options(args), jobs=args.jobs)
 
 
 def _run_client(args: argparse.Namespace) -> int:
@@ -751,31 +790,7 @@ def _run_client(args: argparse.Namespace) -> int:
             )
             return 2
         source = _read(args.file)
-        # --prove proves the entry function exhaustively by default
-        # (matching `repro prove`); plain analyze keeps the typed entry
-        # the `repro mix`/`repro mixy` one-shots default to.
-        entry = args.entry or ("symbolic" if args.prove else "typed")
-        options = {
-            "entry": entry,
-            "deadline": args.deadline,
-            "query_timeout_ms": args.query_timeout_ms,
-            "max_paths": args.max_paths,
-        }
-        if args.inject_fault:
-            options["inject_fault"] = list(args.inject_fault)
-        if args.lang == "mixy":
-            options.update(
-                entry_function=args.entry_function,
-                strict_deref=args.strict_deref,
-                no_cache=args.no_cache,
-            )
-        else:
-            options.update(
-                env=args.env,
-                defer=args.defer,
-                good_enough=args.good_enough,
-                max_unroll=args.max_unroll,
-            )
+        options = _request_options(args)
         if args.prove:
             # Match the local prover's naming so client and one-shot
             # verdict lines are byte-identical for the same file.
@@ -809,18 +824,13 @@ def _run_client(args: argparse.Namespace) -> int:
         if repro_path:
             print(f"crash repro: {repro_path}", file=sys.stderr)
         return 2
-    result = response["result"]
-    # Parse/usage failures print to stderr in the one-shot CLI; keep the
-    # client stream-for-stream identical with it.
-    out = sys.stderr if result["exit"] == 2 else sys.stdout
-    for line in result["lines"]:
-        print(line, file=out)
+    code = _print_result(response["result"])
     if args.served:
         print(
             f"served: {json.dumps(response.get('served', {}), sort_keys=True)}",
             file=sys.stderr,
         )
-    return int(result["exit"])
+    return code
 
 
 def _run_client_bench(args: argparse.Namespace, payload: dict) -> int:
@@ -881,122 +891,6 @@ def _run_client_bench(args: argparse.Namespace, payload: dict) -> int:
         )
         failed = True
     return 1 if failed else 0
-
-
-def _make_budget(args: argparse.Namespace) -> Optional[Budget]:
-    if args.deadline is None and args.query_timeout_ms is None and args.max_paths is None:
-        return None
-    return Budget(
-        deadline=args.deadline,
-        query_timeout=(
-            args.query_timeout_ms / 1000.0
-            if args.query_timeout_ms is not None
-            else None
-        ),
-        max_paths=args.max_paths,
-    )
-
-
-def _parse_env(spec: str) -> TypeEnv:
-    bindings = {}
-    for item in filter(None, (part.strip() for part in spec.split(","))):
-        name, _, type_text = item.partition(":")
-        if not type_text:
-            raise ValueError(f"bad --env entry {item!r}; expected name:type")
-        bindings[name.strip()] = parse_type(type_text.strip())
-    return TypeEnv(bindings)
-
-
-def _run_mix(args: argparse.Namespace, source: str) -> int:
-    try:
-        program = parse(source)
-        env = _parse_env(args.env)
-    except (ParseError, LexError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    config = MixConfig(
-        sym=SymConfig(
-            if_strategy=IfStrategy.DEFER if args.defer else IfStrategy.FORK,
-            max_loop_unroll=args.max_unroll,
-        ),
-        soundness=SoundnessMode.GOOD_ENOUGH
-        if args.good_enough
-        else SoundnessMode.SOUND,
-        budget=_make_budget(args),
-        crash_dir=args.crash_dir,
-    )
-    if args.validate_witnesses:
-        config.validate_witnesses = True
-    config.store = _open_store(args)
-    if args.auto_refine:
-        result = auto_place_blocks(program, env, args.entry, config)
-        for i, step in enumerate(result.steps, 1):
-            print(f"refinement step {i}: {step}")
-        if result.steps:
-            print(f"annotated program: {result.annotated_source}")
-        report = result.report
-    else:
-        report = analyze(program, env, args.entry, config)
-    _save_store(config.store)
-    print(report)
-    for warning in report.warnings:
-        print(f"warning: {warning}")
-    if args.solver_stats:
-        from repro import smt
-
-        print(smt.get_service().stats.format_table())
-    _warn_on_divergence()
-    return 0 if report.ok else 1
-
-
-def _run_mixy(args: argparse.Namespace, source: str) -> int:
-    from repro.mixy import Mixy, MixyConfig
-    from repro.mixy.c.parser import CParseError
-    from repro.mixy.qual import QualConfig
-
-    config = MixyConfig(
-        qual=QualConfig(deref_requires_nonnull=args.strict_deref),
-        enable_cache=not args.no_cache,
-        budget=_make_budget(args),
-        crash_dir=args.crash_dir,
-    )
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    if args.validate_witnesses:
-        config.validate_witnesses = True
-    config.store = _open_store(args)
-    try:
-        mixy = Mixy(source, config)
-        warnings = mixy.run(entry=args.entry, entry_function=args.entry_function)
-    except CParseError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except KeyError as error:
-        print(f"error: no such function {error}", file=sys.stderr)
-        return 2
-    _save_store(config.store)
-    for warning in warnings:
-        print(warning)
-    summary = (
-        f"{len(warnings)} warning(s); "
-        f"{mixy.stats['symbolic_blocks_run']} symbolic block run(s); "
-        f"{mixy.executor.stats['solver_calls']} solver call(s); "
-        f"{mixy.stats['analysis_seconds']:.3f}s"
-    )
-    print(summary)
-    if args.solver_stats:
-        from repro import smt
-
-        print(smt.get_service().stats.format_table())
-    _warn_on_divergence()
-    # Contained analysis crashes degrade a block, they do not make the
-    # program's verdict a failure: the CLI still exits 0 on them.
-    from repro.mixy.symexec import CErrKind
-
-    contained = sum(
-        1 for w in mixy.executor.warnings if w.kind is CErrKind.CRASH
-    )
-    return 0 if len(warnings) <= contained else 1
 
 
 if __name__ == "__main__":

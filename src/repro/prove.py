@@ -115,57 +115,49 @@ def prove_source(
     store=None,
     request_deadline: Optional[float] = None,
 ) -> PropertyResult:
-    """Classify one property program.  Mirrors
-    :func:`repro.serve.analyze_source`'s entry discipline: a fresh
-    equivalence state, a per-request budget, and no dependence on
-    process history — the same source and options yield the same
-    verdict in a one-shot run, a pool worker, or a daemon."""
-    from repro.budget import Budget
-    from repro.serve import fresh_equivalence_state
+    """Classify one property program.  It runs through
+    :func:`repro.serve.analyze_source`, the front door every analysis
+    takes, so the same source and options yield the same verdict in a
+    one-shot run, a pool worker, or a daemon."""
+    from repro.serve import analyze_source
 
-    budget = Budget.from_request(options, request_deadline)
-    fresh_equivalence_state()
-    if lang == "mixy":
-        return _prove_mixy(source, options, budget, store, name)
-    if lang == "mix":
-        return _prove_mix(source, options, budget, store, name)
-    raise ValueError(f"unknown lang {lang!r}; expected 'mix' or 'mixy'")
+    return analyze_source(
+        lang,
+        source,
+        dict(options, prove=True, name=name),
+        store=store,
+        request_deadline=request_deadline,
+    ).proof
 
 
-def _prove_mix(source, options, budget, store, name) -> PropertyResult:
-    from repro.core import MixConfig, SoundnessMode, analyze
-    from repro.lang.lexer import LexError
-    from repro.lang.parser import ParseError, parse, parse_type
-    from repro.symexec import ErrKind, SymConfig
-    from repro.typecheck.types import TypeEnv
+def proof_options(lang: str, options: dict) -> dict:
+    """The options a proof runs under: the request's, with what a proof
+    does not leave to the request pinned.  Exploration is exhaustive and
+    forks (a GOOD_ENOUGH truncation would let a falsifiable property
+    come back "accepted"), every falsifying path is replayed concretely,
+    and qualifier checking keeps its defaults.  A mini-ML property runs
+    from the symbolic entry; a mini-C one explores its entry function
+    exhaustively unless the request asks for the typed entry, which
+    proves checks embedded in MIX(symbolic) blocks of a larger program
+    via the qualifier/fixpoint machinery."""
+    pinned = dict(
+        options,
+        good_enough=False,
+        defer=False,
+        strict_deref=False,
+        validate_witnesses=True,
+        name=str(options.get("name", "<property>")),
+    )
+    if lang == "mix" or "entry" not in options:
+        pinned["entry"] = "symbolic"
+    return pinned
+
+
+def classify_mix(name: str, report) -> PropertyResult:
+    """The verdict of a finished MIX proof run (a ``MixReport``)."""
+    from repro.symexec import ErrKind
     from repro.witness import WitnessVerdict
 
-    try:
-        program = parse(source)
-        bindings = {}
-        for item in filter(
-            None, (part.strip() for part in options.get("env", "").split(","))
-        ):
-            ident, _, type_text = item.partition(":")
-            if not type_text:
-                raise ValueError(f"bad env entry {item!r}; expected name:type")
-            bindings[ident.strip()] = parse_type(type_text.strip())
-        env = TypeEnv(bindings)
-    except (ParseError, LexError, ValueError) as error:
-        return PropertyResult(name, ERROR, f"parse error: {error}")
-    config = MixConfig(
-        sym=SymConfig(max_loop_unroll=int(options.get("max_unroll", 64))),
-        # Proof requires exhaustiveness: GOOD_ENOUGH truncation would
-        # let a falsifiable property come back "accepted".
-        soundness=SoundnessMode.SOUND,
-        budget=budget,
-        validate_witnesses=True,
-    )
-    config.store = store
-    try:
-        report = analyze(program, env, "symbolic", config)
-    except Exception as error:  # deterministic for a given source
-        return PropertyResult(name, ERROR, f"analysis crashed: {error!r}")
     if report.ok:
         return PropertyResult(name, PROVED, "all paths satisfy every check")
     diag = report.diagnostics[0]
@@ -188,37 +180,11 @@ def _prove_mix(source, options, budget, store, name) -> PropertyResult:
     return PropertyResult(name, ERROR, diag.message)
 
 
-def _prove_mixy(source, options, budget, store, name) -> PropertyResult:
-    from repro.mixy import Mixy, MixyConfig
-    from repro.mixy.c.parser import CParseError
+def classify_mixy(name: str, mixy) -> PropertyResult:
+    """The verdict of a finished MIXY proof run (a ``Mixy`` driver)."""
     from repro.mixy.symexec import CErrKind
     from repro.witness import WitnessVerdict
 
-    config = MixyConfig(
-        enable_cache=not options.get("no_cache", False),
-        budget=budget,
-        validate_witnesses=True,
-    )
-    # Within-property speculative warming over the fixpoint's symbolic
-    # frontier (typed entry only; see repro.parallel).  Inert inside the
-    # suite driver's file-level fork workers.
-    config.jobs = int(options.get("jobs", 1))
-    config.store = store
-    try:
-        mixy = Mixy(source, config)
-        mixy.run(
-            # "typed" proves checks embedded in MIX(symbolic) blocks of a
-            # larger program via the qualifier/fixpoint machinery;
-            # "symbolic" (the default) explores the entry exhaustively.
-            entry=options.get("entry", "symbolic"),
-            entry_function=options.get("entry_function", "main"),
-        )
-    except CParseError as error:
-        return PropertyResult(name, ERROR, f"parse error: {error}")
-    except KeyError as error:
-        return PropertyResult(name, ERROR, f"no such function {error}")
-    except Exception as error:  # deterministic for a given source
-        return PropertyResult(name, ERROR, f"analysis crashed: {error!r}")
     # Mixy.warnings() drops LOOP_BOUND from user-facing output; proving
     # needs it as an incompleteness signal, so read the executor's raw
     # warning list (plus the qualifier engine's).
@@ -294,12 +260,6 @@ def _prove_path(path: str, options: dict) -> PropertyResult:
     return prove_source(language_for(path), source, options, name=path)
 
 
-def _pool_worker(path: str, options: dict) -> PropertyResult:
-    # fresh_equivalence_state() inside prove_source resets per-request
-    # determinism state; mark_forked_child ran in the pool initializer.
-    return _prove_path(path, options)
-
-
 def _pool_init() -> None:
     from repro.parallel import mark_forked_child
 
@@ -348,7 +308,7 @@ def prove_files(
             mp_context=context,
             initializer=_pool_init,
         ) as pool:
-            pending = [pool.submit(_pool_worker, path, options) for path in ordered]
+            pending = [pool.submit(_prove_path, path, options) for path in ordered]
             results = [future.result() for future in pending]
     else:
         results = [_prove_path(path, options) for path in ordered]

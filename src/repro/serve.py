@@ -34,9 +34,13 @@ The terminal statuses (:data:`TERMINAL_STATUSES`):
   instead of dropping the connection, so a client always learns why.
 
 ``result`` is the request's *deterministic analysis payload*: the exit
-status and the exact diagnostic lines a fresh ``repro mix`` or ``repro
-mixy --jobs 1`` run would print.  Wall-clock timing and cache-hit
-counters live in ``served`` — so ``result`` is bitwise identical
+status and the exact lines a fresh ``repro mix`` or ``repro mixy``
+prints on stdout (on stderr for exit 2).  Every front door — the
+one-shot CLI, ``repro prove``, ``repro client`` and both daemon paths —
+runs through :func:`analyze_source`, so the one-shot stdout *is* this
+``result``.  Wall-clock timing and cache-hit counters live in
+``served`` (the one-shot CLI prints the MIXY perf summary and its
+``--store`` counters on stderr) — so ``result`` is bitwise identical
 between a cold run, a warm run, and a fresh process: the store
 accelerates, it never answers.
 
@@ -95,11 +99,13 @@ the solver cache changed since the last one, so all-hits traffic does
 no store I/O.
 
 Per-request equivalence with a fresh process is engineered, not hoped
-for: each analyze request resets the process-global qualifier-variable
-ids and string-intern table, builds a fresh analyzer on the *shared*
-solver service, and runs MIXY on the serial path unless the request
-says otherwise (``jobs: 1``); MIX has no parallel path, so a MIX
-request's ``jobs`` is ignored like any other unknown option.
+for: each analyze request resets the process-global string-intern
+table, builds a fresh analyzer on the *shared* solver service, and runs
+MIXY on the serial path unless the request says otherwise (``jobs:
+1``; no environment variable is read); MIX has no parallel path, so a
+MIX request's ``jobs`` is ignored like any other unknown option.
+Contained block crashes write their repros under the daemon's
+``--crash-dir``, which no request can choose.
 Options may carry a per-request ``Budget`` (deadline / query timeout /
 path cap) and a fault-injection schedule (``inject_fault``, same
 ``N:KIND`` specs as ``--inject-fault``) — both budgeted and
@@ -121,8 +127,16 @@ import struct
 import sys
 import threading
 import time
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from repro.prove import (
+    ERROR,
+    PropertyResult,
+    classify_mix,
+    classify_mixy,
+    exit_code,
+    proof_options,
+)
 from repro.trace import TRACER
 
 PROTOCOL_VERSION = 2
@@ -174,7 +188,7 @@ class WorkerCrash(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# One-request analysis (shared by the daemon and `--store` CLI runs)
+# One-request analysis: the front door of every analysis
 # ---------------------------------------------------------------------------
 
 
@@ -192,91 +206,150 @@ def fresh_equivalence_state() -> None:
     values._STRING_CODES.clear()
 
 
+class Analysis(NamedTuple):
+    """One request's outcome (see :func:`analyze_source`)."""
+
+    #: the deterministic payload a reply carries: ``{"exit", "lines"}``,
+    #: plus ``"verdict"`` for a proof
+    result: dict
+    #: the MIXY perf line (blocks run, solver calls, seconds): wall-clock
+    #: dependent, so never part of ``result``; ``repro mixy`` prints it
+    #: on stderr
+    summary: str = ""
+    #: a proof's :class:`~repro.prove.PropertyResult`
+    proof: Optional[PropertyResult] = None
+    #: the request's store-counter delta (a reply's ``served.store``);
+    #: empty without a store
+    store: Optional[dict] = None
+
+
 def analyze_source(
     lang: str,
     source: str,
     options: dict,
     store=None,
     request_deadline: Optional[float] = None,
-) -> dict:
-    """Run one analysis; returns ``{"exit": int, "lines": [str, ...]}``
-    — exactly the deterministic output contract described in the module
-    docstring.  Never raises on program errors (they are exit-2 lines,
-    like the CLI); analyzer crashes propagate to the caller.
+    crash_dir: str = ".repro-crashes",
+    refine: bool = False,
+) -> Analysis:
+    """Run one request.  This is the only place where a ``(lang,
+    source, options)`` becomes a budget, an installed-and-restored fault
+    injector, a per-request trace, an analyzer config, a run, output
+    lines, an exit code and a store-counter delta: ``repro mix`` /
+    ``mixy`` / ``prove`` / ``client`` and both daemon paths all come
+    through here, so their outputs cannot drift apart.
+
+    Never raises on program errors (they are exit-2 lines, or ERROR
+    verdicts for a proof); analyzer crashes propagate to the caller,
+    except in a proof, where they are ERROR verdicts too.  It reads no
+    environment variable: a request answers for itself, and the CLI
+    resolves its own environment defaults into ``options``.
+
     ``request_deadline`` is the daemon's server-side wall-clock cap,
-    folded into the request budget (the tighter limit wins)."""
+    folded into the request budget (the tighter limit wins).
+    ``crash_dir`` is where contained block crashes write their repros;
+    it is the caller's, not a request option, because a client must not
+    choose where a daemon writes.  ``refine`` runs MIX's automatic block
+    placement (``repro mix --auto-refine``)."""
+    from repro import smt
     from repro.budget import Budget
 
+    if lang not in ("mix", "mixy"):
+        raise ValueError(f"unknown lang {lang!r}; expected 'mix' or 'mixy'")
     if options.get("prove"):
-        # `repro client --prove` / {"cmd": "prove"}: classify the source
-        # as one property file (prove_source resets equivalence state and
-        # builds its own per-request budget, mirroring this function).
-        from repro.prove import exit_code, prove_source
-
-        result = prove_source(
-            lang,
-            source,
-            options,
-            name=str(options.get("name", "<property>")),
-            store=store,
-            request_deadline=request_deadline,
-        )
-        return {
-            "exit": exit_code([result]),
-            "lines": [result.line()],
-            "verdict": result.verdict,
+        options = proof_options(lang, options)
+    injector = injector_from_options(options)
+    configure = _mix_config if lang == "mix" else _mixy_config
+    config = configure(
+        options, Budget.from_request(options, request_deadline), store, crash_dir
+    )
+    service = smt.get_service()
+    saved_injector = service.fault_injector
+    if injector is not None:
+        service.fault_injector = injector
+    traced = bool(options.get("trace")) and not TRACER.enabled
+    if traced:
+        # Appends, so a client re-using one trace path accumulates
+        # sessions instead of truncating them.
+        TRACER.enable(options["trace"], mode="append")
+    before = dict(store.stats) if store is not None else {}
+    try:
+        fresh_equivalence_state()
+        try:
+            if lang == "mix":
+                analysis = _run_mix(source, options, config, refine)
+            else:
+                analysis = _run_mixy(source, options, config)
+        except Exception as error:
+            if not options.get("prove"):
+                raise
+            # Deterministic for a given source: a verdict, not a fault.
+            analysis = _proved(
+                PropertyResult(
+                    options["name"], ERROR, f"analysis crashed: {error!r}"
+                )
+            )
+    finally:
+        service.fault_injector = saved_injector
+        if traced:
+            TRACER.close()
+        elif TRACER.enabled:
+            # Lines land before the reply: a pool worker may be killed
+            # right after it (its sidecar is merged after waitpid).
+            TRACER.flush()
+    delta = {}
+    if store is not None:
+        delta = {
+            key: store.stats[key] - before.get(key, 0)
+            for key in store.stats
+            if store.stats[key] != before.get(key, 0)
         }
-    budget = Budget.from_request(options, request_deadline)
-    fresh_equivalence_state()
-    if lang == "mixy":
-        return _analyze_mixy(source, options, budget, store)
-    if lang == "mix":
-        return _analyze_mix(source, options, budget, store)
-    raise ValueError(f"unknown lang {lang!r}; expected 'mix' or 'mixy'")
+    return analysis._replace(store=delta)
 
 
-def _analyze_mixy(source: str, options: dict, budget, store) -> dict:
-    from repro.mixy import Mixy, MixyConfig
-    from repro.mixy.c.parser import CParseError
+def _mix_config(options: dict, budget, store, crash_dir: str):
+    from repro.core import MixConfig, SoundnessMode
+    from repro.symexec import IfStrategy, SymConfig
+
+    return MixConfig(
+        sym=SymConfig(
+            if_strategy=IfStrategy.DEFER
+            if options.get("defer", False)
+            else IfStrategy.FORK,
+            max_loop_unroll=int(options.get("max_unroll", 64)),
+        ),
+        soundness=SoundnessMode.GOOD_ENOUGH
+        if options.get("good_enough", False)
+        else SoundnessMode.SOUND,
+        budget=budget,
+        validate_witnesses=bool(options.get("validate_witnesses", False)),
+        crash_dir=crash_dir,
+        store=store,
+    )
+
+
+def _mixy_config(options: dict, budget, store, crash_dir: str):
+    from repro.mixy import MixyConfig
     from repro.mixy.qual import QualConfig
-    from repro.mixy.symexec import CErrKind
 
-    config = MixyConfig(
+    return MixyConfig(
         qual=QualConfig(
             deref_requires_nonnull=bool(options.get("strict_deref", False))
         ),
         enable_cache=not options.get("no_cache", False),
         budget=budget,
-        # Explicit defaults, not environment defaults: a daemon request
-        # answers for itself, not for whatever REPRO_JOBS the daemon
-        # happened to inherit.
+        # Explicit values, never the fields' environment defaults.
         validate_witnesses=bool(options.get("validate_witnesses", False)),
+        jobs=int(options.get("jobs", 1)),
+        crash_dir=crash_dir,
+        store=store,
     )
-    config.jobs = int(options.get("jobs", 1))
-    config.store = store
-    try:
-        mixy = Mixy(source, config)
-        warnings = mixy.run(
-            entry=options.get("entry", "typed"),
-            entry_function=options.get("entry_function", "main"),
-        )
-    except CParseError as error:
-        return {"exit": 2, "lines": [f"error: {error}"]}
-    except KeyError as error:
-        return {"exit": 2, "lines": [f"error: no such function {error}"]}
-    lines = [str(w) for w in warnings]
-    lines.append(f"{len(warnings)} warning(s)")
-    contained = sum(
-        1 for w in mixy.executor.warnings if w.kind is CErrKind.CRASH
-    )
-    return {"exit": 0 if len(warnings) <= contained else 1, "lines": lines}
 
 
-def _analyze_mix(source: str, options: dict, budget, store) -> dict:
-    from repro.core import MixConfig, SoundnessMode, analyze
+def _run_mix(source: str, options: dict, config, refine: bool) -> Analysis:
+    from repro.core import analyze, auto_place_blocks
     from repro.lang.lexer import LexError
     from repro.lang.parser import ParseError, parse, parse_type
-    from repro.symexec import IfStrategy, SymConfig
     from repro.typecheck.types import TypeEnv
 
     try:
@@ -291,28 +364,84 @@ def _analyze_mix(source: str, options: dict, budget, store) -> dict:
             bindings[name.strip()] = parse_type(type_text.strip())
         env = TypeEnv(bindings)
     except (ParseError, LexError, ValueError) as error:
-        return {"exit": 2, "lines": [f"error: {error}"]}
-    config = MixConfig(
-        sym=SymConfig(
-            if_strategy=IfStrategy.DEFER
-            if options.get("defer", False)
-            else IfStrategy.FORK,
-            max_loop_unroll=int(options.get("max_unroll", 64)),
-        ),
-        soundness=SoundnessMode.GOOD_ENOUGH
-        if options.get("good_enough", False)
-        else SoundnessMode.SOUND,
-        budget=budget,
-        validate_witnesses=bool(options.get("validate_witnesses", False)),
-    )
-    config.store = store
-    report = analyze(program, env, options.get("entry", "typed"), config)
-    lines = [str(report)]
+        return _unrunnable(options, f"parse error: {error}", f"error: {error}")
+    entry = options.get("entry", "typed")
+    if options.get("prove"):
+        return _proved(
+            classify_mix(options["name"], analyze(program, env, entry, config))
+        )
+    lines = []
+    if refine:
+        refined = auto_place_blocks(program, env, entry, config)
+        lines.extend(
+            f"refinement step {i}: {step}"
+            for i, step in enumerate(refined.steps, 1)
+        )
+        if refined.steps:
+            lines.append(f"annotated program: {refined.annotated_source}")
+        report = refined.report
+    else:
+        report = analyze(program, env, entry, config)
+    lines.append(str(report))
     lines.extend(f"warning: {w}" for w in report.warnings)
-    return {"exit": 0 if report.ok else 1, "lines": lines}
+    return Analysis({"exit": 0 if report.ok else 1, "lines": lines})
 
 
-def _injector_from_options(options: dict):
+def _run_mixy(source: str, options: dict, config) -> Analysis:
+    from repro.mixy import Mixy
+    from repro.mixy.c.parser import CParseError
+    from repro.mixy.symexec import CErrKind
+
+    try:
+        mixy = Mixy(source, config)
+        warnings = mixy.run(
+            entry=options.get("entry", "typed"),
+            entry_function=options.get("entry_function", "main"),
+        )
+    except CParseError as error:
+        return _unrunnable(options, f"parse error: {error}", f"error: {error}")
+    except KeyError as error:
+        message = f"no such function {error}"
+        return _unrunnable(options, message, f"error: {message}")
+    if options.get("prove"):
+        return _proved(classify_mixy(options["name"], mixy))
+    lines = [str(w) for w in warnings]
+    lines.append(f"{len(warnings)} warning(s)")
+    summary = (
+        f"{len(warnings)} warning(s); "
+        f"{mixy.stats['symbolic_blocks_run']} symbolic block run(s); "
+        f"{mixy.executor.stats['solver_calls']} solver call(s); "
+        f"{mixy.stats['analysis_seconds']:.3f}s"
+    )
+    # Contained analysis crashes degrade a block, they do not make the
+    # program's verdict a failure: such a run still exits 0.
+    contained = sum(
+        1 for w in mixy.executor.warnings if w.kind is CErrKind.CRASH
+    )
+    exit_status = 0 if len(warnings) <= contained else 1
+    return Analysis({"exit": exit_status, "lines": lines}, summary)
+
+
+def _unrunnable(options: dict, detail: str, line: str) -> Analysis:
+    """A source that cannot be analyzed: the exit-2 error ``line``, or
+    an ERROR verdict saying ``detail`` for a proof."""
+    if options.get("prove"):
+        return _proved(PropertyResult(options["name"], ERROR, detail))
+    return Analysis({"exit": 2, "lines": [line]})
+
+
+def _proved(result: PropertyResult) -> Analysis:
+    return Analysis(
+        {
+            "exit": exit_code([result]),
+            "lines": [result.line()],
+            "verdict": result.verdict,
+        },
+        proof=result,
+    )
+
+
+def injector_from_options(options: dict):
     """Build the per-request :class:`~repro.smt.service.FaultInjector`
     from ``options["inject_fault"]``: either ``"N:KIND"`` specs (string
     or list — the ``--inject-fault`` CLI syntax) or an object
@@ -412,9 +541,9 @@ def _worker_payload(
     lang: str,
     source: str,
     options: dict,
-    injector,
     store,
     request_deadline: Optional[float],
+    crash_dir: str,
 ) -> dict:
     """Pooled worker: run one request and build the pickle frame the
     parent merges.  Fault-injected requests are marked ``faulted`` and
@@ -432,37 +561,24 @@ def _worker_payload(
     from repro import smt
 
     service = smt.get_service()
-    if injector is not None:
-        service.fault_injector = injector
     mark = service.cache_mark()
     stats0 = replace(service.stats)
     mixy_before = len(store.mixy_blocks) if store is not None else 0
     mix_before = len(store.mix_blocks) if store is not None else 0
-    stats_before = dict(store.stats) if store is not None else {}
-    opened_trace = False
-    trace_path = options.get("trace")
-    if trace_path and not TRACER.enabled:
-        TRACER.enable(trace_path, mode="append")
-        opened_trace = True
-    try:
-        result = analyze_source(
-            lang, source, options, store=store,
-            request_deadline=request_deadline,
-        )
-    finally:
-        if opened_trace:
-            TRACER.close()
-        elif TRACER.enabled:
-            TRACER.flush()  # sidecar file: parent merges after waitpid
+    run = analyze_source(
+        lang, source, options, store=store,
+        request_deadline=request_deadline, crash_dir=crash_dir,
+    )
+    faulted = bool(options.get("inject_fault"))
     payload = {
-        "result": result,
+        "result": run.result,
         "delta": None,
-        "faulted": injector is not None,
+        "faulted": faulted,
         "mixy_new": {},
         "mix_new": {},
-        "store_stats": {},
+        "store_stats": run.store,
     }
-    if injector is None:
+    if not faulted:
         payload["delta"] = service.collect_delta_since(mark, stats0)
     if store is not None:
         # Memo dicts are insert-only within a request, so "new" is the
@@ -475,11 +591,6 @@ def _worker_payload(
         payload["mix_new"] = dict(
             itertools.islice(store.mix_blocks.items(), mix_before, None)
         )
-        payload["store_stats"] = {
-            k: store.stats[k] - stats_before.get(k, 0)
-            for k in store.stats
-            if store.stats[k] != stats_before.get(k, 0)
-        }
     return payload
 
 
@@ -507,9 +618,9 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
                 job["lang"],
                 job["source"],
                 job["options"],
-                _injector_from_options(job["options"]),
                 daemon.store,
                 job.get("request_deadline"),
+                daemon.crash_dir,
             )
         except BaseException as error:
             payload = {"error": f"{type(error).__name__}: {error}"}
@@ -1264,7 +1375,7 @@ class ReproDaemon:
                 ),
             )
         try:
-            injector = _injector_from_options(options)
+            injector = injector_from_options(options)
         except ValueError as error:
             return _reply("protocol_error", error=f"bad request: {error}")
         if not self._slots.acquire(blocking=False):
@@ -1289,9 +1400,7 @@ class ReproDaemon:
             else:
                 with self._serial:
                     with TRACER.span("request", lang, isolated=False):
-                        reply = self._analyze_inproc(
-                            lang, source, options, injector
-                        )
+                        reply = self._analyze_inproc(lang, source, options)
                     if reply["status"] == "ok":
                         self._save_if_due()
             elapsed = time.monotonic() - start
@@ -1336,36 +1445,15 @@ class ReproDaemon:
 
     # -- in-process execution (--no-isolate; also fork-less platforms) -------
 
-    def _analyze_inproc(
-        self, lang: str, source: str, options: dict, injector
-    ) -> dict:
-        from repro import smt
-
-        service = smt.get_service()
-        store_stats_before = (
-            dict(self.store.stats) if self.store is not None else {}
+    def _analyze_inproc(self, lang: str, source: str, options: dict) -> dict:
+        run = analyze_source(
+            lang, source, options, store=self.store,
+            request_deadline=self.request_deadline, crash_dir=self.crash_dir,
         )
-        saved_injector = service.fault_injector
-        if injector is not None:
-            service.fault_injector = injector
-        tracer_opened = self._request_tracer(options)
-        try:
-            result = analyze_source(
-                lang, source, options, store=self.store,
-                request_deadline=self.request_deadline,
-            )
-        finally:
-            service.fault_injector = saved_injector
-            if tracer_opened:
-                TRACER.close()
         served = {"requests_served": self.requests_served, "isolated": False}
         if self.store is not None:
-            served["store"] = {
-                key: self.store.stats[key] - store_stats_before.get(key, 0)
-                for key in self.store.stats
-                if self.store.stats[key] != store_stats_before.get(key, 0)
-            }
-        return _reply("ok", result=result, served=served)
+            served["store"] = run.store
+        return _reply("ok", result=run.result, served=served)
 
     # -- pooled execution (persistent prefork workers) ------------------------
 
@@ -1627,19 +1715,6 @@ class ReproDaemon:
                 if self.store.unsaved(service):
                     with TRACER.span("checkpoint", "periodic"):
                         self.store.save(service)
-
-    def _request_tracer(self, options: dict) -> bool:
-        """Per-request tracing: honor ``options["trace"]`` when the
-        daemon itself is not already tracing.  Appends, so a client
-        re-using one trace path accumulates sessions instead of
-        truncating them."""
-        path = options.get("trace")
-        if not path:
-            return False
-        if TRACER.enabled:
-            return False
-        TRACER.enable(path, mode="append")
-        return True
 
     def _persist(self) -> None:
         if self.store is not None:

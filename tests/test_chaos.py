@@ -19,6 +19,7 @@ from repro.chaos import (
     CampaignReport,
     ChaosCampaign,
     OP_WEIGHTS,
+    _subprocess_env,
     default_source,
     main,
     one_shot_result,
@@ -57,11 +58,21 @@ class TestReport:
 
 
 class TestOneShotBaseline:
-    def test_mixy_baseline_is_normalized_to_the_daemon_shape(self):
-        result = one_shot_result("mixy", default_source())
+    def test_mixy_baseline_is_the_one_shot_stdout_verbatim(self, tmp_path):
+        source = default_source()
+        path = tmp_path / "baseline.c"
+        path.write_text(source)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "mixy", str(path), "--jobs", "1"],
+            capture_output=True, text=True, env=_subprocess_env(),
+            cwd=tmp_path, timeout=300,
+        )
+        result = one_shot_result("mixy", source)
+        assert result == {"exit": proc.returncode, "lines": proc.stdout.splitlines()}
         assert result["exit"] == 1
-        assert result["lines"][-1].endswith("warning(s)")
-        # No perf-summary residue (timings would break bitwise identity).
+        assert result["lines"][-1].endswith(" warning(s)")
+        # The perf summary (timings) is on stderr, never in the result.
+        assert "solver call" in proc.stderr
         assert not any("solver call" in line for line in result["lines"])
 
     def test_parse_error_keeps_stderr_and_exit_2(self):

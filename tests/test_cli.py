@@ -1,6 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.cli import main
 
@@ -141,3 +149,52 @@ class TestArgumentValidation:
             main([command, str(path), f"--{option}", value])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestStoreCounters:
+    """With ``--store``, a one-shot run prints the run's store-counter
+    delta on stderr (the dict a daemon reply carries in
+    ``served.store``); stdout stays the analysis result alone."""
+
+    def _run(self, tmp_path, *args):
+        env = dict(os.environ)
+        # Witness validation stands the block memo down.
+        env.pop("REPRO_VALIDATE_WITNESSES", None)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *args,
+             "--store", str(tmp_path / "store")],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        )
+
+    def _counters(self, proc) -> dict:
+        lines = [
+            line for line in proc.stderr.splitlines()
+            if line.startswith("store: ")
+        ]
+        assert len(lines) == 1, proc.stderr
+        return json.loads(lines[0][len("store: "):])
+
+    @pytest.mark.parametrize(
+        "lang,source,args,hits",
+        [
+            ("mix", "{s if 0 < x then x + 1 else 0 - x s}",
+             ["--env", "x:int"], "mix_hits"),
+            ("mixy", "STAIRCASE", [], "mixy_hits"),
+        ],
+    )
+    def test_warm_run_prints_memo_hits(self, tmp_path, lang, source, args, hits):
+        if source == "STAIRCASE":
+            from repro.mixy.corpus_vsftpd import parallel_vsftpd
+
+            source = parallel_vsftpd(depth=1)
+        path = tmp_path / ("program.c" if lang == "mixy" else "program.mix")
+        path.write_text(source)
+        cold = self._run(tmp_path, lang, str(path), *args)
+        warm = self._run(tmp_path, lang, str(path), *args)
+        assert cold.returncode == warm.returncode != 2, cold.stderr
+        assert cold.stdout == warm.stdout
+        assert "store:" not in warm.stdout
+        assert self._counters(cold).get(hits, 0) == 0
+        assert self._counters(warm).get(hits, 0) > 0

@@ -196,15 +196,17 @@ class TestInjectedFaultsMix:
 
     @pytest.mark.parametrize("kind", FaultInjector.KINDS)
     @pytest.mark.parametrize("source,env", [(FORK_SOURCE, FORK_ENV), (WHILE_SOURCE, TypeEnv())])
-    def test_single_fault_sweep_terminates(self, kind, source, env):
+    def test_single_fault_sweep_terminates(self, kind, source, env, tmp_path):
         total = count_queries(source, env)
         assert total > 0
+        # A CRASH fault is contained and writes a repro: keep it here.
+        config = MixConfig(crash_dir=str(tmp_path))
         for n in range(1, total + 1):
             service = SolverService()
             service.fault_injector = FaultInjector.at_query(n, kind)
             previous = smt.set_service(service)
             try:
-                report = analyze_source(source, env=env)
+                report = analyze_source(source, env=env, config=config)
             finally:
                 smt.set_service(previous)
             assert isinstance(report, MixReport)
@@ -373,9 +375,9 @@ class TestMixyDegradation:
         assert not any(key[0] == "helper" for key in mixy._cache)
 
     @pytest.mark.parametrize("kind", FaultInjector.KINDS)
-    def test_injected_faults_never_escape(self, kind, fresh_service):
+    def test_injected_faults_never_escape(self, kind, fresh_service, tmp_path):
         fresh_service.fault_injector = FaultInjector(seed=3, rate=0.4, kind=kind)
-        mixy = Mixy(MIXY_PROGRAM)
+        mixy = Mixy(MIXY_PROGRAM, MixyConfig(crash_dir=str(tmp_path)))
         warnings = mixy.run()  # every degradation path is handled
         assert isinstance(warnings, list)
 

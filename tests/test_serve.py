@@ -49,46 +49,46 @@ SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 class TestAnalyzeSource:
     def test_mixy_result_shape(self):
-        result = analyze_source("mixy", SOURCE, {})
+        result = analyze_source("mixy", SOURCE, {}).result
         assert result["exit"] == 1
         assert result["lines"][-1].endswith("warning(s)")
         assert any("sysutil_free" in line for line in result["lines"])
 
     def test_mixy_is_deterministic_across_runs(self):
-        first = analyze_source("mixy", SOURCE, {})
-        second = analyze_source("mixy", SOURCE, {})
+        first = analyze_source("mixy", SOURCE, {}).result
+        second = analyze_source("mixy", SOURCE, {}).result
         assert first == second
 
     def test_retired_scheduling_options_do_not_change_the_reply(self):
         # Clients written against older daemons may still send one.
         for options in ({}, {"jobs": 2}):
             retired = {**options, "schedule": "portfolio"}
-            assert analyze_source("mixy", SOURCE, retired) == (
-                analyze_source("mixy", SOURCE, options)
+            assert analyze_source("mixy", SOURCE, retired).result == (
+                analyze_source("mixy", SOURCE, options).result
             )
         # MIX has no parallel path: a request's ``jobs`` is ignored.
         mix = "{s if x < 5 then x + 1 else (if x < 9 then 1 + true else 0) s}"
         env = {"env": "x:int"}
-        assert analyze_source("mix", mix, {**env, "jobs": 2}) == (
-            analyze_source("mix", mix, env)
+        assert analyze_source("mix", mix, {**env, "jobs": 2}).result == (
+            analyze_source("mix", mix, env).result
         )
 
     def test_mixy_parse_error_is_exit_2(self):
-        result = analyze_source("mixy", "int main( {", {})
+        result = analyze_source("mixy", "int main( {", {}).result
         assert result["exit"] == 2
         assert result["lines"][0].startswith("error:")
 
     def test_mix_accept_and_reject(self):
-        assert analyze_source("mix", "{s 1 + 1 s}", {}) == {
+        assert analyze_source("mix", "{s 1 + 1 s}", {}).result == {
             "exit": 0,
             "lines": ["accepted: int"],
         }
-        rejected = analyze_source("mix", "{s 1 + true s}", {})
+        rejected = analyze_source("mix", "{s 1 + true s}", {}).result
         assert rejected["exit"] == 1
 
     def test_mix_env_and_parse_errors_are_exit_2(self):
-        assert analyze_source("mix", "x", {"env": "x-int"})["exit"] == 2
-        assert analyze_source("mix", "let let", {})["exit"] == 2
+        assert analyze_source("mix", "x", {"env": "x-int"}).result["exit"] == 2
+        assert analyze_source("mix", "let let", {}).result["exit"] == 2
 
     def test_unknown_lang_raises(self):
         with pytest.raises(ValueError, match="unknown lang"):
@@ -96,8 +96,98 @@ class TestAnalyzeSource:
 
     def test_budgeted_request_builds_a_budget(self):
         # A generous deadline changes nothing about the result...
-        result = analyze_source("mixy", SOURCE, {"deadline": 3600.0})
-        assert result == analyze_source("mixy", SOURCE, {})
+        result = analyze_source("mixy", SOURCE, {"deadline": 3600.0}).result
+        assert result == analyze_source("mixy", SOURCE, {}).result
+
+
+class TestCrashDir:
+    """A contained block crash writes its repro under the daemon's own
+    ``crash_dir``, on both request paths — never into the daemon's
+    working directory."""
+
+    @pytest.mark.parametrize("isolate", [True, False], ids=["pooled", "no-isolate"])
+    def test_block_crash_repro_lands_in_the_crash_dir(
+        self, tmp_path, monkeypatch, isolate
+    ):
+        monkeypatch.chdir(tmp_path)
+        crash_dir = tmp_path / "crashes"
+        daemon = ReproDaemon(
+            socket_path="unused.sock", store_dir=None, isolate=isolate,
+            pool_size=1, crash_dir=str(crash_dir),
+        )
+        try:
+            response = daemon.handle_line(json.dumps({
+                "cmd": "analyze", "lang": "mixy", "source": STAIRCASE,
+                "options": {"inject_fault": ["1:crash"]},
+            }))
+        finally:
+            if daemon._pool is not None:
+                daemon._pool.close()
+        assert response["status"] == "ok", response
+        contained = [
+            line for line in response["result"]["lines"]
+            if "crash contained" in line
+        ]
+        assert contained and f"repro at {crash_dir}" in contained[0]
+        assert os.listdir(crash_dir)
+        assert not (tmp_path / ".repro-crashes").exists()
+
+
+EXAMPLE_FILES = sorted(
+    path
+    for pattern in ("**/*.mix", "**/*.c")
+    for path in (pathlib.Path(SRC_DIR).parent / "examples").glob(pattern)
+)
+
+
+class TestOneShotIsTheDaemonResult:
+    """``repro mix`` / ``repro mixy`` print the daemon's ``result``
+    verbatim: a fresh one-shot process's stdout (stderr for exit 2) and
+    exit code equal the in-process and the pooled daemon's reply to the
+    same request, for every example program at both entries."""
+
+    def test_every_example_at_both_entries(self, tmp_path, monkeypatch):
+        assert EXAMPLE_FILES
+        monkeypatch.chdir(tmp_path)
+        env = _subprocess_env()
+        # The same request: no environment default may change the
+        # one-shot run's options.
+        for name in ("REPRO_JOBS", "REPRO_VALIDATE_WITNESSES"):
+            env.pop(name, None)
+        daemons = [
+            ReproDaemon(
+                socket_path="unused.sock", store_dir=None, isolate=isolate,
+                pool_size=1, crash_dir=str(tmp_path / "crashes"),
+            )
+            for isolate in (False, True)
+        ]
+        try:
+            for path in EXAMPLE_FILES:
+                lang = "mixy" if path.suffix == ".c" else "mix"
+                for entry in ("typed", "symbolic"):
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "repro.cli", lang, str(path),
+                         "--entry", entry],
+                        capture_output=True, text=True, env=env,
+                        cwd=tmp_path, timeout=300,
+                    )
+                    out = proc.stderr if proc.returncode == 2 else proc.stdout
+                    one_shot = {
+                        "exit": proc.returncode, "lines": out.splitlines(),
+                    }
+                    request_line = json.dumps({
+                        "cmd": "analyze", "lang": lang,
+                        "source": path.read_text(),
+                        "options": {"entry": entry},
+                    })
+                    for daemon in daemons:
+                        reply = daemon.handle_line(request_line)
+                        assert reply["status"] == "ok", (path, entry, reply)
+                        assert reply["result"] == one_shot, (path, entry)
+        finally:
+            for daemon in daemons:
+                if daemon._pool is not None:
+                    daemon._pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +294,12 @@ def _analyze_request(address, source=SOURCE, **options):
 
 
 def _fresh_cli_result(tmp_path, source=SOURCE):
-    """The deterministic result a fresh one-shot ``repro mixy --jobs 1``
-    process produces — the identity baseline the daemon must match.
-    (An in-process run is NOT a valid baseline here: earlier tests in
-    this pytest process leave warmed global caches that shift qualifier
-    ids, exactly the state leak the daemon's per-request reset guards
-    against.)"""
+    """The result a fresh one-shot ``repro mixy --jobs 1`` process
+    prints: its stdout lines verbatim and its exit code — the identity
+    baseline the daemon must match.  (An in-process run is NOT a valid
+    baseline here: earlier tests in this pytest process leave warmed
+    global caches that shift qualifier ids, exactly the state leak the
+    daemon's per-request reset guards against.)"""
     path = tmp_path / "baseline.c"
     path.write_text(source)
     proc = subprocess.run(
@@ -217,13 +307,7 @@ def _fresh_cli_result(tmp_path, source=SOURCE):
         capture_output=True, text=True, env=_subprocess_env(),
         cwd=tmp_path, timeout=300,
     )
-    # Drop the one-shot perf summary (timing, block/solver counts); the
-    # daemon result carries the deterministic `N warning(s)` count only.
-    warnings = proc.stdout.splitlines()[:-1]
-    return {
-        "exit": proc.returncode,
-        "lines": warnings + [f"{len(warnings)} warning(s)"],
-    }
+    return {"exit": proc.returncode, "lines": proc.stdout.splitlines()}
 
 
 class TestDaemonEndToEnd:

@@ -187,7 +187,7 @@ class Mix:
         is contained at the block boundary: counted, recorded with a
         delta-debugged repro, and the block degraded to the plain type
         checker, mirroring the BUDGET-breach fallback."""
-        from repro.crash import record_crash
+        from repro.crash import record_crash, repro_name
         from repro.lang.pretty import pretty
         from repro.shrink import shrink_expr
 
@@ -201,10 +201,9 @@ class Mix:
             crash_dir=self.config.crash_dir,
             injector=smt.get_service().fault_injector,
         )
-        where = path or "(report could not be written)"
         self.warnings.append(
             f"symbolic block analysis crashed ({type(error).__name__}: "
-            f"{error}); degraded to the type checker — repro at {where}"
+            f"{error}); degraded to the type checker — repro at {repro_name(path)}"
         )
         return self.checker.check(block.body, gamma)
 

@@ -59,3 +59,10 @@ def record_crash(
     except OSError:
         return None
     return path
+
+
+def repro_name(path: Optional[str]) -> str:
+    """How a warning line names a recorded report: its content-addressed
+    file name only, so the line (part of a reply's ``result``) does not
+    depend on the crash directory a front door was given."""
+    return os.path.basename(path) if path else "(report could not be written)"

@@ -819,7 +819,7 @@ class Mixy:
         contained at the block boundary: counted, recorded with a
         delta-debugged repro, and the function degraded to pure qualifier
         inference — the same fallback a budget breach takes."""
-        from repro.crash import record_crash
+        from repro.crash import record_crash, repro_name
         from repro.mixy.c.pretty import pretty_program
         from repro.shrink import shrink_c_program
 
@@ -833,11 +833,10 @@ class Mixy:
             crash_dir=self.config.crash_dir,
             injector=smt.get_service().fault_injector,
         )
-        where = path or "(report could not be written)"
         self.executor.warn(
             CErrKind.CRASH,
             f"analysis crashed ({type(error).__name__}: {error}); degraded "
-            f"to qualifier inference — repro at {where}",
+            f"to qualifier inference — repro at {repro_name(path)}",
             fn.name,
         )
         self.qual.constrain_function(fn.name)

@@ -16,15 +16,14 @@ layer:
 - :func:`aggregate` folds a trace into a digest — per-block, per-round
   and per-query-tier tables, time-in-solver vs time-in-executor vs
   time-in-merge, and the fraction of run wall-clock attributed to named
-  spans — rendered by ``repro trace-report`` and embedded into every
-  ``BENCH_<id>.json`` as a ``trace_digest`` section.
+  spans — rendered by ``repro trace-report``.
 
 **Cost discipline.**  Disabled tracing (the default) must stay off the
 profile: every hot call site guards with a single attribute check
 (``if TRACER.enabled:``), and :meth:`Tracer.span` is a no-op context
-manager that allocates no span object when disabled.  The trace
-benchmark (``benchmarks/test_bench_trace.py``) verifies both the
-disabled-check cost and the enabled overhead.
+manager that allocates no span object when disabled.
+``tests/test_trace.py`` checks that a disabled tracer keeps no books;
+perfbench's ``trace.overhead_s`` measures what an enabled one costs.
 
 **Parallel runs.**  Forked workers inherit the enabled tracer; each
 worker rescopes it to a per-worker sidecar file

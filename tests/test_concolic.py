@@ -1,5 +1,7 @@
 """Tests for the DART-style concolic driver."""
 
+import random
+
 import pytest
 
 from repro.lang import parse, run
@@ -106,3 +108,30 @@ class TestValidation:
     def test_string_inputs_allowed(self):
         report = explore('if s = "" then 1 else 2', {"s": STR})
         assert report.paths_covered >= 1
+
+
+def _runs_to_find(magic: int) -> int:
+    """Runs the concolic driver needs to hit the bug behind ``x = magic``."""
+    report = explore(f"if x = {magic} then 1 + true else 0", {"x": INT})
+    assert report.failures and report.failures[0][0]["x"] == magic
+    return len(report.runs)
+
+
+class TestConcolicVersusRandom:
+    """E12: random sampling almost never reaches a deep equality guard;
+    concolic exploration reaches it in a handful of runs."""
+
+    @pytest.mark.parametrize("magic", [7, 42, 4242, 123_456, 987_654])
+    def test_concolic_finds_the_guarded_bug_quickly(self, magic):
+        assert _runs_to_find(magic) <= 3
+
+    def test_random_testing_never_hits_it(self):
+        rng = random.Random(7)
+        program = parse("if x = 987654 then 1 + true else 0")
+        hits = 0
+        for _ in range(2_000):
+            try:
+                run(program, {"x": rng.randint(-(10**6), 10**6)})
+            except RuntimeTypeError:
+                hits += 1
+        assert hits == 0

@@ -106,3 +106,26 @@ class TestEffectAwareHavoc:
             report = analyze_source(source, config=config)
             if report.ok:
                 run(parse(source))  # must not raise
+
+
+def _read_only_excursions(k: int) -> str:
+    """k read-only typed excursions between checks that memory survived."""
+    parts = ["let x = ref 5 in"]
+    for i in range(k):
+        parts.append(f"{{t !x * {i + 2} t}};")
+        parts.append(f'(if !x = 5 then {i} else "boom" + {i});')
+    parts.append("!x")
+    return "{s " + "\n".join(parts) + " s}"
+
+
+class TestPrecisionGap:
+    """E11: unconditional havoc rejects every program; the effect-aware
+    refinement accepts every one."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_havoc_rejects_effects_accept(self, k):
+        source = _read_only_excursions(k)
+        assert not analyze_source(
+            source, config=MixConfig(effect_aware_havoc=False)
+        ).ok
+        assert analyze_source(source, config=MixConfig(effect_aware_havoc=True)).ok

@@ -21,6 +21,7 @@ from repro.mixy import Mixy, MixyConfig
 from repro.mixy.c import parse_program
 from repro.mixy.corpus_vsftpd import (
     ANNOTATION_SITES,
+    PARALLEL_BLOCKS,
     mini_vsftpd,
     parallel_vsftpd,
 )
@@ -37,6 +38,10 @@ SERIAL_FULL_SOLVES_DEPTH2 = 744
 #: equality: the lazy loop meets atoms in memory-layout order, so the count
 #: can drift.  Weaker theory cores re-learn conflicts and would exceed it.
 SERIAL_THEORY_ROUNDS_DEPTH2 = 48
+#: Full solves of a cold ``--jobs 1`` run on ``parallel_vsftpd(depth=4)``
+#: (measured; host-independent).  Ever-advancing serial symbol names
+#: re-solve every round: ~2,800 solves.
+SERIAL_FULL_SOLVES_DEPTH4 = 1246
 
 
 def _fresh_process_state():
@@ -111,3 +116,66 @@ class TestMixyEquivalence:
         # The exact comparison above subsumes the normalized one; this
         # guards the normalizer itself for use on uncontrolled runs.
         assert _normalize("qual #12 flows to #3") == "qual #N flows to #N"
+
+
+@pytest.fixture(scope="module")
+def staircase_depth4():
+    """One cold run of ``parallel_vsftpd(depth=4)`` at ``--jobs 1`` and at
+    ``--jobs 4``, shared by every assertion in the class below."""
+    runs = {}
+    for jobs in (1, JOBS):
+        _fresh_process_state()
+        mixy = Mixy(
+            parse_program(parallel_vsftpd(depth=4)),
+            config=MixyConfig(jobs=jobs),
+        )
+        warnings = [str(w) for w in mixy.run()]
+        runs[jobs] = (warnings, dict(mixy.stats), smt.get_service().stats)
+    return runs
+
+
+class TestStaircaseDepth4:
+    """E16: six solver-heavy blocks whose calling contexts change every
+    fixpoint round.  Speculation only pre-answers the authoritative
+    pass's queries, and a serial re-run of a block reuses its earlier
+    rounds' verdicts."""
+
+    def test_corpus_has_enough_symbolic_blocks(self, staircase_depth4):
+        _, serial, _ = staircase_depth4[1]
+        assert len(PARALLEL_BLOCKS) >= 4
+        # Every frontier block is re-analyzed across the rounds.
+        assert serial["fixpoint_iterations"] >= 4
+        assert serial["symbolic_blocks_run"] > len(PARALLEL_BLOCKS)
+
+    def test_warning_output_is_bitwise_identical(self, staircase_depth4):
+        serial, serial_stats, _ = staircase_depth4[1]
+        parallel, parallel_stats, _ = staircase_depth4[JOBS]
+        assert serial == parallel
+        assert len(serial) == 1  # the staircase's single finding
+        assert "nonnull parameter p_ptr of sysutil_free" in serial[0]
+        assert (
+            serial_stats["fixpoint_iterations"]
+            == parallel_stats["fixpoint_iterations"]
+        )
+
+    def test_runs_are_deterministic_solver_work(self, staircase_depth4):
+        # UNKNOWNs are never cached, so any timeout would poison the
+        # comparison; the corpus is tuned to produce none in either mode.
+        assert staircase_depth4[1][2].query_timeouts == 0
+        assert staircase_depth4[JOBS][2].query_timeouts == 0
+        assert staircase_depth4[JOBS][2].speculation_failures == 0
+
+    def test_parallel_mode_actually_speculated(self, staircase_depth4):
+        parallel = staircase_depth4[JOBS][2]
+        assert parallel.speculative_blocks > 0
+        assert parallel.cache_entries_imported > 0
+        # The same query stream either way; speculation only pre-answers.
+        assert parallel.queries == staircase_depth4[1][2].queries
+
+    def test_serial_full_solve_ceiling(self, staircase_depth4):
+        serial = staircase_depth4[1][2]
+        assert serial.exact_hits > 0
+        assert serial.full_solves <= SERIAL_FULL_SOLVES_DEPTH4, (
+            f"--jobs 1 made {serial.full_solves} full solves; ceiling is "
+            f"{SERIAL_FULL_SOLVES_DEPTH4}"
+        )

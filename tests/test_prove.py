@@ -15,6 +15,7 @@ The contract under test (see ``repro.prove``):
 """
 
 import glob
+import itertools
 import os
 import pathlib
 import re
@@ -24,12 +25,15 @@ import sys
 import pytest
 
 import repro
+from repro import smt
 from repro.lang.interp import CheckFailure, Interpreter
 from repro.lang.parser import parse
 from repro.lang.pretty import pretty
 from repro.mixy.c.interp import CCheckFailure, CInterpreter
 from repro.mixy.c.parser import parse_program
 from repro.mixy.c.pretty import pretty_program
+from repro.mixy.corpus_vsftpd import property_staircase
+from repro.mixy.qual import QVar
 from repro.prove import (
     BUDGET,
     COUNTEREXAMPLE,
@@ -268,17 +272,88 @@ class TestSuiteDriver:
         assert reversed_lines == lines
 
     def test_jobs4_output_is_identical_to_jobs1(self):
+        """The shipped examples (valid, falsifiable with confirmed
+        models, vacuous, backwards-solving) give identical verdict lines
+        under file-level fan-out."""
+        assert len(EXAMPLES) >= 8
         serial: list[str] = []
         parallel: list[str] = []
-        prove_files(EXAMPLES, {}, jobs=1, emit=serial.append)
-        prove_files(EXAMPLES, {}, jobs=4, emit=parallel.append)
+        assert prove_files(EXAMPLES, {}, jobs=1, emit=serial.append) == 1
+        assert prove_files(EXAMPLES, {}, jobs=4, emit=parallel.append) == 1
         assert parallel == serial
+        assert any(line.startswith("COUNTEREXAMPLE") for line in serial)
+        assert any(line.startswith("PROVED") for line in serial)
 
     def test_unreadable_file_is_an_error(self):
         lines: list[str] = []
         code = prove_files(["/nonexistent/property.mix"], {}, emit=lines.append)
         assert code == EXIT_ERROR
         assert lines[0].startswith("ERROR: ")
+
+
+#: Full solves of the cold ``--jobs 1`` proof of
+#: ``property_staircase(depth=4)`` (measured; host-independent).
+SERIAL_FULL_SOLVES_DEPTH4 = 1318
+#: Theory conflicts of the same proof (measured: 157).  A ceiling, not an
+#: equality: the lazy loop meets atoms in memory-layout order, so the count
+#: can drift.  Weaker theory cores re-learn conflicts and would exceed it.
+SERIAL_THEORY_ROUNDS_DEPTH4 = 157
+
+
+@pytest.fixture(scope="module")
+def staircase_proofs():
+    """One cold typed-entry proof of ``property_staircase(depth=4)`` at
+    ``jobs`` 1 and 4, shared by every assertion in the class below."""
+    proofs = {}
+    for jobs in (1, 4):
+        smt.reset_service()
+        QVar._ids = itertools.count(1)
+        result = prove_source(
+            "mixy",
+            property_staircase(depth=4),
+            {"entry": "typed", "jobs": jobs},
+            name="property_staircase",
+        )
+        proofs[jobs] = (result, smt.get_service().stats)
+    return proofs
+
+
+class TestPropertyStaircaseDepth4:
+    """E22: one ``check`` per staircase block, each re-analyzed every
+    fixpoint round.  Block-scoped naming lets a serial re-run answer from
+    its earlier rounds' verdicts; ``jobs`` 4 speculates on top."""
+
+    def test_staircase_suite_is_proved(self, staircase_proofs):
+        # Every block's check holds on every path; nothing else warns.
+        assert staircase_proofs[1][0].verdict == PROVED
+        assert staircase_proofs[4][0].verdict == PROVED
+
+    def test_verdict_lines_are_bitwise_identical(self, staircase_proofs):
+        assert staircase_proofs[1][0].line() == staircase_proofs[4][0].line()
+
+    def test_runs_are_deterministic_solver_work(self, staircase_proofs):
+        # UNKNOWNs are never cached, so any timeout would poison the
+        # comparison; the corpus is tuned to produce none in either mode.
+        assert staircase_proofs[1][1].query_timeouts == 0
+        assert staircase_proofs[4][1].query_timeouts == 0
+
+    def test_parallel_mode_actually_speculated(self, staircase_proofs):
+        parallel = staircase_proofs[4][1]
+        assert parallel.speculative_blocks > 0
+        assert parallel.cache_entries_imported > 0
+        assert parallel.queries == staircase_proofs[1][1].queries
+
+    def test_serial_full_solve_ceiling(self, staircase_proofs):
+        serial = staircase_proofs[1][1]
+        assert serial.exact_hits > 0
+        assert serial.full_solves <= SERIAL_FULL_SOLVES_DEPTH4, (
+            f"--jobs 1 made {serial.full_solves} full solves; ceiling is "
+            f"{SERIAL_FULL_SOLVES_DEPTH4}"
+        )
+        assert serial.theory_rounds <= SERIAL_THEORY_ROUNDS_DEPTH4, (
+            f"--jobs 1 had {serial.theory_rounds} theory rounds; ceiling is "
+            f"{SERIAL_THEORY_ROUNDS_DEPTH4}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -176,3 +176,34 @@ class TestMixedSignAnalysis:
         )
         assert not report.ok
         assert "zero" in report.diagnostics[0]
+
+
+def _guarded_divisions(k: int, mixed: bool) -> str:
+    """k guarded divisions over distinct unknown ints, split three ways
+    (pos/zero/neg): the flat lattice has no 'nonzero' element, so
+    ``x != 0`` alone would not refine."""
+    if mixed:
+        terms = [
+            f"{{s if 0 < x{i} then {{t 10 / x{i} t}} "
+            f"else if x{i} = 0 then {{t 1 t}} "
+            f"else {{t 10 / x{i} t}} s}}"
+            for i in range(k)
+        ]
+    else:
+        terms = [
+            f"(if 0 < x{i} then 10 / x{i} else if x{i} = 0 then 1 else 10 / x{i})"
+            for i in range(k)
+        ]
+    return " + ".join(terms)
+
+
+class TestGuardedDivisions:
+    """E10: the pure sign checker is path-insensitive and rejects every
+    guarded division; mixing in symbolic execution accepts them all."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_pure_rejects_mixed_accepts(self, k):
+        env = SignEnv({f"x{i}": int_q(Sign.UNKNOWN) for i in range(k)})
+        with pytest.raises(QualTypeError):
+            SignChecker().check(parse(_guarded_divisions(k, mixed=False)), env)
+        assert analyze_signs(_guarded_divisions(k, mixed=True), env).ok

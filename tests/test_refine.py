@@ -103,3 +103,31 @@ class TestBudget:
         result = refine(source, max_steps=1)
         assert not result.ok
         assert len(result.steps) == 1
+
+
+def _dead_errors(k: int) -> str:
+    """k dead ill-typed branches; pure typing reports each, MIX needs k
+    symbolic blocks."""
+    lets = [f'let a{i} = (if true then 1 else "x" + {i}) in' for i in range(k)]
+    return "\n".join(lets) + "\n" + (" + ".join(f"a{i}" for i in range(k)) or "0")
+
+
+def _manual_placement(k: int) -> str:
+    lets = [
+        f'let a{i} = {{s if true then {{t 1 t}} else {{t "x" + {i} t}} s}} in'
+        for i in range(k)
+    ]
+    return "\n".join(lets) + "\n" + (" + ".join(f"a{i}" for i in range(k)) or "0")
+
+
+class TestManualOracle:
+    """E9: the loop places one symbolic block per typed false positive
+    and reaches the type of the hand-placed (oracle) program."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_refinement_matches_manual_oracle(self, k):
+        auto = auto_place_blocks(parse(_dead_errors(k)), max_steps=k + 2)
+        manual = analyze(parse(_manual_placement(k)))
+        assert auto.ok and manual.ok
+        assert auto.report.type == manual.type
+        assert len(auto.steps) == k  # one symbolic block per false positive

@@ -20,8 +20,9 @@ from repro.budget import Budget
 from repro.core import MixConfig, SoundnessMode, analyze_source
 from repro.core.analysis import MixReport
 from repro.mixy import Mixy, MixyConfig
+from repro.mixy.corpus_vsftpd import annotation_subsets, mini_vsftpd
 from repro.smt import FaultInjector, SatResult, SolverError, SolverService
-from repro.symexec import SymConfig
+from repro.symexec import IfStrategy, SymConfig
 from repro.symexec.executor import ErrKind
 from repro.typecheck import TypeEnv
 from repro.typecheck.types import BOOL, INT, RefType
@@ -380,6 +381,110 @@ class TestMixyDegradation:
         mixy = Mixy(MIXY_PROGRAM, MixyConfig(crash_dir=str(tmp_path)))
         warnings = mixy.run()  # every degradation path is handled
         assert isinstance(warnings, list)
+
+
+# ---------------------------------------------------------------------------
+# E14: the wall-clock contract under load
+# ---------------------------------------------------------------------------
+
+#: With ``--deadline D`` a governed run ends within ``2 * D``.
+DEADLINE = 0.05
+
+
+def _fork_k(k: int, soundness: SoundnessMode, budget):
+    """2^k forked paths: seconds of work ungoverned."""
+    source = "{s " + " + ".join(f"(if p{i} then 1 else 0)" for i in range(k)) + " s}"
+    config = MixConfig(
+        sym=SymConfig(if_strategy=IfStrategy.FORK),
+        soundness=soundness,
+        budget=budget,
+    )
+    return analyze_source(
+        source, env=TypeEnv({f"p{i}": BOOL for i in range(k)}), config=config
+    )
+
+
+def _timed(workload):
+    """Run ``workload`` on a fresh service; return (result, stats, secs)."""
+    service = SolverService()
+    previous = smt.set_service(service)
+    started = time.perf_counter()
+    try:
+        result = workload()
+    finally:
+        elapsed = time.perf_counter() - started
+        smt.set_service(previous)
+    return result, service.stats, elapsed
+
+
+def _fully_annotated_vsftpd(budget=None):
+    mixy = Mixy(
+        mini_vsftpd(annotation_subsets()[-1]), MixyConfig(budget=budget)
+    )
+    return mixy, mixy.run()
+
+
+class TestDeadlineContract:
+    """The governed analyses terminate within twice their deadline (plus
+    the fixed cost of parsing and report assembly) with a conservative
+    verdict: a ``BUDGET`` rejection in SOUND mode, a truncation warning
+    in GOOD_ENOUGH, never a hang or a silently wrong acceptance."""
+
+    @pytest.mark.parametrize("k", [8, 10])
+    @pytest.mark.parametrize(
+        "soundness", [SoundnessMode.SOUND, SoundnessMode.GOOD_ENOUGH]
+    )
+    def test_fork_terminates_within_twice_deadline(self, k, soundness):
+        ungoverned, _, _ = _timed(lambda: _fork_k(k, soundness, None))
+        assert ungoverned.ok  # the program itself is fine
+
+        report, stats, elapsed = _timed(
+            lambda: _fork_k(k, soundness, Budget(deadline=DEADLINE))
+        )
+        assert elapsed <= 2 * DEADLINE, (
+            f"fork k={k} took {elapsed:.3f}s under a {DEADLINE}s deadline"
+        )
+        if soundness is SoundnessMode.SOUND:
+            assert not report.ok
+            assert any(d.kind is ErrKind.BUDGET for d in report.diagnostics)
+        else:
+            assert report.warnings or any(
+                d.kind is ErrKind.BUDGET for d in report.diagnostics
+            )
+        assert stats.deadline_breaches >= 1
+
+    def test_fork_with_query_timeout_still_converges(self):
+        report, _, elapsed = _timed(
+            lambda: _fork_k(
+                8,
+                SoundnessMode.SOUND,
+                Budget(deadline=DEADLINE, query_timeout=0.01),
+            )
+        )
+        assert elapsed <= 2 * DEADLINE
+        assert not report.ok
+
+    def test_vsftpd_degrades_with_fallbacks(self):
+        """A deadline far below mini-vsftpd's ungoverned runtime: the
+        driver falls back to pure qualifier inference per breached block.
+        That inference is deliberately ungoverned (it *is* the fallback),
+        so the bound here is an absolute one, not 2 x deadline."""
+        (mixy, warnings), stats, elapsed = _timed(
+            lambda: _fully_annotated_vsftpd(Budget(deadline=0.002))
+        )
+        assert elapsed <= 2.0
+        assert mixy.stats["budget_fallbacks"] >= 1
+        assert stats.deadline_breaches >= 1
+        # The breach surfaces to the caller rather than vanishing.
+        assert any("resource budget exceeded" in str(w) for w in warnings)
+
+    def test_vsftpd_generous_deadline_is_invisible(self):
+        (_, governed), governed_stats, _ = _timed(
+            lambda: _fully_annotated_vsftpd(Budget(deadline=3600.0))
+        )
+        (_, baseline), _, _ = _timed(_fully_annotated_vsftpd)
+        assert sorted(map(str, governed)) == sorted(map(str, baseline))
+        assert governed_stats.deadline_breaches == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ path as the CI smoke job, including ``kill -9`` durability.
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -128,9 +129,66 @@ class TestCrashDir:
             line for line in response["result"]["lines"]
             if "crash contained" in line
         ]
-        assert contained and f"repro at {crash_dir}" in contained[0]
-        assert os.listdir(crash_dir)
+        assert contained
+        (name,) = os.listdir(crash_dir)
+        assert contained[0].endswith(f"repro at {name}")
         assert not (tmp_path / ".repro-crashes").exists()
+
+    #: Programs whose first solver query is inside a symbolic block.
+    CRASHING = {
+        "mixy": "void ok(int *p) MIX(symbolic) { if (p != NULL) { *p = 1; } }\n"
+                "void main() { ok(NULL); }\n",
+        "mix": "let x = 5 in {s if x < 3 then 1 else 2 s} + 1",
+    }
+
+    @pytest.mark.parametrize("lang", ["mixy", "mix"])
+    def test_crash_line_is_the_same_in_every_crash_dir_and_front_door(
+        self, tmp_path, monkeypatch, lang
+    ):
+        """The warning names the repro by its content-addressed file
+        name, so the ``result`` does not depend on ``--crash-dir`` or on
+        which front door served the request."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / f"input.{'c' if lang == 'mixy' else 'mix'}"
+        path.write_text(self.CRASHING[lang])
+        env = _subprocess_env()
+        for name in ("REPRO_JOBS", "REPRO_VALIDATE_WITNESSES"):
+            env.pop(name, None)
+        request_line = json.dumps({
+            "cmd": "analyze", "lang": lang, "source": self.CRASHING[lang],
+            "options": {"inject_fault": ["1:crash"]},
+        })
+        results = {}
+        for run in (1, 2):
+            crash_dir = tmp_path / f"one-shot-{run}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", lang, str(path),
+                 "--inject-fault", "1:crash", "--crash-dir", str(crash_dir)],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+                timeout=300,
+            )
+            results[crash_dir] = {
+                "exit": proc.returncode, "lines": proc.stdout.splitlines(),
+            }
+            for isolate in (True, False):
+                crash_dir = tmp_path / f"{'pooled' if isolate else 'no-isolate'}-{run}"
+                daemon = ReproDaemon(
+                    socket_path="unused.sock", store_dir=None,
+                    isolate=isolate, pool_size=1, crash_dir=str(crash_dir),
+                )
+                try:
+                    reply = daemon.handle_line(request_line)
+                finally:
+                    if daemon._pool is not None:
+                        daemon._pool.close()
+                assert reply["status"] == "ok", reply
+                results[crash_dir] = reply["result"]
+        first = next(iter(results.values()))
+        assert all(result == first for result in results.values()), results
+        named = re.findall(r"repro at (crash-[0-9a-f]+\.json)", "\n".join(first["lines"]))
+        assert named
+        for crash_dir in results:
+            assert set(named) <= set(os.listdir(crash_dir)), crash_dir
 
 
 EXAMPLE_FILES = sorted(
@@ -1120,3 +1178,107 @@ class TestPoolConcurrency:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "argument --pool" in err and "--no-isolate" in err
+
+
+# ---------------------------------------------------------------------------
+# Concurrent throughput on the staircase corpus: the answers (E21)
+# ---------------------------------------------------------------------------
+
+BURST_POOL = 4
+BURST_REQUESTS = 16
+BURST_CONCURRENCY = 8
+WARM_REQUESTS = 4
+#: Shed nothing under the burst; save once, at shutdown.
+BURST_FLAGS = (
+    "--queue-depth", "32", "--save-every", "1000", "--checkpoint-secs", "0",
+)
+
+
+def _burst_series(tmp, source, name, *extra):
+    """One daemon life: a cold analyze, then a BURST_REQUESTS x
+    BURST_CONCURRENCY warm burst through the ``client --bench`` engine."""
+    proc, address = _start_daemon(tmp, *BURST_FLAGS, *extra, store=f"store-{name}")
+    payload = {"cmd": "analyze", "lang": "mixy", "source": source, "options": {}}
+    try:
+        cold = request(address, payload, timeout=300)
+        report = bench(
+            address, payload, requests=BURST_REQUESTS,
+            concurrency=BURST_CONCURRENCY, timeout=300,
+        )
+        stats = request(address, {"cmd": "stats"})["stats"]
+        request(address, {"cmd": "shutdown"})
+    finally:
+        _finish(proc)
+    assert cold["ok"], cold
+    assert report["completed"] == BURST_REQUESTS, report["errors"]
+    assert report["ok"] == BURST_REQUESTS, report["statuses"]
+    return {"results": [cold["result"], *report["results"]], "stats": stats}
+
+
+def _serial_series(tmp, source, name, *extra):
+    """One daemon life: one cold analyze, then WARM_REQUESTS warm ones,
+    one at a time."""
+    proc, address = _start_daemon(tmp, *BURST_FLAGS, *extra, store=f"store-{name}")
+    payload = {"cmd": "analyze", "lang": "mixy", "source": source, "options": {}}
+    try:
+        timings, replies = [], []
+        for _ in range(1 + WARM_REQUESTS):
+            start = time.monotonic()
+            replies.append(request(address, payload, timeout=300))
+            timings.append(time.monotonic() - start)
+        stats = request(address, {"cmd": "stats"})["stats"]
+        request(address, {"cmd": "shutdown"})
+    finally:
+        _finish(proc)
+    for reply in replies:
+        assert reply["ok"], reply
+    assert bool(stats["isolated_workers"]) == ("--no-isolate" not in extra)
+    return {
+        "results": [reply["result"] for reply in replies],
+        "cold_secs": timings[0],
+        "warm_secs_mean": sum(timings[1:]) / WARM_REQUESTS,
+        "warm_memo_hits": replies[-1]["served"]["store"].get("mixy_hits", 0),
+    }
+
+
+@pytest.fixture(scope="module")
+def staircase_daemons(tmp_path_factory):
+    if not hasattr(os, "fork"):
+        pytest.skip("the worker pool needs fork")
+    tmp = tmp_path_factory.mktemp("staircase-daemons")
+    source = parallel_vsftpd(depth=2)
+    return {
+        "baseline": _fresh_cli_result(tmp, source),
+        "pooled": _burst_series(tmp, source, "pooled", "--pool", str(BURST_POOL)),
+        "serialized": _burst_series(tmp, source, "serialized", "--pool", "1"),
+        "serial_pooled": _serial_series(
+            tmp, source, "serial-pooled", "--pool", str(BURST_POOL)
+        ),
+        "serial_inproc": _serial_series(
+            tmp, source, "serial-inproc", "--no-isolate"
+        ),
+    }
+
+
+class TestStaircaseDaemons:
+    """A four-worker pool and a one-worker pool under an 8-client burst,
+    and a pooled and an in-process daemon serving one request at a
+    time: every reply is a fresh one-shot run's, byte for byte."""
+
+    def test_concurrency_never_leaks_into_answers(self, staircase_daemons):
+        baseline = staircase_daemons["baseline"]
+        for mode in ("pooled", "serialized", "serial_pooled", "serial_inproc"):
+            for result in staircase_daemons[mode]["results"]:
+                assert result == baseline, mode
+
+    def test_pool_actually_ran_and_merged(self, staircase_daemons):
+        pooled = staircase_daemons["pooled"]["stats"]
+        assert pooled["pool"]["forks"] >= 1
+        assert pooled["epoch"] >= 1  # the cold request's memos were merged
+        assert staircase_daemons["serialized"]["stats"]["pool"]["forks"] >= 1
+
+    def test_both_serial_series_went_warm(self, staircase_daemons):
+        for mode in ("serial_pooled", "serial_inproc"):
+            series = staircase_daemons[mode]
+            assert series["warm_memo_hits"] > 0, mode
+            assert series["warm_secs_mean"] < series["cold_secs"], mode

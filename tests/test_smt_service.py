@@ -16,6 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import smt
+from repro.core import MixConfig, analyze_source
+from repro.mixy import Mixy
+from repro.mixy.corpus_vsftpd import annotation_subsets, mini_vsftpd
 from repro.smt import (
     BOOL,
     INT,
@@ -37,6 +40,8 @@ from repro.smt import (
 )
 from repro.smt.service import _Shard
 from repro.smt.solver import Model
+from repro.symexec import IfStrategy, SymConfig
+from repro.typecheck import TypeEnv, types
 
 x = var("x", INT)
 y = var("y", INT)
@@ -367,6 +372,85 @@ class TestGlobalService:
             assert smt.get_service() is mine
         finally:
             smt.reset_service()
+
+
+# ---------------------------------------------------------------------------
+# E13: the cache on analysis workloads
+# ---------------------------------------------------------------------------
+
+
+def _with_service(cache_enabled, workload):
+    """Run ``workload`` against a fresh service; return (result, stats)."""
+    service = SolverService(cache_enabled=cache_enabled)
+    previous = smt.set_service(service)
+    try:
+        return workload(), service.stats
+    finally:
+        smt.set_service(previous)
+
+
+def _fork_workload(k: int = 6):
+    """The exponential fork program: 2^k paths over shared branch atoms."""
+    source = "{s " + " + ".join(f"(if p{i} then 1 else 0)" for i in range(k)) + " s}"
+    env = TypeEnv({f"p{i}": types.BOOL for i in range(k)})
+    config = MixConfig(sym=SymConfig(if_strategy=IfStrategy.FORK))
+    return analyze_source(source, env=env, config=config).ok
+
+
+def _vsftpd_workload():
+    """mini-vsftpd at the fully annotated end of the schedule."""
+    warnings = Mixy(mini_vsftpd(annotation_subsets()[-1])).run()
+    return sorted(str(w) for w in warnings)
+
+
+def _prefix_workload(depth: int = 12):
+    """The executor's signature query stream: a path condition that grows
+    one conjunct at a time, re-checked at every step."""
+    service = smt.get_service()
+    prefix = []
+    verdicts = []
+    for i in range(depth):
+        xi = var(f"x{i}", INT)
+        prefix.append(and_(gt(xi, int_const(i)), lt(xi, int_const(i + 10))))
+        verdicts.append(service.check_sat(tuple(prefix)))
+        verdicts.append(service.check_sat(tuple(prefix)))  # branch re-check
+    return [v.name for v in verdicts]
+
+
+WORKLOADS = [
+    ("fork k=6", _fork_workload),
+    ("mini-vsftpd", _vsftpd_workload),
+    ("prefix d=12", _prefix_workload),
+]
+
+
+class TestAnalysisWorkloads:
+    @pytest.mark.parametrize("name,workload", WORKLOADS, ids=[n for n, _ in WORKLOADS])
+    def test_cache_cuts_full_solves_at_identical_verdicts(self, name, workload):
+        cold_result, cold = _with_service(False, workload)
+        warm_result, warm = _with_service(True, workload)
+        assert warm_result == cold_result  # the cache must be invisible
+        assert warm.queries == cold.queries  # same query stream issued
+        # Disabling the cache leaves only the syntactic fast path active.
+        assert cold.cache_hits == cold.syntactic_hits
+        # At least 30% fewer full DPLL(T) runs, and strictly fewer.
+        assert warm.full_solves <= 0.7 * cold.full_solves, (
+            f"{name}: {warm.full_solves} full solves with cache, "
+            f"{cold.full_solves} without"
+        )
+        assert cold.full_solves > warm.full_solves
+
+    def test_repeated_analysis_is_almost_free(self):
+        """A second identical run hits the exact tier for every query."""
+        service = SolverService()
+        previous = smt.set_service(service)
+        try:
+            _fork_workload(4)
+            first = service.stats.full_solves
+            _fork_workload(4)
+            assert service.stats.full_solves == first
+        finally:
+            smt.set_service(previous)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,10 @@ def _fresh_process_state():
     values._STRING_CODES.clear()
 
 
-def _analyze(store=None, budget=None, source=SOURCE, jobs=1):
-    """One MIXY run in a reproducible process state; returns (warning
-    texts, store-stat snapshot).  ``jobs`` is explicit so REPRO_JOBS is
-    never inherited."""
+def _run(store=None, budget=None, source=SOURCE, jobs=1):
+    """One MIXY run in a reproducible process state; returns (the driver,
+    warning texts, store-stat snapshot).  ``jobs`` is explicit so
+    REPRO_JOBS is never inherited."""
     _fresh_process_state()
     if store is not None:
         store.load_into_service(smt.get_service())
@@ -104,7 +104,12 @@ def _analyze(store=None, budget=None, source=SOURCE, jobs=1):
     config.store = store
     mixy = Mixy(source, config)
     warnings = [str(w) for w in mixy.run()]
-    return warnings, dict(store.stats) if store is not None else {}
+    return mixy, warnings, dict(store.stats) if store is not None else {}
+
+
+def _analyze(store=None, budget=None, source=SOURCE, jobs=1):
+    """:func:`_run` without the driver: (warning texts, store stats)."""
+    return _run(store, budget, source, jobs)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -847,3 +852,64 @@ class TestBlockContentHash:
         assert self._hash(FN_SOURCE, context=("cone-text", "ctx-key")) == (
             "46674d73f59f3784"
         )
+
+
+# ---------------------------------------------------------------------------
+# Cross-run reuse on the staircase corpus (E19)
+# ---------------------------------------------------------------------------
+
+
+def _staircase_run(store, source):
+    """(warning texts, symbolic blocks run, store stats) of one run."""
+    mixy, warnings, stats = _run(store, source=source)
+    return warnings, mixy.stats["symbolic_blocks_run"], stats
+
+
+@pytest.fixture(scope="module")
+def staircase_runs(tmp_path_factory):
+    """Four serial runs over ``parallel_vsftpd(depth=3)``: no store; cold
+    against an empty store (then saved); warm from the saved store; and
+    warm after a one-function, semantically neutral edit."""
+    root = str(tmp_path_factory.mktemp("staircase-store") / "store")
+    source = parallel_vsftpd(depth=3)
+    runs = {"nostore": _staircase_run(None, source)}
+    store = AnalysisStore.open(root, quiet=True)
+    runs["cold"] = _staircase_run(store, source)
+    store.save(smt.get_service())
+    runs["warm"] = _staircase_run(AnalysisStore.open(root, quiet=True), source)
+    # `r = r + 1;` -> `r = r + 0 + 1;` in its first function
+    # (crunch_access): content-hash keying must retire exactly that
+    # function's dependency cone.
+    edited = source.replace("r = r + 1;", "r = r + 0 + 1;", 1)
+    assert edited != source
+    runs["edited"] = _staircase_run(AnalysisStore.open(root, quiet=True), edited)
+    return runs
+
+
+class TestStaircaseReuse:
+    def test_store_is_an_accelerator_never_an_answer(self, staircase_runs):
+        texts = {
+            mode: tuple(staircase_runs[mode][0])
+            for mode in ("nostore", "cold", "warm")
+        }
+        assert len(set(texts.values())) == 1, texts
+        assert len(texts["nostore"]) == 1  # the staircase's single finding
+
+    def test_cold_run_records_and_warm_run_replays(self, staircase_runs):
+        _, cold_blocks, cold = staircase_runs["cold"]
+        _, warm_blocks, warm = staircase_runs["warm"]
+        assert cold["mixy_records"] > 0
+        assert warm["solver_entries_loaded"] > 0
+        assert warm["mixy_hits"] >= cold["mixy_records"]
+        # Only the impure (typed-calling) blocks re-execute when warm.
+        assert warm_blocks < cold_blocks
+
+    def test_one_edit_reanalyzes_only_its_cone(self, staircase_runs):
+        cold_warnings, cold_blocks, _ = staircase_runs["cold"]
+        edited_warnings, edited_blocks, edited = staircase_runs["edited"]
+        # The edit is semantically neutral: identical warnings...
+        assert edited_warnings == cold_warnings
+        # ...most blocks still replay from their memos...
+        assert edited["mixy_hits"] > edited["mixy_misses"]
+        # ...and strictly fewer symbolic blocks execute than a cold run.
+        assert 0 < edited_blocks < cold_blocks

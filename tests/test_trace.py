@@ -24,6 +24,7 @@ from repro.cli import main
 from repro.core import analyze_source
 from repro.mixy import Mixy, MixyConfig
 from repro.mixy.c import parse_program
+from repro.mixy.corpus_vsftpd import parallel_vsftpd
 from repro.mixy.qual import QVar
 from repro.smt.service import SolverStats
 from repro.trace import (
@@ -101,6 +102,35 @@ class TestDisabledTracer:
         with TRACER.span("run", "nothing") as span:
             assert span is None
         assert TRACER.spans_started == 0
+
+
+class TestStaircaseTracing:
+    """On the depth-3 staircase corpus, flipping the flag the hot-path
+    guards read turns all bookkeeping off, and an enabled run writes
+    real spans and events (the counter half of E17)."""
+
+    @staticmethod
+    def _run_staircase():
+        _fresh_process_state()
+        program = parse_program(parallel_vsftpd(depth=3))
+        Mixy(program, config=MixyConfig(jobs=1)).run()
+
+    def test_flag_off_keeps_no_books_and_flag_on_traces(self, tmp_path):
+        TRACER.enable(tmp_path / "staircase.jsonl")
+        assert TRACER.enabled
+        TRACER.flush()
+        spans0, lines0 = TRACER.spans_started, TRACER.lines_written
+        TRACER.enabled = False
+        try:
+            self._run_staircase()
+            assert TRACER.spans_started == spans0  # truly off
+        finally:
+            TRACER.enabled = True
+        self._run_staircase()
+        TRACER.flush()
+        spans = TRACER.spans_started - spans0
+        assert spans > 0
+        assert TRACER.lines_written - lines0 > spans
 
 
 # ---------------------------------------------------------------------------

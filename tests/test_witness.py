@@ -219,6 +219,90 @@ class TestCorpusZeroDivergence:
         assert stats.self_check_failures == 0
 
 
+def _fork_workload(validate: bool):
+    """2^6 forked paths, no errors."""
+    source = "{s " + " + ".join(f"(if p{i} then 1 else 0)" for i in range(6)) + " s}"
+    config = MixConfig(
+        sym=SymConfig(if_strategy=IfStrategy.FORK), validate_witnesses=validate
+    )
+    return analyze_source(
+        source, env=_env(",".join(f"p{i}:bool" for i in range(6))), config=config
+    ).ok
+
+
+def _mix_error_workload(validate: bool):
+    """A rejected MIX program: the diagnostic's path gets replayed."""
+    report = analyze_source(
+        "{s if x < 3 then (if y < 2 then 1 + true else 1) else 2 s}",
+        env=_env("x:int,y:int"),
+        config=MixConfig(validate_witnesses=validate),
+    )
+    return [d.message for d in report.diagnostics]
+
+
+def _vsftpd_workload(validate: bool):
+    """mini-vsftpd at the fully annotated end of the schedule."""
+    config = MixyConfig(validate_witnesses=validate)
+    warnings = Mixy(mini_vsftpd(annotation_subsets()[-1]), config).run()
+    return sorted(w.message for w in warnings)
+
+
+WARNING_HEAVY = "\n".join(
+    f"void deref{i}(int *p) MIX(symbolic) {{ *p = {i}; }}" for i in range(6)
+) + (
+    "\nvoid main() { "
+    + " ".join(f"deref{i}(NULL);" for i in range(6))
+    + " }"
+)
+
+
+def _warning_heavy_workload(validate: bool):
+    """Six NULL-flow warnings, each replayed when validation is on."""
+    config = MixyConfig(validate_witnesses=validate)
+    return sorted(w.message for w in Mixy(WARNING_HEAVY, config).run())
+
+
+TRUST_WORKLOADS = [
+    ("fork k=6", _fork_workload),
+    ("mix error", _mix_error_workload),
+    ("mini-vsftpd", _vsftpd_workload),
+    ("6x null-flow", _warning_heavy_workload),
+]
+
+
+def _run_on(service: SolverService, workload, validate: bool):
+    smt.set_service(service)
+    return workload(validate), service.stats
+
+
+class TestTrustRingsOnAnalysisWorkloads:
+    """E15: rings 1 and 2 (witness replay and the paranoid model
+    self-check) change no verdict and classify every reported path."""
+
+    @pytest.mark.parametrize(
+        "name,workload", TRUST_WORKLOADS, ids=[n for n, _ in TRUST_WORKLOADS]
+    )
+    def test_trust_rings_do_not_change_verdicts(self, name, workload):
+        base_result, _ = _run_on(SolverService(), workload, validate=False)
+        trusted_result, stats = _run_on(
+            SolverService(paranoid=True), workload, validate=True
+        )
+        assert trusted_result == base_result
+        # Ground truth never contradicts the analyzer on the seed corpus.
+        assert stats.witnesses_diverged == 0
+        assert stats.self_check_failures == 0
+
+    def test_every_reported_path_is_classified(self):
+        _, stats = _run_on(
+            SolverService(paranoid=True), _warning_heavy_workload, validate=True
+        )
+        assert stats.witnesses_confirmed == 6
+        _, stats = _run_on(
+            SolverService(paranoid=True), _mix_error_workload, validate=True
+        )
+        assert stats.witnesses_confirmed + stats.witnesses_unconfirmed >= 1
+
+
 class TestStatsSerialization:
     def test_trust_counters_serialize_to_json(self):
         analyze_source(

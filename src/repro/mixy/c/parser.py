@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for mini-C.
+"""Tokenizer and recursive-descent parser for mini-C.
 
 The accepted subset covers the paper's vsftpd case studies: struct
 definitions, globals (including function pointers declared as
@@ -6,12 +6,21 @@ definitions, globals (including function pointers declared as
 ``MIX(symbolic)`` annotations and ``nonnull`` qualifiers, and the usual
 statement and expression forms.  ``malloc(sizeof(T))`` is a primitive
 expression; string literals denote fresh non-null character buffers.
+
+One compiled regular expression (:data:`_TOKEN`) splits the source.  A
+token is kept as its source text, a string literal with its quotes: a
+keyword or symbol is recognised by equality, any other token by its
+first character.  Binary operators are parsed by precedence climbing
+over :data:`_BINARY`.  Only error messages need line numbers, so they
+are recovered by rescanning when an error is raised (:func:`_scan`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import itertools
+import operator
+import re
+from typing import Iterator, Optional
 
 from repro.mixy.c.ast import (
     AddrOf,
@@ -22,6 +31,7 @@ from repro.mixy.c.ast import (
     Check,
     Call,
     Cast,
+    CDecl,
     CExpr,
     CFunction,
     CProgram,
@@ -57,504 +67,465 @@ class CParseError(SyntaxError):
     """Raised on input outside the supported C subset."""
 
 
-_KEYWORDS = {
-    "int",
-    "char",
-    "void",
-    "struct",
-    "if",
-    "else",
-    "while",
-    "return",
-    "sizeof",
-    "malloc",
-    "NULL",
-    "MIX",
-    "nonnull",
-    "typed",
-    "symbolic",
-    "assume",
-    "check",
-    "const",
-}
+_KEYWORDS = frozenset(
+    {
+        "int",
+        "char",
+        "void",
+        "struct",
+        "if",
+        "else",
+        "while",
+        "return",
+        "sizeof",
+        "malloc",
+        "NULL",
+        "MIX",
+        "nonnull",
+        "typed",
+        "symbolic",
+        "assume",
+        "check",
+        "const",
+    }
+)
 
-_SYMBOLS = [
-    "&&",
-    "||",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "->",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "!",
-    "&",
-    "(",
-    ")",
-    "{",
-    "}",
-    ";",
-    ",",
-    ".",
-]
+_SYMBOLS = frozenset(
+    "&& || == != <= >= -> = < > + - * / ! & ( ) { } ; , .".split()
+)
 
+#: Tokens recognised by their text; every other token is an identifier,
+#: an int literal or a string literal.
+_FIXED = _KEYWORDS | _SYMBOLS
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "int" | "string" | "ident" | "kw" | "sym" | "eof"
-    text: str
-    line: int
+# Whitespace and comments match outside both groups.  Group 1 is a token:
+# an int literal (ASCII digits only), a string literal (a backslash
+# escapes any character, newline included), an identifier or keyword, or
+# a symbol, longest first.  Group 2 is an error: an unterminated comment,
+# or a character no token starts with (a lone '"' is an unterminated
+# string).  ``[^\W\d]`` also admits the non-decimal numerics such as '²'
+# and '½', which str.isalpha() rejects; :func:`_tokenize` reports those.
+_TOKEN = re.compile(
+    r"\s+|//[^\n]*|/\*.*?\*/"
+    r'|([0-9]+|"(?:[^"\\]|\\.)*"|[^\W\d]\w*'
+    r"|&&|\|\||[=!<>]=|->|/(?!\*)|[-=<>+*!&(){};,.])"
+    r"|(/\*|.)",
+    re.DOTALL,
+)
+# findall yields one (token, error) pair per match.
+_GOOD = operator.itemgetter(0)
+_BAD = operator.itemgetter(1)
 
 
-def _tokenize(source: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    i = 0
-    line = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise CParseError(f"unterminated comment at line {line}")
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Tok("int", source[i:j], line))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n:
-                raise CParseError(f"unterminated string at line {line}")
-            tokens.append(_Tok("string", source[i + 1 : j], line))
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            tokens.append(_Tok("kw" if text in _KEYWORDS else "ident", text, line))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(_Tok("sym", sym, line))
-                i += len(sym)
-                break
-        else:
-            raise CParseError(f"unexpected character {ch!r} at line {line}")
-    tokens.append(_Tok("eof", "", line))
+def _tokenize(source: str) -> list[str]:
+    """The text of every token, then three ``""`` end-of-input markers
+    (the parser looks at most two tokens ahead)."""
+    matches = _TOKEN.findall(source)
+    if any(map(_BAD, matches)) or (
+        not source.isascii()
+        and any(not (tok[:1].isascii() or tok[0].isalpha()) for tok, _ in matches)
+    ):
+        raise _lex_error(source)
+    tokens = list(filter(None, map(_GOOD, matches)))
+    tokens += ("", "", "")
     return tokens
 
 
-_TYPE_KEYWORDS = {"int", "char", "void", "struct", "const"}
+def _scan(source: str) -> Iterator[tuple[str, int]]:
+    """``(text, line)`` of every token, ill-formed ones included, then
+    ``("", line)`` at the end of the input.  A newline inside a string
+    literal does not advance the line."""
+    line = 1
+    last = 0
+    for match in _TOKEN.finditer(source):
+        text = match.group(1) or match.group(2)
+        if text:
+            line += source.count("\n", last, match.start())
+            last = match.end()
+            yield text, line
+    yield "", line + source.count("\n", last)
+
+
+def _lex_error(source: str) -> CParseError:
+    """The error for the first ill-formed token of ``source``."""
+    for text, line in _scan(source):
+        if text == "/*":
+            return CParseError(f"unterminated comment at line {line}")
+        if text == '"':
+            return CParseError(f"unterminated string at line {line}")
+        first = text[:1]
+        if not (text in _FIXED or first in '0123456789"_' or first.isalpha()):
+            return CParseError(f"unexpected character {first!r} at line {line}")
+    raise AssertionError("no ill-formed token")
+
+
+def _is_name(tok: str) -> bool:
+    # tok[:1] of the end marker "" is "", which `in` finds in any string.
+    return tok not in _FIXED and tok[:1] not in '0123456789"'
+
+
+def _text(tok: str) -> str:
+    """A token as messages and annotations read it: a string literal
+    without its quotes."""
+    return tok[1:-1] if tok[:1] == '"' else tok
+
+
+#: Binary operators by precedence, loosest first; each associates left.
+_BINARY = {
+    "||": 1,
+    "&&": 2,
+    "==": 3,
+    "!=": 3,
+    "<": 4,
+    "<=": 4,
+    ">": 4,
+    ">=": 4,
+    "+": 5,
+    "-": 5,
+    "*": 6,
+    "/": 6,
+}
+
+_TYPE_KEYWORDS = frozenset({"int", "char", "void", "struct", "const"})
+
+_SCALARS = {"int": INT_T, "char": CHAR_T, "void": VOID_T}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Tok]) -> None:
-        self._toks = tokens
+    __slots__ = ("_source", "_toks", "_i")
+
+    def __init__(self, source: str) -> None:
+        self._source = source
+        self._toks = _tokenize(source)
         self._i = 0
 
     # -- token helpers -----------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> _Tok:
-        return self._toks[min(self._i + offset, len(self._toks) - 1)]
-
-    def _next(self) -> _Tok:
-        tok = self._toks[self._i]
-        if tok.kind != "eof":
+    def _eat(self, text: str) -> bool:
+        if self._toks[self._i] == text:
             self._i += 1
-        return tok
-
-    def _at(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
-        tok = self._peek(offset)
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def _eat(self, kind: str, text: Optional[str] = None) -> bool:
-        if self._at(kind, text):
-            self._next()
             return True
         return False
 
-    def _expect(self, kind: str, text: Optional[str] = None) -> _Tok:
-        if not self._at(kind, text):
-            tok = self._peek()
-            want = text or kind
-            raise CParseError(
-                f"expected {want!r} but found {tok.text!r} at line {tok.line}"
-            )
-        return self._next()
+    def _expect(self, text: str) -> None:
+        if self._toks[self._i] != text:
+            raise self._expected(text)
+        self._i += 1
+
+    def _name(self) -> str:
+        tok = self._toks[self._i]
+        if not _is_name(tok):
+            raise self._expected("ident")
+        self._i += 1
+        return tok
+
+    def _found(self) -> tuple[str, int]:
+        """The current token's text and line, for an error message."""
+        for _, line in itertools.islice(_scan(self._source), self._i + 1):
+            pass
+        return _text(self._toks[self._i]), line
+
+    def _expected(self, want: str) -> CParseError:
+        text, line = self._found()
+        return CParseError(f"expected {want!r} but found {text!r} at line {line}")
 
     # -- program -----------------------------------------------------------------
 
     def program(self) -> CProgram:
         program = CProgram()
-        while not self._at("eof"):
-            for decl in self._declaration():
-                program.add(decl)
+        while self._toks[self._i]:
+            program.add(self._declaration())
         return program
 
-    def _declaration(self):
-        if self._at("kw", "struct") and self._at("sym", "{", offset=2):
-            yield self._struct_def()
-            return
-        base, nonnull = self._base_type()
-        # Function-pointer declarator: ret (*name)(params)
-        if self._at("sym", "("):
-            yield self._fun_ptr_global(base)
-            return
-        depth, nonnull2 = self._stars_and_quals()
+    def _declaration(self) -> CDecl:
+        toks = self._toks
+        if toks[self._i] == "struct" and toks[self._i + 2] == "{":
+            return self._struct_def()
+        base = self._base_type()
+        if toks[self._i] == "(":  # ret (*name)(params)
+            name, typ = self._fn_ptr_declarator(base)
+            init = self._expr() if self._eat("=") else None
+            self._expect(";")
+            return Global(name, typ, init)
+        depth, nonnull = self._stars_and_quals()
         typ = _apply_ptrs(base, depth)
-        name = self._expect("ident").text
-        if self._at("sym", "("):
-            yield self._function(typ, nonnull or nonnull2, name)
-        else:
-            init = self._expr() if self._eat("sym", "=") else None
-            self._expect("sym", ";")
-            yield Global(name, typ, init)
-
-    def _struct_def(self) -> CStructDef:
-        self._expect("kw", "struct")
-        name = self._expect("ident").text
-        self._expect("sym", "{")
-        fields: list[tuple[str, CType]] = []
-        while not self._eat("sym", "}"):
-            base, _ = self._base_type()
-            depth, _ = self._stars_and_quals()
-            fname = self._expect("ident").text
-            fields.append((fname, _apply_ptrs(base, depth)))
-            self._expect("sym", ";")
-        self._expect("sym", ";")
-        return CStructDef(name, tuple(fields))
-
-    def _fun_ptr_global(self, ret: CType) -> Global:
-        self._expect("sym", "(")
-        self._expect("sym", "*")
-        name = self._expect("ident").text
-        self._expect("sym", ")")
-        self._expect("sym", "(")
-        param_types: list[CType] = []
-        if not self._at("sym", ")"):
-            if not (self._at("kw", "void") and self._at("sym", ")", offset=1)):
-                while True:
-                    base, _ = self._base_type()
-                    depth, _ = self._stars_and_quals()
-                    if self._at("ident"):
-                        self._next()  # optional parameter name
-                    param_types.append(_apply_ptrs(base, depth))
-                    if not self._eat("sym", ","):
-                        break
-            else:
-                self._next()  # consume 'void'
-        self._expect("sym", ")")
-        init = self._expr() if self._eat("sym", "=") else None
-        self._expect("sym", ";")
-        typ = PtrType(FunType(tuple(param_types), ret))
+        name = self._name()
+        if toks[self._i] == "(":
+            return self._function(typ, nonnull, name)
+        init = self._expr() if self._eat("=") else None
+        self._expect(";")
         return Global(name, typ, init)
 
+    def _struct_def(self) -> CStructDef:
+        self._i += 1  # struct
+        name = self._name()
+        self._expect("{")
+        fields: list[tuple[str, CType]] = []
+        while not self._eat("}"):
+            base = self._base_type()
+            depth, _ = self._stars_and_quals()
+            fname = self._name()
+            fields.append((fname, _apply_ptrs(base, depth)))
+            self._expect(";")
+        self._expect(";")
+        return CStructDef(name, tuple(fields))
+
     def _function(self, ret: CType, nonnull_return: bool, name: str) -> CFunction:
-        self._expect("sym", "(")
+        toks = self._toks
+        self._expect("(")
         params: list[Param] = []
-        if not self._at("sym", ")"):
-            if self._at("kw", "void") and self._at("sym", ")", offset=1):
-                self._next()
+        if toks[self._i] != ")":
+            if toks[self._i] == "void" and toks[self._i + 1] == ")":
+                self._i += 1
             else:
                 while True:
                     params.append(self._param())
-                    if not self._eat("sym", ","):
+                    if not self._eat(","):
                         break
-        self._expect("sym", ")")
+        self._expect(")")
         mix: Optional[str] = None
-        if self._eat("kw", "MIX"):
-            self._expect("sym", "(")
-            tok = self._next()
-            if tok.text not in ("typed", "symbolic"):
+        if self._eat("MIX"):
+            self._expect("(")
+            mix = _text(toks[self._i])
+            if mix not in ("typed", "symbolic"):
                 raise CParseError(
-                    f"MIX annotation must be typed or symbolic, got {tok.text!r}"
+                    f"MIX annotation must be typed or symbolic, got {mix!r}"
                 )
-            mix = tok.text
-            self._expect("sym", ")")
+            self._i += 1
+            self._expect(")")
         body: Optional[Block] = None
-        if self._at("sym", "{"):
+        if toks[self._i] == "{":
             body = self._block()
         else:
-            self._expect("sym", ";")
+            self._expect(";")
         return CFunction(name, tuple(params), ret, body, mix, nonnull_return)
 
     def _param(self) -> Param:
-        base, nonnull = self._base_type()
-        if self._at("sym", "(") and self._at("sym", "*", offset=1):
+        base = self._base_type()
+        if self._toks[self._i] == "(" and self._toks[self._i + 1] == "*":
             name, typ = self._fn_ptr_declarator(base)
             return Param(name, typ, False)
-        depth, nonnull2 = self._stars_and_quals()
-        name = self._expect("ident").text
-        return Param(name, _apply_ptrs(base, depth), nonnull or nonnull2)
+        depth, nonnull = self._stars_and_quals()
+        name = self._name()
+        return Param(name, _apply_ptrs(base, depth), nonnull)
 
     def _fn_ptr_declarator(self, ret: CType) -> tuple[str, CType]:
         """``(*name)(param-types)`` — a function-pointer declarator."""
-        self._expect("sym", "(")
-        self._expect("sym", "*")
-        name = self._expect("ident").text
-        self._expect("sym", ")")
-        self._expect("sym", "(")
+        toks = self._toks
+        self._expect("(")
+        self._expect("*")
+        name = self._name()
+        self._expect(")")
+        self._expect("(")
         param_types: list[CType] = []
-        if not self._at("sym", ")"):
-            if self._at("kw", "void") and self._at("sym", ")", offset=1):
-                self._next()
+        if toks[self._i] != ")":
+            if toks[self._i] == "void" and toks[self._i + 1] == ")":
+                self._i += 1
             else:
                 while True:
-                    base, _ = self._base_type()
+                    base = self._base_type()
                     depth, _ = self._stars_and_quals()
-                    if self._at("ident"):
-                        self._next()  # optional parameter name
+                    if _is_name(toks[self._i]):
+                        self._i += 1  # optional parameter name
                     param_types.append(_apply_ptrs(base, depth))
-                    if not self._eat("sym", ","):
+                    if not self._eat(","):
                         break
-        self._expect("sym", ")")
+        self._expect(")")
         return name, PtrType(FunType(tuple(param_types), ret))
 
     # -- types -------------------------------------------------------------------
 
-    def _base_type(self) -> tuple[CType, bool]:
-        nonnull = False
-        while self._eat("kw", "const"):
-            pass
-        if self._eat("kw", "struct"):
-            name = self._expect("ident").text
-            base: CType = StructType(name)
+    def _base_type(self) -> CType:
+        toks = self._toks
+        while toks[self._i] == "const":
+            self._i += 1
+        if toks[self._i] == "struct":
+            self._i += 1
+            base: CType = StructType(self._name())
         else:
-            tok = self._next()
-            mapping = {"int": INT_T, "char": CHAR_T, "void": VOID_T}
-            if tok.text not in mapping:
-                raise CParseError(f"expected a type, got {tok.text!r} at line {tok.line}")
-            base = mapping[tok.text]
-        while self._eat("kw", "const"):
-            pass
-        return base, nonnull
+            # By text, so a string literal "int" reads as the type int.
+            base = _SCALARS.get(_text(toks[self._i]))
+            if base is None:
+                text, line = self._found()
+                raise CParseError(f"expected a type, got {text!r} at line {line}")
+            self._i += 1
+        while toks[self._i] == "const":
+            self._i += 1
+        return base
 
     def _stars_and_quals(self) -> tuple[int, bool]:
+        toks = self._toks
         depth = 0
         nonnull = False
         while True:
-            if self._eat("sym", "*"):
+            tok = toks[self._i]
+            if tok == "*":
                 depth += 1
-            elif self._eat("kw", "nonnull"):
+            elif tok == "nonnull":
                 nonnull = True
-            elif self._eat("kw", "const"):
-                pass
-            else:
+            elif tok != "const":
                 return depth, nonnull
-
-    def _looks_like_type(self) -> bool:
-        return self._peek().kind == "kw" and self._peek().text in _TYPE_KEYWORDS
+            self._i += 1
 
     # -- statements ---------------------------------------------------------------
 
     def _block(self) -> Block:
-        self._expect("sym", "{")
+        self._expect("{")
         stmts: list[CStmt] = []
-        while not self._eat("sym", "}"):
+        while not self._eat("}"):
             stmts.append(self._stmt())
         return Block(tuple(stmts))
 
     def _stmt(self) -> CStmt:
-        if self._at("sym", "{"):
+        toks = self._toks
+        tok = toks[self._i]
+        if tok == "{":
             return self._block()
-        if self._at("kw", "if"):
-            return self._if()
-        if self._at("kw", "while"):
-            self._next()
-            self._expect("sym", "(")
+        if tok == "if":
+            self._i += 1
+            self._expect("(")
             cond = self._expr()
-            self._expect("sym", ")")
-            return While(cond, self._as_block(self._stmt()))
-        if self._at("kw", "return"):
-            self._next()
-            value = None if self._at("sym", ";") else self._expr()
-            self._expect("sym", ";")
+            self._expect(")")
+            then = _as_block(self._stmt())
+            els = _as_block(self._stmt()) if self._eat("else") else None
+            return If(cond, then, els)
+        if tok == "while":
+            self._i += 1
+            self._expect("(")
+            cond = self._expr()
+            self._expect(")")
+            return While(cond, _as_block(self._stmt()))
+        if tok == "return":
+            self._i += 1
+            value = None if toks[self._i] == ";" else self._expr()
+            self._expect(";")
             return Return(value)
-        if self._looks_like_type():
-            base, _ = self._base_type()
-            if self._at("sym", "(") and self._at("sym", "*", offset=1):
+        if tok in _TYPE_KEYWORDS:
+            base = self._base_type()
+            if toks[self._i] == "(" and toks[self._i + 1] == "*":
                 name, typ = self._fn_ptr_declarator(base)
-                init = self._expr() if self._eat("sym", "=") else None
-                self._expect("sym", ";")
-                return VarDecl(name, typ, init)
-            depth, _ = self._stars_and_quals()
-            name = self._expect("ident").text
-            init = self._expr() if self._eat("sym", "=") else None
-            self._expect("sym", ";")
-            return VarDecl(name, _apply_ptrs(base, depth), init)
+            else:
+                depth, _ = self._stars_and_quals()
+                name = self._name()
+                typ = _apply_ptrs(base, depth)
+            init = self._expr() if self._eat("=") else None
+            self._expect(";")
+            return VarDecl(name, typ, init)
         expr = self._expr()
-        self._expect("sym", ";")
+        self._expect(";")
         return ExprStmt(expr)
-
-    def _if(self) -> If:
-        self._expect("kw", "if")
-        self._expect("sym", "(")
-        cond = self._expr()
-        self._expect("sym", ")")
-        then = self._as_block(self._stmt())
-        els = None
-        if self._eat("kw", "else"):
-            els = self._as_block(self._stmt())
-        return If(cond, then, els)
-
-    @staticmethod
-    def _as_block(stmt: CStmt) -> Block:
-        return stmt if isinstance(stmt, Block) else Block((stmt,))
 
     # -- expressions (C precedence) --------------------------------------------------
 
     def _expr(self) -> CExpr:
-        return self._assign()
-
-    def _assign(self) -> CExpr:
-        lhs = self._or()
-        if self._eat("sym", "="):
-            return Assign(lhs, self._assign())
+        lhs = self._binary(1)
+        if self._toks[self._i] == "=":  # right-associative
+            self._i += 1
+            return Assign(lhs, self._expr())
         return lhs
 
-    def _or(self) -> CExpr:
-        left = self._and()
-        while self._eat("sym", "||"):
-            left = Binary("||", left, self._and())
-        return left
-
-    def _and(self) -> CExpr:
-        left = self._equality()
-        while self._eat("sym", "&&"):
-            left = Binary("&&", left, self._equality())
-        return left
-
-    def _equality(self) -> CExpr:
-        left = self._relational()
-        while self._at("sym", "==") or self._at("sym", "!="):
-            op = self._next().text
-            left = Binary(op, left, self._relational())
-        return left
-
-    def _relational(self) -> CExpr:
-        left = self._additive()
-        while any(self._at("sym", s) for s in ("<", "<=", ">", ">=")):
-            op = self._next().text
-            left = Binary(op, left, self._additive())
-        return left
-
-    def _additive(self) -> CExpr:
-        left = self._multiplicative()
-        while self._at("sym", "+") or self._at("sym", "-"):
-            op = self._next().text
-            left = Binary(op, left, self._multiplicative())
-        return left
-
-    def _multiplicative(self) -> CExpr:
+    def _binary(self, floor: int) -> CExpr:
+        """Precedence climbing: a chain of operators of precedence at
+        least ``floor``; each right operand binds tighter than its
+        operator."""
         left = self._unary()
-        while self._at("sym", "*") or self._at("sym", "/"):
-            op = self._next().text
-            left = Binary(op, left, self._unary())
-        return left
+        toks = self._toks
+        while True:
+            op = toks[self._i]
+            prec = _BINARY.get(op, 0)
+            if prec < floor:
+                return left
+            self._i += 1
+            left = Binary(op, left, self._binary(prec + 1))
 
     def _unary(self) -> CExpr:
-        if self._eat("sym", "!"):
-            return Unary("!", self._unary())
-        if self._eat("sym", "-"):
-            return Unary("-", self._unary())
-        if self._eat("sym", "*"):
+        toks = self._toks
+        tok = toks[self._i]
+        if tok == "!" or tok == "-":
+            self._i += 1
+            return Unary(tok, self._unary())
+        if tok == "*":
+            self._i += 1
             return Deref(self._unary())
-        if self._eat("sym", "&"):
+        if tok == "&":
+            self._i += 1
             return AddrOf(self._unary())
-        # Cast: '(' type ... ')'
-        if self._at("sym", "(") and self._peek(1).kind == "kw" and self._peek(
-            1
-        ).text in _TYPE_KEYWORDS:
-            self._next()
-            base, _ = self._base_type()
+        if tok == "(" and toks[self._i + 1] in _TYPE_KEYWORDS:  # a cast
+            self._i += 1
+            base = self._base_type()
             depth, _ = self._stars_and_quals()
-            self._expect("sym", ")")
+            self._expect(")")
             return Cast(_apply_ptrs(base, depth), self._unary())
         return self._postfix()
 
     def _postfix(self) -> CExpr:
         expr = self._primary()
+        toks = self._toks
         while True:
-            if self._eat("sym", "("):
+            tok = toks[self._i]
+            if tok == "(":
+                self._i += 1
                 args: list[CExpr] = []
-                if not self._at("sym", ")"):
+                if toks[self._i] != ")":
                     while True:
                         args.append(self._expr())
-                        if not self._eat("sym", ","):
+                        if not self._eat(","):
                             break
-                self._expect("sym", ")")
+                self._expect(")")
                 expr = Call(expr, tuple(args))
-            elif self._eat("sym", "->"):
-                expr = Field(expr, self._expect("ident").text, arrow=True)
-            elif self._eat("sym", "."):
-                expr = Field(expr, self._expect("ident").text, arrow=False)
+            elif tok == "->":
+                self._i += 1
+                expr = Field(expr, self._name(), arrow=True)
+            elif tok == ".":
+                self._i += 1
+                expr = Field(expr, self._name(), arrow=False)
             else:
                 return expr
 
     def _primary(self) -> CExpr:
-        if self._at("int"):
-            return IntLit(int(self._next().text))
-        if self._at("string"):
-            return StrLit(self._next().text)
-        if self._eat("kw", "NULL"):
+        tok = self._toks[self._i]
+        if tok and tok not in _FIXED:
+            self._i += 1
+            if tok[0] == '"':
+                return StrLit(tok[1:-1])
+            if tok[0] in "0123456789":
+                return IntLit(int(tok))
+            return VarRef(tok)
+        if tok == "NULL":
+            self._i += 1
             return NullLit()
-        if self._eat("kw", "malloc"):
-            self._expect("sym", "(")
-            self._expect("kw", "sizeof")
-            self._expect("sym", "(")
-            base, _ = self._base_type()
+        if tok == "malloc":
+            self._i += 1
+            self._expect("(")
+            self._expect("sizeof")
+            self._expect("(")
+            base = self._base_type()
             depth, _ = self._stars_and_quals()
-            self._expect("sym", ")")
-            self._expect("sym", ")")
+            self._expect(")")
+            self._expect(")")
             return Malloc(_apply_ptrs(base, depth))
-        if self._eat("kw", "symbolic"):
-            self._expect("sym", "(")
-            self._expect("sym", ")")
+        if tok == "symbolic":
+            self._i += 1
+            self._expect("(")
+            self._expect(")")
             return Symbolic()
-        if self._at("kw") and self._peek().text in ("assume", "check"):
-            kw = self._next().text
-            self._expect("sym", "(")
+        if tok == "assume" or tok == "check":
+            self._i += 1
+            self._expect("(")
             cond = self._expr()
-            self._expect("sym", ")")
-            return Assume(cond) if kw == "assume" else Check(cond)
-        if self._at("ident"):
-            return VarRef(self._next().text)
-        if self._eat("sym", "("):
+            self._expect(")")
+            return Assume(cond) if tok == "assume" else Check(cond)
+        if tok == "(":
+            self._i += 1
             inner = self._expr()
-            self._expect("sym", ")")
+            self._expect(")")
             return inner
-        tok = self._peek()
-        raise CParseError(f"unexpected token {tok.text!r} at line {tok.line}")
+        text, line = self._found()
+        raise CParseError(f"unexpected token {text!r} at line {line}")
+
+
+def _as_block(stmt: CStmt) -> Block:
+    return stmt if isinstance(stmt, Block) else Block((stmt,))
 
 
 def _apply_ptrs(base: CType, depth: int) -> CType:
@@ -565,4 +536,4 @@ def _apply_ptrs(base: CType, depth: int) -> CType:
 
 def parse_program(source: str) -> CProgram:
     """Parse a mini-C translation unit."""
-    return _Parser(_tokenize(source)).program()
+    return _Parser(source).program()

@@ -120,6 +120,7 @@ import json
 import os
 import pickle
 import random
+import resource
 import select
 import signal
 import socket
@@ -153,10 +154,12 @@ WORKER_KILL_GRACE = 2.0
 _POLL_SECS = 0.25
 
 #: The modules analyze and prove requests import lazily, down to their
-#: crash-containment and witness-replay paths.  :meth:`ReproDaemon.bind`
-#: imports them before the first pool fork, so every worker — reforks
-#: after an epoch bump included — inherits them instead of paying the
-#: imports (~60 ms for the MIXY driver alone) on its first request.
+#: crash-containment and witness-replay paths, plus ``repro.parallel``,
+#: which every new pool worker imports (with multiprocessing and
+#: subprocess: 16–19 ms a fork).  :meth:`ReproDaemon.bind` imports them
+#: before the first pool fork, so every worker — reforks after an epoch
+#: bump included — inherits them instead of paying the imports (~60 ms
+#: for the MIXY driver alone) on its first request.
 PRELOAD_MODULES = (
     "repro.budget",
     "repro.core",
@@ -166,6 +169,7 @@ PRELOAD_MODULES = (
     "repro.mixy.c.interp",
     "repro.mixy.c.pretty",
     "repro.mixy.driver",
+    "repro.parallel",
     "repro.prove",
     "repro.shrink",
     "repro.smt.encodings",
@@ -604,8 +608,6 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
     per-request state behind, so the next request sees exactly what a
     fresh fork would.  EOF on the job pipe is the retire signal.  Never
     returns."""
-    import resource
-
     from repro.parallel import reset_worker_state
 
     while True:

@@ -121,6 +121,14 @@ class TestMixyCommand:
     def test_parse_error(self, c_file, capsys):
         assert main(["mixy", c_file("int main( {")]) == 2
 
+    def test_non_ascii_digit_is_a_parse_error(self, tmp_path, capsys):
+        # An int literal starts only on an ASCII digit: "²" is a parse
+        # error (exit 2), not an int() crash.
+        path = tmp_path / "digit.c"
+        path.write_text("int main(void) { return ²; }\n", encoding="utf-8")
+        assert main(["mixy", str(path)]) == 2
+        assert "unexpected character '²' at line 1" in capsys.readouterr().err
+
     def test_missing_entry_function(self, c_file):
         assert main(["mixy", c_file("int helper(void) { return 0; }")]) == 2
 

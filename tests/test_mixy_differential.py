@@ -13,6 +13,8 @@ arguments:
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,76 +30,74 @@ from repro.mixy.symexec import CSymExecutor
 INT_VARS = ["a", "b", "x", "y"]
 
 
-@st.composite
-def int_expr(draw, depth: int) -> str:
+def int_expr(rng: random.Random, depth: int) -> str:
     if depth == 0:
-        return draw(
-            st.one_of(
-                st.integers(-9, 9).map(str),
-                st.sampled_from(INT_VARS),
-            )
-        )
-    kind = draw(st.sampled_from(["bin", "neg", "not", "leaf", "cmp"]))
+        if rng.choice((True, False)):
+            return str(rng.randint(-9, 9))
+        return rng.choice(INT_VARS)
+    kind = rng.choice(["bin", "neg", "not", "leaf", "cmp"])
     if kind == "leaf":
-        return draw(int_expr(0))
+        return int_expr(rng, 0)
     if kind == "bin":
-        op = draw(st.sampled_from(["+", "-", "*"]))
-        left = draw(int_expr(depth - 1))
-        right = draw(int_expr(depth - 1))
+        op = rng.choice(["+", "-", "*"])
+        left = int_expr(rng, depth - 1)
+        right = int_expr(rng, depth - 1)
         if op == "*":
-            right = draw(st.integers(-4, 4).map(str))  # keep it linear
+            right = str(rng.randint(-4, 4))  # keep it linear
         return f"({left} {op} {right})"
     if kind == "neg":
-        return f"(-{draw(int_expr(depth - 1))})"
+        return f"(-{int_expr(rng, depth - 1)})"
     if kind == "not":
-        return f"(!{draw(int_expr(depth - 1))})"
-    op = draw(st.sampled_from(["==", "!=", "<", "<=", ">", ">="]))
-    return f"({draw(int_expr(depth - 1))} {op} {draw(int_expr(depth - 1))})"
+        return f"(!{int_expr(rng, depth - 1)})"
+    op = rng.choice(["==", "!=", "<", "<=", ">", ">="])
+    return f"({int_expr(rng, depth - 1)} {op} {int_expr(rng, depth - 1)})"
 
 
-@st.composite
-def cond_expr(draw) -> str:
-    op = draw(st.sampled_from(["==", "!=", "<", "<=", ">", ">=", "&&", "||"]))
-    return f"({draw(int_expr(1))} {op} {draw(int_expr(1))})"
+def cond_expr(rng: random.Random) -> str:
+    op = rng.choice(["==", "!=", "<", "<=", ">", ">=", "&&", "||"])
+    return f"({int_expr(rng, 1)} {op} {int_expr(rng, 1)})"
 
 
-@st.composite
-def statement(draw, depth: int) -> str:
-    kind = draw(
-        st.sampled_from(["assign", "if", "loop", "ptr", "assign", "assign"])
-    )
+def statement(rng: random.Random, depth: int) -> str:
+    kind = rng.choice(["assign", "if", "loop", "ptr", "assign", "assign"])
     if kind == "assign" or depth == 0:
-        var = draw(st.sampled_from(["x", "y"]))
-        return f"{var} = {draw(int_expr(2))};"
+        var = rng.choice(["x", "y"])
+        return f"{var} = {int_expr(rng, 2)};"
     if kind == "if":
-        then = draw(statement(depth - 1))
-        els = draw(statement(depth - 1))
-        return f"if ({draw(cond_expr())}) {{ {then} }} else {{ {els} }}"
+        then = statement(rng, depth - 1)
+        els = statement(rng, depth - 1)
+        return f"if ({cond_expr(rng)}) {{ {then} }} else {{ {els} }}"
     if kind == "loop":
         # A canned, always-terminating counted loop.  Each nesting level
         # uses its own counter so an inner loop cannot reset an outer one.
-        body = draw(statement(depth - 1))
-        limit = draw(st.integers(1, 4))
+        body = statement(rng, depth - 1)
+        limit = rng.randint(1, 4)
         counter = f"i{depth}"
         return (
             f"{counter} = 0; "
             f"while ({counter} < {limit}) {{ {body} {counter} = {counter} + 1; }}"
         )
     # ptr: write through a pointer to a local.
-    target = draw(st.sampled_from(["x", "y"]))
-    return f"p = &{target}; *p = {draw(int_expr(1))};"
+    target = rng.choice(["x", "y"])
+    return f"p = &{target}; *p = {int_expr(rng, 1)};"
 
 
-@st.composite
-def c_function(draw) -> str:
-    statements = " ".join(draw(statement(2)) for _ in range(draw(st.integers(1, 4))))
-    ret = draw(int_expr(2))
+def function_source(rng: random.Random) -> str:
+    """One generated ``int f(int a, int b)``.  Drawn from any
+    :class:`random.Random`: Hypothesis's below, or a seeded one for a
+    sample that is the same on every Hypothesis version."""
+    statements = " ".join(statement(rng, 2) for _ in range(rng.randint(1, 4)))
+    ret = int_expr(rng, 2)
     return (
         "int f(int a, int b) { int x = 0; int y = 1; "
         "int i1 = 0; int i2 = 0; int *p = &x; "
         + statements
         + f" return {ret}; }}"
     )
+
+
+def c_function() -> st.SearchStrategy[str]:
+    return st.randoms(use_true_random=False).map(function_source)
 
 
 @settings(

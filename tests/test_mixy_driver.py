@@ -128,6 +128,14 @@ class TestCaching:
         mixy = Mixy(self.TWO_CALLERS)
         mixy.run()
         assert mixy.stats["cache_hits"] >= 1
+        # cache_hits also counts typed-block hits: only fewer symbolic
+        # block runs show that the symbolic-block cache (§4.3) hit.
+        uncached = Mixy(self.TWO_CALLERS, MixyConfig(enable_cache=False))
+        uncached.run()
+        assert (
+            mixy.stats["symbolic_blocks_run"]
+            < uncached.stats["symbolic_blocks_run"]
+        )
 
     def test_cache_disabled_reruns(self):
         config = MixyConfig(enable_cache=False)

@@ -633,6 +633,69 @@ print(json.dumps([reply["status"] for reply in replies]))
         for record in records:
             assert json.loads(record.read_text()) == [], record.name
 
+    def test_fresh_workers_import_nothing(self, tmp_path):
+        # A worker forked after bind() must find every module it needs
+        # already imported: an import in a fresh worker is paid on every
+        # fork (a learning merge recycles the idle workers).  The daemon
+        # runs in a fresh interpreter with a one-request worker cap, so
+        # every request runs on a fresh worker; each records its whole
+        # sys.modules after its request, against the parent's at bind().
+        properties = pathlib.Path(SRC_DIR).parent / "examples" / "properties"
+        requests = [
+            {"cmd": "analyze", "lang": "mixy", "source": STAIRCASE},
+            {"cmd": "analyze", "lang": "mixy", "source": STAIRCASE},
+            {"cmd": "prove", "lang": "mixy",
+             "source": (properties / "backsolve_diff.c").read_text()},
+        ]
+        (tmp_path / "requests.json").write_text(json.dumps(requests))
+        script = """
+import itertools, json, os, sys
+import repro.serve as serve
+
+inner = serve._worker_payload
+served = itertools.count()
+
+def recording(*args, **kwargs):
+    payload = inner(*args, **kwargs)
+    with open(f"modules.{os.getpid()}.{next(served)}", "w") as fh:
+        json.dump(sorted(sys.modules), fh)
+    return payload
+
+serve._worker_payload = recording
+daemon = serve.ReproDaemon(
+    listen="127.0.0.1:0", store_dir="store", pool_size=1, worker_requests=1
+)
+daemon.bind()
+with open("bind.json", "w") as fh:
+    json.dump(sorted(sys.modules), fh)
+replies = [
+    daemon.handle_line(json.dumps(request))
+    for request in json.load(open("requests.json"))
+]
+forks = daemon._pool.forks
+daemon._pool.close()
+print(json.dumps({
+    "statuses": [reply["status"] for reply in replies],
+    "hits": [reply["served"]["store"].get("mixy_hits", 0) for reply in replies],
+    "forks": forks,
+}))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=_subprocess_env(), cwd=tmp_path, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout)
+        assert summary["statuses"] == ["ok", "ok", "ok"]
+        assert summary["hits"][1] > 0  # the second analyze ran warm
+        assert summary["forks"] == 3
+        at_bind = set(json.loads((tmp_path / "bind.json").read_text()))
+        records = sorted(tmp_path.glob("modules.*"))
+        assert len(records) == 3
+        for record in records:
+            gained = set(json.loads(record.read_text())) - at_bind
+            assert gained == set(), record.name
+
     def test_faulted_request_never_poisons_the_warm_cache(self, tmp_path):
         # A request with an injected solver fault — whether it degrades
         # soundly in the worker or kills it — must merge nothing back, so

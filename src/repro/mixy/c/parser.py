@@ -286,7 +286,7 @@ class _Parser:
         mix: Optional[str] = None
         if self._eat("MIX"):
             self._expect("(")
-            mix = _text(toks[self._i])
+            mix = toks[self._i]
             if mix not in ("typed", "symbolic"):
                 raise CParseError(
                     f"MIX annotation must be typed or symbolic, got {mix!r}"
@@ -343,11 +343,13 @@ class _Parser:
             self._i += 1
             base: CType = StructType(self._name())
         else:
-            # By text, so a string literal "int" reads as the type int.
-            base = _SCALARS.get(_text(toks[self._i]))
+            base = _SCALARS.get(toks[self._i])
             if base is None:
-                text, line = self._found()
-                raise CParseError(f"expected a type, got {text!r} at line {line}")
+                # The token as written: a string literal keeps its quotes.
+                line = self._found()[1]
+                raise CParseError(
+                    f"expected a type, got {toks[self._i]!r} at line {line}"
+                )
             self._i += 1
         while toks[self._i] == "const":
             self._i += 1

@@ -158,11 +158,13 @@ class _CacheEntry:
 @dataclass
 class _BlockExecution:
     """One symbolic block execution's results plus the bookkeeping the
-    cross-run store needs to replay it: null conclusions as indices into
-    the (deterministic) watched list, and whether it made typed calls."""
+    cross-run store needs to replay it: the watched list as slot
+    references (:attr:`QualInference.slot_refs`), null conclusions as
+    indices into it, and whether it made typed calls."""
 
     null_slots: list[QVar]
     warnings: list[CWarning]
+    watched: tuple[tuple[tuple, int], ...]
     null_indices: tuple[int, ...]
     typed_calls_delta: int
 
@@ -416,7 +418,7 @@ class Mixy:
                 # re-executing it.
                 if span is not None:
                     span.fields["store_hit"] = True
-                self._replay_block_entry(fn, context_slots, entry, name, stack_key)
+                self._replay_block_entry(fn, entry, name, stack_key)
                 return
         self._block_stack.append(stack_key)
         breaches_before = self.executor.stats["budget_breaches"]
@@ -452,12 +454,14 @@ class Mixy:
             # Record for future runs.  Only *pure* blocks — no typed
             # calls executed — are memoizable: a typed call's qualifier
             # constraints and nested analyses are side effects a skip
-            # could not replay.  Warnings ship as plain strings; null
-            # conclusions as indices into the deterministic watched
-            # list, never as QVar objects (their identity is per-run).
+            # could not replay.  Warnings ship as plain strings; the
+            # watched list as slot references and null conclusions as
+            # indices into it, never as QVar objects (their identity is
+            # per-run).
             self.config.store.mixy_put(
                 memo_key,
                 {
+                    "watched": execution.watched,
                     "null_indices": execution.null_indices,
                     "warnings": tuple(
                         (w.kind.value, w.message, w.function)
@@ -548,31 +552,21 @@ class Mixy:
         return cone
 
     def _replay_block_entry(
-        self,
-        fn: CFunction,
-        context_slots: list[tuple[str, QualType]],
-        entry: dict,
-        name: str,
-        stack_key: tuple,
+        self, fn: CFunction, entry: dict, name: str, stack_key: tuple
     ) -> None:
-        """Apply a stored block result as if the block had just run: the
-        context is materialized to rebuild the watched list a cold run
-        saw, warnings are re-raised through the deduplicating path, and
-        the stored watched-slot indices become this run's QVar
-        conclusions."""
-        state = self.executor.initial_state()
-        watched: list[tuple[int, QVar]] = []
-        saved_global_env = self.executor.global_env
-        self.executor.global_env = {}
-        try:
-            self._materialize_context(fn, context_slots, state, watched)
-        finally:
-            self.executor.global_env = saved_global_env
+        """Apply a stored block result as if the block had just run, with
+        no symbolic state: warnings are re-raised through the
+        deduplicating path, and the stored null indices pick this run's
+        QVar conclusions out of the stored watched-slot references.
+        Every reference is resolved, in the cold walk's order, so a field
+        slot that only materialization would make gets its cold-run
+        ordinal (``#N`` ids print in witness paths)."""
+        watched = [self.qual.slot_var(ref) for ref in entry["watched"]]
         warnings = []
         for kind_value, message, function in entry["warnings"]:
             self.executor.warn(CErrKind(kind_value), message, function)
             warnings.append(CWarning(CErrKind(kind_value), message, function))
-        null_slots = [watched[i][1] for i in entry["null_indices"]]
+        null_slots = [watched[i] for i in entry["null_indices"]]
         self._apply_conclusions(null_slots, name)
         if self.config.enable_cache:
             self._cache[stack_key] = _CacheEntry(null_slots, warnings)
@@ -597,33 +591,6 @@ class Mixy:
             "null" if self.qual.graph.may_null(q) else "nonnull" for q in qt.quals
         )
 
-    def _materialize_context(
-        self,
-        fn: CFunction,
-        context_slots: list[tuple[str, QualType]],
-        state: CState,
-        watched: list[tuple[int, QVar]],
-    ) -> tuple[CState, list[smt.Term]]:
-        """§4.1 types -> symbolic values for a whole calling context:
-        globals first (shared addresses, installed in ``global_env``),
-        then parameters.  Fully deterministic given (program, context),
-        which is what lets a store hit rebuild the same ``watched`` list
-        a cold run saw.  The caller owns the global_env save/restore."""
-        for label, qt in context_slots:
-            if not label.startswith("global:"):
-                continue
-            gname = label.split(":", 1)[1]
-            state, cell = self._materialize_slot(state, qt, gname, watched)
-            self.executor.global_env[gname] = cell
-        args: list[smt.Term] = []
-        for label, qt in context_slots:
-            if not label.startswith("param:"):
-                continue
-            pname = label.split(":", 1)[1]
-            state, value = self._translate_in(state, qt, f"{fn.name}.{pname}", watched)
-            args.append(value)
-        return state, args
-
     def _execute_symbolic_block(
         self, fn: CFunction, context_slots: list[tuple[str, QualType]]
     ) -> "_BlockExecution":
@@ -637,7 +604,19 @@ class Mixy:
         # execution) does not clobber the outer block's globals.
         saved_global_env = self.executor.global_env
         self.executor.global_env = {}
-        state, args = self._materialize_context(fn, context_slots, state, watched)
+        for label, qt in context_slots:
+            if label.startswith("global:"):
+                gname = label.split(":", 1)[1]
+                state, cell = self._materialize_slot(state, qt, gname, watched)
+                self.executor.global_env[gname] = cell
+        args: list[smt.Term] = []
+        for label, qt in context_slots:
+            if label.startswith("param:"):
+                pname = label.split(":", 1)[1]
+                state, value = self._translate_in(
+                    state, qt, f"{fn.name}.{pname}", watched
+                )
+                args.append(value)
         warnings_before = len(self.executor.warnings)
         typed_calls_before = self.stats["typed_calls"]
         saved_context = self._replay_context
@@ -675,6 +654,7 @@ class Mixy:
         return _BlockExecution(
             null_slots=null_slots,
             warnings=new_warnings,
+            watched=tuple(self.qual.slot_refs[slot] for _, slot in watched),
             null_indices=tuple(null_indices),
             typed_calls_delta=self.stats["typed_calls"] - typed_calls_before,
         )

@@ -294,6 +294,9 @@ class QualInference:
         self.config = config or QualConfig()
         self.graph = graph if graph is not None else QualGraph()
         self._slots: dict[SlotKey, QualType] = {}
+        #: every slot variable's ``(slot key, level)``: a name for it that
+        #: another run over the same program resolves with :meth:`slot_var`
+        self.slot_refs: dict[QVar, tuple[SlotKey, int]] = {}
         self._callees_of = callees_of
         self._malloc_counter = itertools.count(1)
         self._qvar_ids = itertools.count(1)
@@ -317,7 +320,21 @@ class QualInference:
         if existing is None:
             existing = self.fresh_qualtype(ctype, hint)
             self._slots[key] = existing
+            for level, var in enumerate(existing.quals):
+                self.slot_refs[var] = (key, level)
         return existing
+
+    def slot_var(self, ref: tuple[SlotKey, int]) -> QVar:
+        """The variable a :attr:`slot_refs` value names.  Only a field
+        slot can be missing here (block materialization makes them);
+        it is made as :meth:`field_slot` makes it."""
+        key, level = ref
+        qt = self._slots.get(key)
+        if qt is None:
+            _, struct, fname = key
+            ftype = dict(self.program.structs[struct].fields)[fname]
+            qt = self.field_slot(struct, fname, ftype)
+        return qt.quals[level]
 
     def local_slot(self, fn: str, name: str, ctype: CType) -> QualType:
         return self.slot(("local", fn, name), ctype, f"{fn}.{name}")

@@ -8,11 +8,11 @@ that reuse survive the process: a small on-disk store that a later run
 — or a long-lived ``repro serve`` daemon across restarts — loads to
 start warm.
 
-Layout of one store directory (format version 4)::
+Layout of one store directory (format version 5)::
 
     .repro-store/
-      meta.json            # manifest: schema, generation, per-section CRCs
-      solver-cache.0.pkl   # section files, one per (section, slot)
+      meta.json            # manifest: schema, generation, per-section records
+      solver-cache.0.pkl   # section files, two slots per section
       solver-cache.1.pkl
       blocks.0.pkl
       blocks.1.pkl
@@ -27,7 +27,8 @@ answer.
 
 The **block memo** sections record, per analyzed block, just enough to
 replay the block's *observable effects* without re-executing it: the
-warnings it raised plus which watched slots concluded null (MIXY), or
+warnings it raised, its watched list as qualifier-slot references and
+which of them concluded null (MIXY), or
 the result type, stat deltas and fresh names consumed (MIX, whose one
 name supply runs through the whole program, so a skip fast-forwards
 it).  MIXY names symbols per block
@@ -39,22 +40,25 @@ transitive callee cone, and its typed calling context
 function invalidates exactly that function's dependency cone and
 nothing else.
 
-**Integrity: per-section checksums, two generations.**  Saves alternate
-between two file *slots* per section: generation ``n`` writes its
-sections to slot ``n % 2`` and then atomically replaces ``meta.json``
-with a manifest recording both the new generation and the previous one,
-each with per-section CRC32/size records
-(:func:`repro.fsio.checksummed_write`).  A ``kill -9`` at any
-instruction therefore leaves at least one fully consistent generation:
-the manifest flip is atomic, and the generation a manifest calls newest
-is never the one being overwritten.  On load each section is verified
-against its CRC; a damaged current section **rolls back** to the
-previous generation's copy (counted in ``sections_recovered``), and
-only when both generations fail does that section start cold — with a
-stderr note either way.  A save writes nothing when neither a block memo
-nor the solver cache changed since the last load or save
-(:meth:`AnalysisStore.unsaved`); a store that opened damaged writes a
-healthy generation at its next save.
+**Integrity: per-section checksums, two copies per section.**  Each
+section alternates between its own two file *slots*: a save writes each
+changed section to the slot its current record does not use and then
+atomically replaces ``meta.json`` with a manifest recording, per
+section, the current record and the previous distinct copy, each with
+its CRC32/size (:func:`repro.fsio.checksummed_write`) and the generation
+that wrote it.  A ``kill -9`` at any instruction therefore leaves every
+section with at least one consistent copy: the manifest flip is atomic,
+and the record a manifest calls current is never the one being
+overwritten.  On load each section is verified against its CRC; a
+damaged current section **rolls back** to its previous copy (counted in
+``sections_recovered``), and only when both copies fail does that
+section start cold — with a stderr note either way.  A save writes
+nothing when neither a block memo nor the solver cache changed since the
+last load or save (:meth:`AnalysisStore.unsaved`), and an unchanged
+section keeps the record this store object last wrote for it: a save
+that learned only block memos does not re-export the solver cache.  A
+store that opened damaged writes a healthy copy of every section at its
+next save.
 
 Durability contract: the store is an accelerator, never a correctness
 input.  All writes go through :func:`repro.fsio.atomic_write`; a
@@ -73,9 +77,9 @@ from typing import Optional
 
 from repro.fsio import atomic_write, checksummed_write, read_checksummed
 
-#: 4: sorts pickle as ``Sort(name, params)`` calls (interned sorts), so
-#: a version-3 solver-cache section no longer unpickles.
-STORE_VERSION = 4
+#: 5: MIXY memo entries carry their watched list as slot references,
+#: and the manifest keeps a "previous" record per section.
+STORE_VERSION = 5
 STORE_SCHEMA = "repro-store"
 
 #: The persisted sections, in save order.
@@ -145,11 +149,13 @@ class AnalysisStore:
         #: ``(service, service.cache_version())`` as of the last load or
         #: save: the solver-cache contents the store already holds.
         self._cache_seen: Optional[tuple] = None
-        #: last persisted generation (0 = never saved); save() writes
-        #: generation+1 into slot (generation+1) % 2.
+        #: last persisted generation (0 = never saved)
         self.generation = 0
-        #: the manifest entry save() will record as "previous".
+        #: the manifest save() replaces (its records become "previous")
         self._current_manifest: Optional[dict] = None
+        #: section -> (record, stamp) of the last write by this object;
+        #: save() keeps a current record only if it is one of these
+        self._written: dict[str, tuple] = {}
         self.stats = {
             "solver_entries_loaded": 0,
             "mixy_hits": 0,
@@ -213,17 +219,13 @@ class AnalysisStore:
             return None
 
     def _section_bytes(self, manifest: dict, name: str) -> Optional[bytes]:
-        """Read + verify one section, rolling back to the previous
-        generation on checksum failure.  Returns the payload bytes or
-        None (cold), recording notes and integrity counters."""
-        candidates = [("current", manifest)]
-        previous = manifest.get("previous")
-        if isinstance(previous, dict):
-            candidates.append(("previous", previous))
+        """Read + verify one section, rolling back to its previous copy
+        on checksum failure.  Returns the payload bytes or None (cold),
+        recording notes and integrity counters."""
         found = False
-        for label, gen in candidates:
-            sections = gen.get("sections")
-            record = sections.get(name) if isinstance(sections, dict) else None
+        for label in ("sections", "previous"):
+            records = manifest.get(label)
+            record = records.get(name) if isinstance(records, dict) else None
             if not isinstance(record, dict) or "file" not in record:
                 continue
             found = True
@@ -233,14 +235,14 @@ class AnalysisStore:
             if data is None:
                 self.notes.append(
                     f"store {self.root}: {name} generation "
-                    f"{gen.get('generation')} failed its checksum"
+                    f"{record.get('generation')} failed its checksum"
                 )
                 continue
             if label == "previous":
                 self.stats["sections_recovered"] += 1
                 self.notes.append(
                     f"store {self.root}: {name} rolled back to last-known-"
-                    f"good generation {gen.get('generation')}"
+                    f"good generation {record.get('generation')}"
                 )
             return data
         if found:
@@ -323,12 +325,15 @@ class AnalysisStore:
         )
 
     def save(self, service=None, force: bool = False) -> None:
-        """Persist the store as a new generation: sections land in the
-        alternate file slot (checksummed, atomically written), then the
-        manifest flips to record the new generation with the old one as
-        its last-known-good fallback.  Write failures are swallowed with
-        a note — persisting is an optimization, never worth failing an
-        analysis over.
+        """Persist the store as a new generation: each changed section
+        lands in the file slot its current record does not use
+        (checksummed, atomically written), then the manifest flips to
+        the new records, each section's replaced record kept as its
+        last-known-good fallback.  An unchanged section keeps its record
+        — if this store object wrote it — so a save that learned only
+        block memos re-exports no solver cache.  Write failures are
+        swallowed with a note — persisting is an optimization, never
+        worth failing an analysis over.
 
         A save that would rewrite what the store already holds is
         skipped: it writes only when ``force`` is set or
@@ -336,56 +341,56 @@ class AnalysisStore:
         if not (force or self.unsaved(service)):
             return
         generation = self.generation + 1
-        slot = generation % 2
+        version = service.cache_version() if service is not None else None
+        # What each section would be written from now: a record this
+        # object wrote from the same stamp holds exactly that.
+        stamps = {"solver-cache": (service, version), "blocks": None}
+        if self.dirty:
+            self._written.pop("blocks", None)
+        old = self._current_manifest or {}
+        old_sections = old.get("sections") or {}
+        old_previous = old.get("previous") or {}
+        sections: dict[str, dict] = {}
+        previous: dict[str, dict] = {}
+        written: dict[str, tuple] = {}
         try:
             os.makedirs(self.root, exist_ok=True)
-            sections: dict[str, dict] = {}
-            delta = self.solver_cache
-            if service is not None:
-                version = service.cache_version()
-                delta = service.export_cache()
-            if delta is not None:
-                name = f"solver-cache.{slot}.pkl"
-                record = checksummed_write(
-                    os.path.join(self.root, name),
-                    pickle.dumps(
-                        {"version": STORE_VERSION, "delta": delta},
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ),
-                )
-                sections["solver-cache"] = {"file": name, **record}
-            name = f"blocks.{slot}.pkl"
-            record = checksummed_write(
-                os.path.join(self.root, name),
-                pickle.dumps(
-                    {
-                        "version": STORE_VERSION,
-                        "mixy": self.mixy_blocks,
-                        "mix": self.mix_blocks,
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            )
-            sections["blocks"] = {"file": name, **record}
+            for name in SECTIONS:
+                record = old_sections.get(name)
+                if not isinstance(record, dict):  # absent, or a bad meta
+                    record = None
+                elif self._written.get(name) == (record, stamps[name]):
+                    sections[name] = record
+                    if name in old_previous:
+                        previous[name] = old_previous[name]
+                    continue
+                payload = self._payload(name, service)
+                if payload is None:
+                    continue
+                file = f"{name}.0.pkl"
+                if record is not None and record.get("file") == file:
+                    file = f"{name}.1.pkl"
+                sections[name] = {
+                    "file": file,
+                    "generation": generation,
+                    **checksummed_write(os.path.join(self.root, file), payload),
+                }
+                if record is not None:
+                    previous[name] = record
+                written[name] = (sections[name], stamps[name])
             manifest = {
                 "schema": STORE_SCHEMA,
                 "version": STORE_VERSION,
                 "generation": generation,
                 "sections": sections,
-                "previous": (
-                    {
-                        key: self._current_manifest[key]
-                        for key in ("generation", "sections")
-                    }
-                    if self._current_manifest is not None
-                    else None
-                ),
+                "previous": previous,
             }
             with atomic_write(os.path.join(self.root, "meta.json")) as fh:
                 json.dump(manifest, fh, sort_keys=True)
                 fh.write("\n")
             self.generation = generation
             self._current_manifest = manifest
+            self._written.update(written)
             self.dirty = False
             if service is not None:
                 self._cache_seen = (service, version)
@@ -393,6 +398,21 @@ class AnalysisStore:
             note = f"store {self.root}: could not persist ({error})"
             self.notes.append(note)
             print(f"note: {note}", file=sys.stderr)
+
+    def _payload(self, name: str, service) -> Optional[bytes]:
+        """One section's pickled contents (None: no solver cache)."""
+        if name == "blocks":
+            body = {"mixy": self.mixy_blocks, "mix": self.mix_blocks}
+        else:
+            delta = self.solver_cache
+            if service is not None:
+                delta = service.export_cache()
+            if delta is None:
+                return None
+            body = {"delta": delta}
+        return pickle.dumps(
+            {"version": STORE_VERSION, **body}, protocol=pickle.HIGHEST_PROTOCOL
+        )
 
     def merge_worker(
         self,

@@ -129,6 +129,25 @@ class TestMixyCommand:
         assert main(["mixy", str(path)]) == 2
         assert "unexpected character '²' at line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ('"char" *q;\n', "expected a type, got '\"char\"' at line 1"),
+            (
+                'void g(void) MIX("typed");\n',
+                "MIX annotation must be typed or symbolic, got '\"typed\"'",
+            ),
+        ],
+    )
+    def test_string_literal_is_not_a_type_or_annotation(
+        self, tmp_path, capsys, source, message
+    ):
+        # A string literal is neither a type name nor a MIX annotation.
+        path = tmp_path / "literal.c"
+        path.write_text(source + "int main(void) { return 0; }\n")
+        assert main(["mixy", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_entry_function(self, c_file):
         assert main(["mixy", c_file("int helper(void) { return 0; }")]) == 2
 

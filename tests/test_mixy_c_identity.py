@@ -11,10 +11,12 @@ The parser's observable output is pinned three ways:
   kept here as the oracle.
 
 The digests and error texts were computed with that scanner and the
-level-per-precedence descent parser it fed.  The one intended
-divergence: an int literal starts only on an ASCII digit, so a
-non-ASCII digit such as ``²`` is an "unexpected character" instead of
-an ``int()`` crash.
+level-per-precedence descent parser it fed.  The intended divergences:
+an int literal starts only on an ASCII digit, so a non-ASCII digit such
+as ``²`` is an "unexpected character" instead of an ``int()`` crash;
+and a string literal is neither a type name nor a ``MIX`` annotation
+(the old parser read ``"char"`` as ``char``), so "expected a type"
+quotes a literal with its quotes.
 """
 
 from __future__ import annotations
@@ -120,14 +122,11 @@ def _programs() -> dict[str, Callable[[], str]]:
 
 
 #: Lexical corners: Unicode identifiers and whitespace, escapes and
-#: newlines inside strings, comment forms, and string literals accepted
-#: as a ``MIX`` annotation and as a base type (both read the token's text).
+#: newlines inside strings, and comment forms.
 EDGE_SOURCE = (
     "struct café { int ŝ; char *x²; };\n"
     "/* a\n comment */ // another\n"
     'char *s = "a\\"b\nc\\\nd";\u2028\u00a0int _y1 = 007;\x0b\x0c\r\n'
-    'void g(void) MIX("typed");\n'
-    '"char" *q;\n'
     "int f(int Ωmega) { return Ωmega->ид.x² + -(char *) *&s; }\n"
 )
 
@@ -146,10 +145,11 @@ AST_DIGESTS = {
     'combined/1': '44faf27f775a14d1',
     'combined/2': '472ec792718942f2',
     'differential/sample': '5d4aa1623fa53e2e',
-    'edge/lexical': 'a8080ca8a0b9d51c',
+    'edge/lexical': 'c8d25043e97d1b7a',
     'examples/backsolve_diff.c': '0ccde560732ca51e',
     'examples/interval.c': '9dc4eeb49a453521',
     'examples/midpoint_bounds.c': '620d3e12ce0ebd66',
+    'examples/struct_fields.c': 'c4f2c53da51251b5',
     'examples/unbounded_loop.c': '0fbfb7d628b10cc4',
     'mini_vsftpd/0': '21b1e744a38af72a',
     'mini_vsftpd/1': 'fed3aa23e5c00aeb',
@@ -220,10 +220,15 @@ ERRORS = [
     ('char *s = "a\nb"; int f(void) { return "x" "y"; }', "expected ';' but found 'y' at line 1"),
     ('void f(void) MIX(banana);', "MIX annotation must be typed or symbolic, got 'banana'"),
     ('void f(void) MIX(', "MIX annotation must be typed or symbolic, got ''"),
+    ('void g(void) MIX("typed");', 'MIX annotation must be typed or symbolic, got \'"typed"\''),
+    ('void g(void) MIX("symbolic") { }', 'MIX annotation must be typed or symbolic, got \'"symbolic"\''),
     ('void f(void) MIX(typed;', "expected ')' but found ';' at line 1"),
     ('struct s { x y; };', "expected a type, got 'x' at line 1"),
     ('void (*h)(1);', "expected a type, got '1' at line 1"),
-    ('void (*h)("s");', "expected a type, got 's' at line 1"),
+    ('void (*h)("s");', 'expected a type, got \'"s"\' at line 1'),
+    ('int x;\n"char" *q;', 'expected a type, got \'"char"\' at line 2'),
+    ('struct s { "int" a; };', 'expected a type, got \'"int"\' at line 1'),
+    ('void f("int" a);', 'expected a type, got \'"int"\' at line 1'),
     ('const const', "expected a type, got '' at line 1"),
     ('int f(x) { }', "expected a type, got 'x' at line 1"),
     ('int f(void) { (char) ; }', "unexpected token ';' at line 1"),

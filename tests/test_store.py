@@ -213,11 +213,16 @@ class TestStoreRoundTrip:
     def test_mixy_entries_hold_only_conclusions_and_warnings(self, tmp_path):
         # Block-scoped naming: a skipped block shifts no other block's
         # names, so entries carry no fresh-name counts to fast-forward.
+        # The watched list is slot references, so a replay needs no
+        # symbolic state to map null indices to qualifier variables.
         store = AnalysisStore.open(str(tmp_path / "store"))
         _analyze(store, source=STAIRCASE)
         assert store.mixy_blocks
         for entry in store.mixy_blocks.values():
-            assert set(entry) == {"null_indices", "warnings"}
+            assert set(entry) == {"watched", "null_indices", "warnings"}
+            assert all(
+                index < len(entry["watched"]) for index in entry["null_indices"]
+            )
 
     def test_memo_is_inactive_under_a_budget(self, tmp_path):
         store = AnalysisStore.open(str(tmp_path / "store"))
@@ -265,6 +270,26 @@ class TestDegradation:
         cold_warnings, _ = _analyze()
         assert warnings == cold_warnings
         assert stats["mixy_hits"] == 0 and stats["solver_entries_loaded"] == 0
+
+    def test_malformed_section_records_are_rewritten(self, tmp_path, capsys):
+        # A meta.json whose section records are not records: the
+        # sections start cold, and the next save writes healthy ones
+        # instead of reading the bad records.
+        root = _populated_store_dir(tmp_path)
+        with open(os.path.join(root, "meta.json")) as fh:
+            meta = json.load(fh)
+        meta["sections"] = {"solver-cache": "x", "blocks": ["y"]}
+        meta["previous"] = 7
+        with open(os.path.join(root, "meta.json"), "w") as fh:
+            json.dump(meta, fh)
+        store = AnalysisStore.open(root)
+        assert store.mixy_blocks == {} and store.solver_cache is None
+        store.mixy_put("k1", {"v": 1})
+        store.save(smt.get_service())
+        assert "could not persist" not in capsys.readouterr().err
+        reopened = AnalysisStore.open(root)
+        assert reopened.notes == []
+        assert reopened.mixy_get("k1") == {"v": 1}
 
     def test_version_mismatched_meta_starts_cold(self, tmp_path, capsys):
         root = _populated_store_dir(tmp_path)
@@ -319,6 +344,30 @@ class TestDegradation:
         warnings, stats = _analyze(old, source=STAIRCASE)
         assert warnings == cold_warnings
         assert stats["mixy_hits"] == 0 and stats["solver_entries_loaded"] == 0
+
+    def test_version_4_store_starts_cold(self, tmp_path, capsys, monkeypatch):
+        # The previous format: MIXY entries had no watched-slot
+        # references, and the manifest kept one whole previous
+        # generation.  Opening one is a version mismatch, never a
+        # KeyError on replay.
+        assert STORE_VERSION == 5
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        cold_warnings, _ = _analyze(store, source=STAIRCASE)
+        store.mixy_blocks = {
+            key: {k: v for k, v in entry.items() if k != "watched"}
+            for key, entry in store.mixy_blocks.items()
+        }
+        monkeypatch.setattr("repro.store.STORE_VERSION", 4)
+        store.save(smt.get_service())
+        monkeypatch.undo()
+        capsys.readouterr()
+        old = AnalysisStore.open(root)
+        assert "unsupported meta" in capsys.readouterr().err
+        assert old.mixy_blocks == {} and old.solver_cache is None
+        warnings, stats = _analyze(old, source=STAIRCASE)
+        assert warnings == cold_warnings
+        assert stats["mixy_hits"] == 0
 
     def test_unreadable_meta_starts_cold(self, tmp_path, capsys):
         root = str(tmp_path / "store")
@@ -473,8 +522,8 @@ class TestAtomicWriteFaults:
 def _section_file(root, section, generation="current"):
     with open(os.path.join(root, "meta.json")) as fh:
         meta = json.load(fh)
-    entry = meta if generation == "current" else meta["previous"]
-    return os.path.join(root, entry["sections"][section]["file"])
+    records = meta["sections" if generation == "current" else "previous"]
+    return os.path.join(root, records[section]["file"])
 
 
 def _flip_byte(path):
@@ -505,7 +554,8 @@ class TestGenerationRollback:
         with open(os.path.join(root, "meta.json")) as fh:
             meta = json.load(fh)
         assert meta["generation"] == 2
-        assert meta["previous"]["generation"] == 1
+        assert meta["sections"]["blocks"]["generation"] == 2
+        assert meta["previous"]["blocks"]["generation"] == 1
 
     def test_checksum_mismatch_rolls_back_a_generation(self, tmp_path, capsys):
         root = self._two_generations(tmp_path)
@@ -647,6 +697,109 @@ class TestSaveOnlyOnChange:
         lost.save()
         assert lost.generation == 2
         assert AnalysisStore.open(root).notes == []
+
+
+# ---------------------------------------------------------------------------
+# A save rewrites only the sections that changed
+# ---------------------------------------------------------------------------
+
+
+def _solver_files(root):
+    """Every solver-cache slot file: name -> (inode, mtime_ns)."""
+    return {
+        name: (os.stat(path).st_ino, os.stat(path).st_mtime_ns)
+        for name in os.listdir(root)
+        if name.startswith("solver-cache.")
+        for path in [os.path.join(root, name)]
+    }
+
+
+def _learn_solver_entry(service, tag):
+    from repro.smt import eq, int_const, var
+    from repro.smt.terms import INT as SMT_INT
+
+    service.check_sat((eq(var(f"reuse_{tag}", SMT_INT), int_const(3)),))
+
+
+class TestSectionReuse:
+    def _saved(self, tmp_path):
+        """A store that wrote generation 1 from a live service."""
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        _analyze(store, source=STAIRCASE)
+        service = smt.get_service()
+        store.save(service)
+        assert store.generation == 1
+        return root, store, service
+
+    def test_memo_only_save_leaves_the_solver_cache_file_alone(self, tmp_path):
+        root, store, service = self._saved(tmp_path)
+        files = _solver_files(root)
+        current = _section_file(root, "solver-cache")
+        store.mixy_put("memo-only", {"v": 1})
+        store.save(service)
+        assert store.generation == 2
+        assert _solver_files(root) == files  # not rewritten, no new slot
+        assert _section_file(root, "solver-cache") == current
+        # A new solver entry rewrites the section, into the other slot.
+        _learn_solver_entry(service, "memo_only")
+        store.save(service)
+        assert store.generation == 3
+        rewritten = _section_file(root, "solver-cache")
+        assert rewritten != current
+        assert _section_file(root, "solver-cache", "previous") == current
+        assert _solver_files(root)[os.path.basename(current)] == files[
+            os.path.basename(current)
+        ]
+
+    def test_a_flipped_reused_section_rolls_back_to_its_previous_copy(
+        self, tmp_path, capsys
+    ):
+        root, store, service = self._saved(tmp_path)
+        _learn_solver_entry(service, "rollback")
+        store.save(service)  # generation 2: a distinct solver-cache copy
+        store.mixy_put("memo-only", {"v": 1})
+        store.save(service)  # generation 3 reuses generation 2's copy
+        with open(os.path.join(root, "meta.json")) as fh:
+            meta = json.load(fh)
+        assert meta["sections"]["solver-cache"]["generation"] == 2
+        assert meta["previous"]["solver-cache"]["generation"] == 1
+        _flip_byte(_section_file(root, "solver-cache"))
+        fresh = smt.reset_service()
+        reopened = AnalysisStore.open(root)
+        assert "solver-cache rolled back" in capsys.readouterr().err
+        assert reopened.stats["sections_recovered"] == 1
+        assert reopened.load_into_service(fresh) > 0
+        assert reopened.mixy_get("memo-only") == {"v": 1}  # blocks: current
+
+    def test_a_crash_before_the_manifest_flip_keeps_the_old_generation(
+        self, tmp_path, monkeypatch
+    ):
+        root, store, service = self._saved(tmp_path)
+        store.mixy_put("k2", {"v": 2})
+        store.save(service)  # generation 2: blocks in both slots
+        real_atomic_write = atomic_write
+
+        @contextlib.contextmanager
+        def crash_on_meta(path, binary=False):
+            with real_atomic_write(path, binary) as handle:
+                if os.path.basename(path) == "meta.json":
+                    raise OSError("killed before the manifest flip")
+                yield handle
+
+        store.mixy_put("k3", {"v": 3})
+        _learn_solver_entry(service, "crash")
+        monkeypatch.setattr("repro.store.atomic_write", crash_on_meta)
+        store.save(service)  # sections written, manifest not flipped
+        monkeypatch.undo()
+        assert store.generation == 2
+        fresh = smt.reset_service()
+        reopened = AnalysisStore.open(root)
+        assert reopened.notes == []
+        assert reopened.generation == 2
+        assert reopened.mixy_get("k2") == {"v": 2}
+        assert reopened.mixy_get("k3") is None
+        assert reopened.load_into_service(fresh) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,13 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.serve import ClientError, TERMINAL_STATUSES, request, request_with_retry
+from repro.serve import (
+    ClientError,
+    TERMINAL_STATUSES,
+    host_port,
+    request,
+    request_with_retry,
+)
 
 def default_source() -> str:
     """A staircase corpus with memoizable symbolic blocks: enough solver
@@ -181,13 +187,6 @@ class ManagedDaemon:
         except subprocess.TimeoutExpired:
             self.kill()
 
-    def host_port(self) -> Tuple[str, int]:
-        spec = self.address
-        if spec.startswith("tcp:"):
-            spec = spec[len("tcp:"):]
-        host, _, port = spec.rpartition(":")
-        return host, int(port)
-
 
 def one_shot_result(lang: str, source: str) -> dict:
     """The ground truth: a clean single-process CLI run of the corpus."""
@@ -248,6 +247,10 @@ class ChaosCampaign:
     def owns_daemon(self) -> bool:
         return self.external_address is None
 
+    def _tcp_address(self) -> Tuple[str, int]:
+        spec = self.address
+        return host_port(spec[len("tcp:"):] if spec.startswith("tcp:") else spec)
+
     def _say(self, message: str) -> None:
         if not self.quiet:
             print(f"chaos: {message}", flush=True)
@@ -302,11 +305,7 @@ class ChaosCampaign:
 
     def _raw_exchange(self, blob: bytes, read_reply: bool = True) -> Optional[dict]:
         """Ship raw bytes down a fresh socket; return the parsed reply."""
-        host, port = (
-            self.daemon.host_port()
-            if self.owns_daemon
-            else _parse_address(self.external_address)
-        )
+        host, port = self._tcp_address()
         try:
             with socket.create_connection((host, port), timeout=20) as sock:
                 sock.sendall(blob)
@@ -413,11 +412,7 @@ class ChaosCampaign:
         self.report.count("truncated_bytes", "ok" if self._ping() else "no_reply")
 
     def _op_socket_reset(self) -> None:
-        host, port = (
-            self.daemon.host_port()
-            if self.owns_daemon
-            else _parse_address(self.external_address)
-        )
+        host, port = self._tcp_address()
         try:
             sock = socket.create_connection((host, port), timeout=20)
             sock.sendall(b'{"cmd": "stats"}\n')
@@ -433,11 +428,7 @@ class ChaosCampaign:
     def _op_slowloris(self) -> None:
         # Dribble a request slower than the read deadline; the daemon must
         # cut us off rather than hold the connection hostage.
-        host, port = (
-            self.daemon.host_port()
-            if self.owns_daemon
-            else _parse_address(self.external_address)
-        )
+        host, port = self._tcp_address()
         stall = (self.daemon.read_deadline if self.owns_daemon else 1.0) + 0.3
         try:
             with socket.create_connection((host, port), timeout=20) as sock:
@@ -489,8 +480,8 @@ class ChaosCampaign:
     # sound terminal replies and never kill the daemon.
 
     def _op_inject_crash(self) -> None:
-        # An isolated worker dies mid-analysis -> degraded or error; a
-        # --no-isolate daemon catches the exception in-process -> error.
+        # The pool worker dies mid-analysis -> degraded, or the analysis
+        # contains the crash -> ok, or the worker reports it -> error.
         self._inject("inject_crash", "crash", "ok", "degraded", "error")
 
     def _op_inject_die(self) -> None:
@@ -606,7 +597,7 @@ class ChaosCampaign:
 
     def _pool_workers(self) -> List[dict]:
         """The daemon's live pooled workers (pid/epoch/served/busy), or
-        ``[]`` when the daemon runs without a pool."""
+        ``[]`` when none is live or the stats request failed."""
         try:
             reply = request_with_retry(
                 self.address, {"cmd": "stats"}, timeout=20, retries=3,
@@ -629,13 +620,12 @@ class ChaosCampaign:
         workers = self._pool_workers()
         if not workers:
             # Pool not spawned yet (it forks lazily at the first
-            # analyze) or the daemon runs in-process:
-            # warm it up and see if a pool appears.
+            # analyze): warm it up and see if a worker appears.
             reply = self._analyze({})
             self._expect_status("pool_kill_idle", reply, "ok")
             workers = self._pool_workers()
             if not workers:
-                return  # non-pooled daemon: nothing to aim at
+                return  # no live worker: nothing to aim at
         victim = self.rng.choice(workers)["pid"]
         try:
             os.kill(victim, signal.SIGKILL)
@@ -685,8 +675,8 @@ class ChaosCampaign:
             )
             return
         if victim is None:
-            # Non-pooled daemon or the request finished before we could
-            # aim; the reply must still be clean.
+            # The request finished before we could aim; the reply must
+            # still be clean.
             self._expect_status("pool_kill_busy", reply, "ok")
             return
         self._expect_status("pool_kill_busy", reply, "ok", "degraded")
@@ -745,13 +735,6 @@ class ChaosCampaign:
             self.report.violate(
                 "post-campaign analyze did not match the fresh one-shot baseline"
             )
-
-
-def _parse_address(spec: str) -> Tuple[str, int]:
-    if spec.startswith("tcp:"):
-        spec = spec[len("tcp:"):]
-    host, _, port = spec.rpartition(":")
-    return host, int(port)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

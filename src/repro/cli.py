@@ -235,20 +235,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "'busy' reply (default 32)",
     )
     serve.add_argument(
-        "--no-isolate",
-        action="store_true",
-        help="run analyses in the daemon process instead of forked request "
-        "workers (faster, but a crashing analysis takes the daemon down)",
-    )
-    serve.add_argument(
         "--pool",
         type=_pool_width,
         default=None,
         metavar="N",
         help="persistent prefork worker pool width, N >= 1: N long-lived "
         "workers serve analyze requests concurrently and are recycled on "
-        "staleness or faults (default min(4, cpu count); --no-isolate "
-        "serves in-process instead)",
+        "staleness or faults (default min(4, cpu count))",
     )
     serve.add_argument(
         "--worker-requests",
@@ -320,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="N:KIND",
         help="ship a solver-fault schedule with the request (served by the "
-        "daemon's isolated worker); same N:KIND specs as mix/mixy",
+        "daemon's pool worker); same N:KIND specs as mix/mixy",
     )
     client.add_argument(
         "--ping", action="store_true", help="health-check the daemon and exit"
@@ -437,10 +430,7 @@ def _pool_width(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if width < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1, got {width} (use --no-isolate to serve "
-            "in-process)"
-        )
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {width}")
     return width
 
 
@@ -738,7 +728,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_request_bytes=args.max_request_bytes,
         max_conns=args.max_conns,
         request_deadline=args.request_deadline,
-        isolate=False if args.no_isolate else None,
         checkpoint_secs=args.checkpoint_secs,
         crash_dir=args.crash_dir,
         pool_size=args.pool,
@@ -747,7 +736,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     )
     try:
         announce = daemon.bind()
-    except OSError as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(f"repro-serve: listening on {announce}", flush=True)

@@ -36,18 +36,19 @@ The terminal statuses (:data:`TERMINAL_STATUSES`):
 ``result`` is the request's *deterministic analysis payload*: the exit
 status and the exact lines a fresh ``repro mix`` or ``repro mixy``
 prints on stdout (on stderr for exit 2).  Every front door — the
-one-shot CLI, ``repro prove``, ``repro client`` and both daemon paths —
-runs through :func:`analyze_source`, so the one-shot stdout *is* this
-``result``.  Wall-clock timing and cache-hit counters live in
+one-shot CLI, ``repro prove``, ``repro client`` and the daemon's pool
+workers — runs through :func:`analyze_source`, so the one-shot stdout
+*is* this ``result``.  Wall-clock timing and cache-hit counters live in
 ``served`` (the one-shot CLI prints the MIXY perf summary and its
 ``--store`` counters on stderr) — so ``result`` is bitwise identical
 between a cold run, a warm run, and a fresh process: the store
 accelerates, it never answers.
 
-**Request isolation.**  By default (POSIX) analyze requests run in a
-persistent prefork **worker pool** (``--pool N``): N long-lived workers
-forked from the warm daemon, each serving many requests over a job pipe
-before being recycled.  Every worker inherits the warm caches at fork
+**Request isolation.**  Every analyze and prove request runs in a
+persistent prefork **worker pool** (``--pool N``, POSIX only): N
+long-lived workers forked from the warm daemon, each serving many
+requests over a job pipe before being recycled.  There is no other
+request path.  Every worker inherits the warm caches at fork
 time and ships back its result plus wire-encoded cache deltas
 (:meth:`~repro.smt.service.SolverService.collect_delta_since`, read
 from a per-request insertion-journal mark, so the frame is sized by
@@ -58,28 +59,22 @@ after ``--request-deadline`` plus a grace period) — produces a
 ``degraded`` reply and a crash repro, is replaced by a fresh fork, and
 the daemon itself never goes down.  Workers are marked via
 :func:`repro.parallel.mark_forked_child` so they can never fan out
-grandchildren (which a SIGKILL would orphan).  The only other path is
-in-process (``--no-isolate``, and the default where ``fork`` does not
-exist): analyses run serialized in the daemon itself, and a crashing
-analysis is then fate-shared with the daemon.
+grandchildren (which a SIGKILL would orphan).
 
 **Concurrency and determinism.**  Pooled requests *execute*
-concurrently — only admission sequencing and warm-state merges
-serialize.  Determinism survives because answers are cache-independent
-(the store accelerates, it never answers) and merges that carry new
-solver-cache entries or block memos are admission-ordered by a
-sequencer, so the shared cache evolves as a deterministic function of
-the admission sequence.  Replies need no order: a request that learned
-nothing (an all-hits warm analyze or prove, an error, a fault-injected
-or dead worker) folds its additive counters and replies at once
-instead of waiting behind earlier requests' merges, while a request
-that learned something replies only after its own merge.  Each worker's
-snapshot is labeled with a warm-state **epoch**; a merge that changes
-what a fresh fork would inherit bumps the epoch, and stale idle workers
-are lazily recycled — killed and reforked from the now-warmer parent —
-at acquire time.  Workers are also recycled after ``--worker-requests``
-served requests, past an ``--worker-max-rss-mb`` high-water mark, and
-on any fault.
+concurrently; only warm-state merges serialize, under one lock, in the
+order completions arrive.  Each request's merge happens before its own
+reply, so a client that saw a reply knows the next request can be
+served from what that one learned.  Merge order cannot reach a reply:
+answers are cache-independent (the store accelerates, it never
+answers), and a merge carries only formula→verdict entries and block
+memos — never a model — so whichever completion merges first, every
+later reply is the same.  Each worker's snapshot is labeled with a
+warm-state **epoch**; a merge that changes what a fresh fork would
+inherit bumps the epoch, and stale idle workers are lazily recycled —
+killed and reforked from the now-warmer parent — at acquire time.
+Workers are also recycled after ``--worker-requests`` served requests,
+past an ``--worker-max-rss-mb`` high-water mark, and on any fault.
 
 **Overload and hostile input.**  Connections are handled by one thread
 each.  Admission is a bounded semaphore of ``--queue-depth`` analyze
@@ -240,8 +235,8 @@ def analyze_source(
     source, options)`` becomes a budget, an installed-and-restored fault
     injector, a per-request trace, an analyzer config, a run, output
     lines, an exit code and a store-counter delta: ``repro mix`` /
-    ``mixy`` / ``prove`` / ``client`` and both daemon paths all come
-    through here, so their outputs cannot drift apart.
+    ``mixy`` / ``prove`` / ``client`` and the daemon's pool workers all
+    come through here, so their outputs cannot drift apart.
 
     Never raises on program errors (they are exit-2 lines, or ERROR
     verdicts for a proof); analyzer crashes propagate to the caller,
@@ -651,7 +646,7 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
 class PoolWorker:
     """Parent-side handle to one long-lived pooled request worker."""
 
-    __slots__ = ("pid", "send_fd", "recv_fd", "epoch", "served", "rss_kb", "seq")
+    __slots__ = ("pid", "send_fd", "recv_fd", "epoch", "served", "rss_kb")
 
     def __init__(self, pid: int, send_fd: int, recv_fd: int, epoch: int) -> None:
         self.pid = pid
@@ -663,8 +658,6 @@ class PoolWorker:
         self.served = 0
         #: Worker-reported RSS high-water mark (KB) after its last reply.
         self.rss_kb = 0
-        #: Admission sequence number of the currently dispatched request.
-        self.seq = -1
 
     def exchange(
         self, blob: bytes, kill_after: Optional[float]
@@ -677,62 +670,6 @@ class PoolWorker:
         except OSError:
             return None, False  # worker died between requests
         return _read_frame(self.recv_fd, self.pid, kill_after)
-
-
-class _MergeSequencer:
-    """Admission-ordered merge gate.  Pooled requests *execute*
-    concurrently, but their warm-state merges complete strictly in
-    worker-grant order — so the shared cache and the epoch counter
-    evolve as a deterministic function of the admission sequence, never
-    of thread-scheduling races.
-
-    Only merges need that order, not replies.  A request whose
-    completion has nothing order-sensitive to merge passes its turn
-    with :meth:`skip` instead of waiting for it: the turn advances past
-    a skipped number as soon as every earlier one is done or skipped.
-    Every admitted number must pass :meth:`done` or :meth:`skip` exactly
-    once, or the line stalls."""
-
-    def __init__(self) -> None:
-        self._cv = threading.Condition()
-        self._admitted = 0
-        self._turn = 0
-        #: Skipped numbers the turn has not reached yet.
-        self._skipped: set[int] = set()
-
-    def admit(self) -> int:
-        with self._cv:
-            seq = self._admitted
-            self._admitted += 1
-            return seq
-
-    def wait_turn(self, seq: int) -> None:
-        with self._cv:
-            while self._turn != seq:
-                self._cv.wait()
-
-    def done(self, seq: int) -> None:
-        with self._cv:
-            assert self._turn == seq, (self._turn, seq)
-            self._advance_locked(seq + 1)
-
-    def skip(self, seq: int) -> None:
-        """Give up ``seq``'s turn without waiting for it."""
-        with self._cv:
-            assert seq >= self._turn and seq not in self._skipped, (
-                self._turn, seq,
-            )
-            if seq == self._turn:
-                self._advance_locked(seq + 1)
-            else:
-                self._skipped.add(seq)
-
-    def _advance_locked(self, turn: int) -> None:
-        while turn in self._skipped:
-            self._skipped.remove(turn)
-            turn += 1
-        self._turn = turn
-        self._cv.notify_all()
 
 
 class WorkerPool:
@@ -777,11 +714,8 @@ class WorkerPool:
     # -- acquisition ---------------------------------------------------------
 
     def acquire(self) -> PoolWorker:
-        """A current-epoch worker, its admission sequence number already
-        assigned (``worker.seq``) under the pool lock — so merge order
-        equals grant order and a granted request can never wait on an
-        ungranted one.  Blocks while every worker is busy; dead or
-        stale idle workers are recycled on the way."""
+        """A current-epoch worker.  Blocks while every worker is busy;
+        dead or stale idle workers are recycled on the way."""
         with self._cv:
             while True:
                 if self._closed:
@@ -790,7 +724,6 @@ class WorkerPool:
                 if worker is None and len(self._live) < self.size:
                     worker = self._spawn_locked()
                 if worker is not None:
-                    worker.seq = self._daemon._sequencer.admit()
                     return worker
                 self._cv.wait(_POLL_SECS)
 
@@ -1006,7 +939,6 @@ class ReproDaemon:
         max_request_bytes: int = 4 * 1024 * 1024,
         max_conns: int = 32,
         request_deadline: Optional[float] = None,
-        isolate: Optional[bool] = None,
         checkpoint_secs: float = 30.0,
         crash_dir: str = ".repro-crashes",
         pool_size: Optional[int] = None,
@@ -1027,28 +959,20 @@ class ReproDaemon:
         self.request_deadline = request_deadline
         self.checkpoint_secs = checkpoint_secs
         self.crash_dir = crash_dir
-        # Auto: isolate wherever fork exists; --no-isolate opts out.
-        self._isolate = (
-            isolate if isolate is not None else hasattr(os, "fork")
-        )
-        #: Pooled isolation width: N long-lived prefork workers serving
-        #: requests concurrently; the default is a small host-sized pool.
+        #: Pool width: N long-lived prefork workers serving requests
+        #: concurrently; the default is a small host-sized pool.
         if pool_size is None:
             pool_size = min(4, os.cpu_count() or 1)
         if int(pool_size) < 1:
-            raise ValueError(
-                f"pool_size must be >= 1, got {pool_size} "
-                "(isolate=False serves in-process)"
-            )
+            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.pool_size = int(pool_size)
         self.worker_requests = worker_requests
         self.worker_max_rss_kb = (
             int(worker_max_rss_mb * 1024) if worker_max_rss_mb else None
         )
-        #: Lazily created at the first pooled analyze — by then any
-        #: test monkeypatching is in place and forks inherit it.
+        #: Lazily created at the first analyze — by then any test
+        #: monkeypatching is in place and forks inherit it.
         self._pool: Optional[WorkerPool] = None
-        self._sequencer = _MergeSequencer()
         #: Warm-state epoch: bumped only by merges that change what a
         #: freshly forked worker would inherit (new cache entries or
         #: block memos), i.e. exactly when idle snapshots go stale.
@@ -1059,11 +983,9 @@ class ReproDaemon:
         self._stop_event = threading.Event()
         self.store = None
         self._sock: Optional[socket.socket] = None
-        #: serializes warm-state mutation: merges + saves (and, for
-        #: in-process requests, whole analyses).  Pooled requests *execute*
-        #: concurrently and only take this lock for their merge — the
-        #: admission-ordered :class:`_MergeSequencer` is what keeps
-        #: concurrent clients deterministic there.
+        #: serializes warm-state mutation: merges and saves.  Requests
+        #: *execute* concurrently in the pool and take this lock only for
+        #: their merge, in completion order (see the module docstring).
         self._serial = threading.Lock()
         #: guards the small shared counters below.
         self._lock = threading.Lock()
@@ -1080,12 +1002,15 @@ class ReproDaemon:
     def bind(self) -> str:
         """Import the request path (:data:`PRELOAD_MODULES`), open the
         store, bind the socket, and return the announce string
-        (``unix:PATH`` or ``tcp:HOST:PORT`` with the real port)."""
+        (``unix:PATH`` or ``tcp:HOST:PORT`` with the real port).  Raises
+        :class:`ValueError` on a malformed ``listen`` address, before
+        touching the store."""
         import importlib
 
         from repro import smt
         from repro.store import AnalysisStore
 
+        address = None if self.listen is None else host_port(self.listen)
         for module in PRELOAD_MODULES:
             importlib.import_module(module)
         if self.store_dir is not None:
@@ -1108,10 +1033,9 @@ class ReproDaemon:
             self._sock.bind(self.socket_path)
             announce = f"unix:{self.socket_path}"
         else:
-            host, _, port_text = self.listen.rpartition(":")
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.bind((host or "127.0.0.1", int(port_text or 0)))
+            self._sock.bind(address)
             bound_host, bound_port = self._sock.getsockname()
             announce = f"tcp:{bound_host}:{bound_port}"
         self._sock.listen(max(8, self.max_conns))
@@ -1329,7 +1253,6 @@ class ReproDaemon:
                 stats = {
                     "requests_served": self.requests_served,
                     "protocol": PROTOCOL_VERSION,
-                    "isolated_workers": bool(self._isolate),
                     "queue_depth": self.queue_depth,
                     "inflight": self._inflight,
                     "shed": self._shed,
@@ -1337,8 +1260,7 @@ class ReproDaemon:
                     "epoch": self._epoch,
                     "solver": smt.get_service().stats.as_dict(),
                 }
-            if self._isolate:
-                stats["pool"] = self._ensure_pool().describe()
+            stats["pool"] = self._ensure_pool().describe()
             if self.store is not None:
                 stats["store"] = dict(self.store.stats)
             return _reply("ok", stats=stats)
@@ -1351,8 +1273,6 @@ class ReproDaemon:
         return _reply("protocol_error", error=f"unknown cmd {cmd!r}")
 
     def _handle_analyze(self, request_obj: dict, prove: bool = False) -> dict:
-        from repro import smt
-
         lang = request_obj.get("lang", "mixy")
         source = request_obj.get("source")
         if not isinstance(source, str):
@@ -1367,8 +1287,8 @@ class ReproDaemon:
         if prove:
             options = dict(options, prove=True)
         if lang not in ("mix", "mixy"):
-            # Same message the in-process ValueError produces, but
-            # decided before paying for a fork.
+            # Same message analyze_source's ValueError carries, but
+            # decided before paying for a worker.
             return _reply(
                 "error",
                 error=(
@@ -1395,16 +1315,7 @@ class ReproDaemon:
         try:
             with self._lock:
                 self._inflight += 1
-            if self._isolate:
-                # Pooled requests execute concurrently; only admission
-                # sequencing and warm-state merges serialize.
-                reply = self._analyze_pooled(lang, source, options, injector)
-            else:
-                with self._serial:
-                    with TRACER.span("request", lang, isolated=False):
-                        reply = self._analyze_inproc(lang, source, options)
-                    if reply["status"] == "ok":
-                        self._save_if_due()
+            reply = self._analyze_pooled(lang, source, options, injector)
             elapsed = time.monotonic() - start
             with self._lock:
                 self._avg_secs = (
@@ -1430,32 +1341,16 @@ class ReproDaemon:
             self.store.save(smt.get_service())
             self._unsaved = 0
 
-    def _pool_width(self) -> int:
-        """How many analyses can make progress at once."""
-        return self.pool_size if self._isolate else 1
-
     def _retry_after_ms(self) -> int:
         """When to tell a shed client to come back: the EWMA request
         duration times the number of dispatch *waves* ahead of it —
         in-flight requests divide over the pool's parallel width, so a
         busy N-worker daemon no longer overestimates the wait N-fold."""
         with self._lock:
-            width = self._pool_width()
+            width = self.pool_size
             waves = (max(1, self._inflight) + width - 1) // width
             estimate = max(0.05, self._avg_secs) * waves
         return max(50, min(30_000, int(estimate * 1000)))
-
-    # -- in-process execution (--no-isolate; also fork-less platforms) -------
-
-    def _analyze_inproc(self, lang: str, source: str, options: dict) -> dict:
-        run = analyze_source(
-            lang, source, options, store=self.store,
-            request_deadline=self.request_deadline, crash_dir=self.crash_dir,
-        )
-        served = {"requests_served": self.requests_served, "isolated": False}
-        if self.store is not None:
-            served["store"] = run.store
-        return _reply("ok", result=run.result, served=served)
 
     # -- pooled execution (persistent prefork workers) ------------------------
 
@@ -1485,10 +1380,9 @@ class ReproDaemon:
         self, lang: str, source: str, options: dict, injector
     ) -> dict:
         """One request through the worker pool: acquire a current-epoch
-        worker (admission seq assigned with the grant), exchange frames
-        concurrently with other requests, then merge what it learned in
-        admission order and reply (see :class:`_MergeSequencer`).  The
-        worker is held across its merge so its epoch can self-advance
+        worker, exchange frames concurrently with other requests, then
+        merge what it learned under ``_serial`` and reply.  The worker
+        is held across its merge so its epoch can self-advance
         (its local state already contains its own contribution); it
         returns to the pool, or is recycled, after."""
         pool = self._ensure_pool()
@@ -1540,14 +1434,11 @@ class ReproDaemon:
         from repro import smt
 
         worker: Optional[PoolWorker] = pool.acquire()
-        seq = worker.seq
         reply: Optional[dict] = None
         payload = None
         retire: Optional[str] = None
         try:
-            with TRACER.span(
-                "request", lang, isolated=True, pooled=True, pid=worker.pid
-            ):
+            with TRACER.span("request", lang, pid=worker.pid):
                 frame, timed_out = worker.exchange(job, kill_after)
             if frame is not None:
                 try:
@@ -1575,10 +1466,7 @@ class ReproDaemon:
                 reply = _reply(
                     "error",
                     error=error_text,
-                    served={
-                        "requests_served": self.requests_served,
-                        "isolated": True,
-                    },
+                    served={"requests_served": self.requests_served},
                 )
             else:
                 worker.served += 1
@@ -1587,23 +1475,13 @@ class ReproDaemon:
                     # The injector consumed schedule state inside the
                     # worker; recycling keeps the next request pristine.
                     retire = "fault-injected"
-                served = {
-                    "requests_served": self.requests_served,
-                    "isolated": True,
-                }
+                served = {"requests_served": self.requests_served}
                 if self.store is not None:
                     served["store"] = dict(payload.get("store_stats") or {})
                 reply = _reply("ok", result=payload["result"], served=served)
         finally:
-            # A completion that learned something merges — and only then
-            # replies — in admission order.  Everything else (no new
-            # cache entry or memo, a fault-injected run, an error, a
-            # death) folds its additive counters and passes its turn at
-            # once: its reply waits for nobody's merge.  Every admitted
-            # seq MUST pass done() or skip() or the line stalls.
-            ordered = payload is not None and _learned(payload)
-            if ordered:
-                self._sequencer.wait_turn(seq)
+            # A clean completion merges before it replies, in whatever
+            # order completions arrive: merge order cannot reach a reply.
             try:
                 if payload is not None:
                     with self._serial:
@@ -1611,10 +1489,6 @@ class ReproDaemon:
                         if reply is not None and reply["status"] == "ok":
                             self._save_if_due()
             finally:
-                if ordered:
-                    self._sequencer.done(seq)
-                else:
-                    self._sequencer.skip(seq)
                 if worker is not None:
                     pool.release(worker, retire=retire)
         return reply
@@ -1690,10 +1564,7 @@ class ReproDaemon:
         reply = _reply(
             "degraded",
             error=f"request worker died: {reason}",
-            served={
-                "requests_served": self.requests_served,
-                "isolated": True,
-            },
+            served={"requests_served": self.requests_served},
         )
         if repro_path:
             reply["crash_repro"] = str(repro_path)
@@ -1726,21 +1597,6 @@ class ReproDaemon:
                 self.store.save(smt.get_service())
 
 
-def _learned(payload: dict) -> bool:
-    """Whether a clean pooled completion carries order-sensitive warm
-    state: solver-cache entries or block memos.  Its merge must then
-    happen in admission order; any other payload merges only additive
-    counters, which commute."""
-    if payload.get("faulted"):
-        return False  # _merge_pooled folds nothing from a faulted run
-    delta = payload.get("delta")
-    return bool(
-        (delta is not None and delta.entries)
-        or payload.get("mixy_new")
-        or payload.get("mix_new")
-    )
-
-
 def _death_reason(status: int) -> str:
     """Human-readable cause from a ``waitpid`` status word."""
     if os.WIFSIGNALED(status):
@@ -1771,6 +1627,17 @@ class ClientError(ConnectionError):
         self.retryable = retryable
 
 
+def host_port(text: str) -> tuple[str, int]:
+    """Parse ``HOST:PORT`` (``--listen``, or a ``tcp:`` client address
+    without its prefix); an empty host means 127.0.0.1.  Raises
+    :class:`ValueError` unless PORT is a number in 0..65535."""
+    host, colon, port_text = text.rpartition(":")
+    port = int(port_text) if colon and port_text.isdecimal() else -1
+    if not 0 <= port <= 65535:
+        raise ValueError(f"bad address {text!r}; expected HOST:PORT")
+    return host or "127.0.0.1", port
+
+
 def connect(
     address: str,
     timeout: float = 60.0,
@@ -1779,12 +1646,12 @@ def connect(
     """Open a client socket to ``unix:PATH`` / ``tcp:HOST:PORT`` (or a
     bare filesystem path, treated as a Unix socket).  The connect phase
     uses ``connect_timeout`` (default: ``timeout``) so a dead host
-    fails fast even when the request timeout is generous."""
+    fails fast even when the request timeout is generous.  A malformed
+    ``tcp:`` address raises :class:`ValueError`."""
     establish = timeout if connect_timeout is None else connect_timeout
     if address.startswith("tcp:"):
-        host, _, port_text = address[len("tcp:"):].rpartition(":")
         sock = socket.create_connection(
-            (host or "127.0.0.1", int(port_text)), timeout=establish
+            host_port(address[len("tcp:"):]), timeout=establish
         )
         sock.settimeout(timeout)
         return sock
@@ -1809,6 +1676,8 @@ def request(
     traceback-bait exception."""
     try:
         sock = connect(address, timeout=timeout, connect_timeout=connect_timeout)
+    except ValueError as error:
+        raise ClientError(f"cannot connect to {address}: {error}") from None
     except FileNotFoundError:
         raise ClientError(
             f"cannot connect to {address}: no such socket", retryable=True

@@ -98,6 +98,11 @@ POINT_KINDS = frozenset(
         "budget.breach",  # resource governor cut something short
         "shed",  # daemon: request refused with a busy reply
         "worker_crash",  # daemon: a request worker died or missed deadline
+        "pool_spawn",  # daemon: a pool worker was forked
+        "pool_recycle",  # daemon: a pool worker was killed to be replaced
+        "pool_retire",  # daemon: a pool worker died mid-request and was reaped
+        "pool_request_retry",  # daemon: a request re-ran after its worker died
+        "epoch",  # daemon: a merge made fresh forks warmer
     }
 )
 

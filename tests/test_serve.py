@@ -28,7 +28,6 @@ from repro.serve import (
     ClientError,
     ReproDaemon,
     TERMINAL_STATUSES,
-    _MergeSequencer,
     analyze_source,
     bench,
     request,
@@ -103,17 +102,15 @@ class TestAnalyzeSource:
 
 class TestCrashDir:
     """A contained block crash writes its repro under the daemon's own
-    ``crash_dir``, on both request paths — never into the daemon's
-    working directory."""
+    ``crash_dir`` — never into the daemon's working directory."""
 
-    @pytest.mark.parametrize("isolate", [True, False], ids=["pooled", "no-isolate"])
     def test_block_crash_repro_lands_in_the_crash_dir(
-        self, tmp_path, monkeypatch, isolate
+        self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
         crash_dir = tmp_path / "crashes"
         daemon = ReproDaemon(
-            socket_path="unused.sock", store_dir=None, isolate=isolate,
+            socket_path="unused.sock", store_dir=None,
             pool_size=1, crash_dir=str(crash_dir),
         )
         try:
@@ -170,19 +167,18 @@ class TestCrashDir:
             results[crash_dir] = {
                 "exit": proc.returncode, "lines": proc.stdout.splitlines(),
             }
-            for isolate in (True, False):
-                crash_dir = tmp_path / f"{'pooled' if isolate else 'no-isolate'}-{run}"
-                daemon = ReproDaemon(
-                    socket_path="unused.sock", store_dir=None,
-                    isolate=isolate, pool_size=1, crash_dir=str(crash_dir),
-                )
-                try:
-                    reply = daemon.handle_line(request_line)
-                finally:
-                    if daemon._pool is not None:
-                        daemon._pool.close()
-                assert reply["status"] == "ok", reply
-                results[crash_dir] = reply["result"]
+            crash_dir = tmp_path / f"pooled-{run}"
+            daemon = ReproDaemon(
+                socket_path="unused.sock", store_dir=None,
+                pool_size=1, crash_dir=str(crash_dir),
+            )
+            try:
+                reply = daemon.handle_line(request_line)
+            finally:
+                if daemon._pool is not None:
+                    daemon._pool.close()
+            assert reply["status"] == "ok", reply
+            results[crash_dir] = reply["result"]
         first = next(iter(results.values()))
         assert all(result == first for result in results.values()), results
         named = re.findall(r"repro at (crash-[0-9a-f]+\.json)", "\n".join(first["lines"]))
@@ -201,8 +197,8 @@ EXAMPLE_FILES = sorted(
 class TestOneShotIsTheDaemonResult:
     """``repro mix`` / ``repro mixy`` print the daemon's ``result``
     verbatim: a fresh one-shot process's stdout (stderr for exit 2) and
-    exit code equal the in-process and the pooled daemon's reply to the
-    same request, for every example program at both entries."""
+    exit code equal the pooled daemon's reply to the same request, for
+    every example program at both entries."""
 
     def test_every_example_at_both_entries(self, tmp_path, monkeypatch):
         assert EXAMPLE_FILES
@@ -212,13 +208,10 @@ class TestOneShotIsTheDaemonResult:
         # one-shot run's options.
         for name in ("REPRO_JOBS", "REPRO_VALIDATE_WITNESSES"):
             env.pop(name, None)
-        daemons = [
-            ReproDaemon(
-                socket_path="unused.sock", store_dir=None, isolate=isolate,
-                pool_size=1, crash_dir=str(tmp_path / "crashes"),
-            )
-            for isolate in (False, True)
-        ]
+        daemon = ReproDaemon(
+            socket_path="unused.sock", store_dir=None,
+            pool_size=1, crash_dir=str(tmp_path / "crashes"),
+        )
         try:
             for path in EXAMPLE_FILES:
                 lang = "mixy" if path.suffix == ".c" else "mix"
@@ -238,14 +231,12 @@ class TestOneShotIsTheDaemonResult:
                         "source": path.read_text(),
                         "options": {"entry": entry},
                     })
-                    for daemon in daemons:
-                        reply = daemon.handle_line(request_line)
-                        assert reply["status"] == "ok", (path, entry, reply)
-                        assert reply["result"] == one_shot, (path, entry)
+                    reply = daemon.handle_line(request_line)
+                    assert reply["status"] == "ok", (path, entry, reply)
+                    assert reply["result"] == one_shot, (path, entry)
         finally:
-            for daemon in daemons:
-                if daemon._pool is not None:
-                    daemon._pool.close()
+            if daemon._pool is not None:
+                daemon._pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +561,15 @@ class TestWorkerIsolation:
 
         monkeypatch.setattr(serve_mod, "analyze_source", boom)
         daemon = ReproDaemon(socket_path="unused.sock", store_dir=None)
-        assert daemon._isolate
-        response = daemon.handle_line(json.dumps(
-            {"cmd": "analyze", "lang": "mix", "source": "{s 1 s}"}
-        ))
-        assert response["ok"] is False and response["status"] == "error"
-        assert "RuntimeError: analyzer bug" in response["error"]
-        assert daemon.handle_line('{"cmd": "ping"}')["ok"]
+        try:
+            response = daemon.handle_line(json.dumps(
+                {"cmd": "analyze", "lang": "mix", "source": "{s 1 s}"}
+            ))
+            assert response["ok"] is False and response["status"] == "error"
+            assert "RuntimeError: analyzer bug" in response["error"]
+            assert daemon.handle_line('{"cmd": "ping"}')["ok"]
+        finally:
+            daemon._pool.close()
 
     def test_workers_inherit_the_request_path_imports(self, tmp_path):
         # A fresh interpreter runs the daemon (this test process has the
@@ -723,23 +716,26 @@ class TestOverload:
     def test_full_queue_sheds_with_busy_and_retry_hint(self):
         daemon = ReproDaemon(
             socket_path="unused.sock", store_dir=None, queue_depth=1,
-            isolate=False,
+            pool_size=1,
         )
         # Occupy the only slot by hand; the next analyze must be shed.
         assert daemon._slots.acquire(blocking=False)
-        response = daemon.handle_line(json.dumps(
-            {"cmd": "analyze", "lang": "mix", "source": "{s 1 s}"}
-        ))
-        assert response["ok"] is False
-        assert response["status"] == "busy"
-        assert response["retry_after_ms"] >= 50
-        stats = daemon.handle_line('{"cmd": "stats"}')["stats"]
-        assert stats["shed"] == 1
-        # Release the slot and the same request goes through.
-        daemon._slots.release()
-        assert daemon.handle_line(json.dumps(
-            {"cmd": "analyze", "lang": "mix", "source": "{s 1 s}"}
-        ))["ok"]
+        try:
+            response = daemon.handle_line(json.dumps(
+                {"cmd": "analyze", "lang": "mix", "source": "{s 1 s}"}
+            ))
+            assert response["ok"] is False
+            assert response["status"] == "busy"
+            assert response["retry_after_ms"] >= 50
+            stats = daemon.handle_line('{"cmd": "stats"}')["stats"]
+            assert stats["shed"] == 1
+            # Release the slot and the same request goes through.
+            daemon._slots.release()
+            assert daemon.handle_line(json.dumps(
+                {"cmd": "analyze", "lang": "mix", "source": "{s 1 s}"}
+            ))["ok"]
+        finally:
+            daemon._pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +826,34 @@ class TestClientFailureModes:
         with pytest.raises(ClientError) as info:
             request(f"tcp:127.0.0.1:{port}", {"cmd": "ping"}, timeout=5)
         assert info.value.retryable
+
+    @pytest.mark.parametrize(
+        "address", ["tcp:localhost", "tcp:127.0.0.1:notaport", "tcp:h:99999"]
+    )
+    def test_malformed_tcp_address_is_a_final_client_error(self, address):
+        with pytest.raises(ClientError, match="expected HOST:PORT") as info:
+            request(address, {"cmd": "ping"}, timeout=5)
+        assert not info.value.retryable
+
+    @pytest.mark.parametrize(
+        "address", ["tcp:localhost", "tcp:127.0.0.1:notaport"]
+    )
+    def test_cli_client_malformed_address_exits_2(self, address, capsys):
+        from repro.cli import main
+
+        assert main(["client", "--ping", "--connect", address]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expected HOST:PORT" in err
+
+    def test_cli_serve_malformed_listen_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        code = main(["serve", "--listen", "localhost", "--store", str(store)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expected HOST:PORT" in err
+        assert not store.exists()  # refused before opening the store
 
     @staticmethod
     def _one_shot_server(behavior):
@@ -954,86 +978,6 @@ class TestClientFailureModes:
 
 
 # ---------------------------------------------------------------------------
-# The merge sequencer: learning merges in admission order, skips pass
-# ---------------------------------------------------------------------------
-
-
-def _turn_reached(sequencer, seq, timeout=5.0) -> bool:
-    """Whether ``wait_turn(seq)`` returns within ``timeout`` seconds."""
-    waiter = threading.Thread(
-        target=sequencer.wait_turn, args=(seq,), daemon=True
-    )
-    waiter.start()
-    waiter.join(timeout)
-    return not waiter.is_alive()
-
-
-class TestMergeSequencer:
-    def test_skip_at_the_turn_passes_it(self):
-        sequencer = _MergeSequencer()
-        first, second = sequencer.admit(), sequencer.admit()
-        sequencer.skip(first)
-        assert _turn_reached(sequencer, second)
-        sequencer.done(second)
-        assert _turn_reached(sequencer, sequencer.admit())
-
-    def test_skip_before_the_turn_is_passed_when_the_turn_arrives(self):
-        sequencer = _MergeSequencer()
-        first, second, third = (sequencer.admit() for _ in range(3))
-        sequencer.skip(second)  # not its turn yet: first still merging
-        assert not _turn_reached(sequencer, third, timeout=0.2)
-        sequencer.done(first)
-        assert _turn_reached(sequencer, third)
-
-    def test_a_chain_of_skips_is_passed_in_one_step(self):
-        sequencer = _MergeSequencer()
-        seqs = [sequencer.admit() for _ in range(6)]
-        for seq in (seqs[3], seqs[1], seqs[4], seqs[2]):
-            sequencer.skip(seq)
-        assert not _turn_reached(sequencer, seqs[5], timeout=0.2)
-        sequencer.done(seqs[0])
-        assert _turn_reached(sequencer, seqs[5])
-
-    def test_mixed_skips_and_merges_never_stall(self):
-        """Every admitted number either merges (waits for its turn, then
-        ``done``) or skips, from its own thread in a shuffled start
-        order: the line always drains, and merges finish in admission
-        order."""
-        import random
-
-        rng = random.Random(7)
-        sequencer = _MergeSequencer()
-        seqs = [sequencer.admit() for _ in range(40)]
-        merging = {seq for seq in seqs if rng.random() < 0.5}
-        merged = []
-
-        def complete(seq):
-            if seq in merging:
-                sequencer.wait_turn(seq)
-                merged.append(seq)
-                sequencer.done(seq)
-            else:
-                sequencer.skip(seq)
-
-        threads = [
-            threading.Thread(target=complete, args=(seq,), daemon=True)
-            for seq in rng.sample(seqs, len(seqs))
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the threads finely
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(10.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert merged == sorted(merging)
-        assert _turn_reached(sequencer, sequencer.admit())
-
-
-# ---------------------------------------------------------------------------
 # The prefork pool: concurrent dispatch, epochs, recycling
 # ---------------------------------------------------------------------------
 
@@ -1135,32 +1079,74 @@ class TestPoolConcurrency:
         assert report["p50_ms"] <= report["p95_ms"] <= report["p99_ms"]
         assert report["throughput_rps"] > 0
 
-    def test_warm_prove_overtakes_a_slow_cold_analyze(self, tmp_path):
-        """Only merges are admission-ordered, not replies: a warm prove
-        that learns nothing, admitted while a slow cold analyze runs on
-        the other worker, replies first.  Both replies match their
-        one-shot runs, and the analyze's reply still implies its merge:
-        a follow-up of the same program is served from the store."""
-        prop = (
-            pathlib.Path(SRC_DIR).parent / "examples" / "properties"
-            / "midpoint_bounds.c"
+    def test_pooled_trace_passes_trace_report(self, tmp_path):
+        """The pool's point events (spawn, recycle, epoch) are trace
+        schema kinds: with a recycle after every request, the daemon's
+        trace validates and aggregates, and ``repro trace-report`` on it
+        exits 0."""
+        from repro.cli import main
+        from repro.trace import aggregate, read_trace
+
+        trace = tmp_path / "serve.jsonl"
+        proc, address = _start_daemon(
+            tmp_path, "--pool", "2", "--worker-requests", "1",
+            "--trace", str(trace),
         )
-        slow = parallel_vsftpd(depth=4)
-        analyze_baseline = _fresh_cli_result(tmp_path, slow)
-        prove_baseline = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "prove", str(prop)],
-            capture_output=True, text=True, env=_subprocess_env(),
-            cwd=tmp_path, timeout=300,
-        )
-        prove = {
-            "cmd": "prove", "lang": "mixy", "source": prop.read_text(),
-            "options": {"name": str(prop)},
-        }
+        try:
+            replies = [_analyze_request(address, source=STAIRCASE)
+                       for _ in range(2)]
+        finally:
+            request(address, {"cmd": "shutdown"})
+            _finish(proc)
+        assert [reply["status"] for reply in replies] == ["ok", "ok"]
+        events = read_trace(trace)
+        kinds = {event.get("kind") for event in events}
+        assert {"pool_spawn", "pool_recycle", "epoch"} <= kinds
+        digest = aggregate(events)
+        assert digest["span_kinds"]["request"]["count"] == 2
+        assert main(["trace-report", str(trace)]) == 0
+
+    @pytest.mark.parametrize("overtaker", ["warm-prove", "cold-analyze"])
+    def test_quick_request_overtakes_a_slow_cold_analyze(
+        self, tmp_path, overtaker
+    ):
+        """Merges happen in completion order, not admission order: a
+        quick request admitted while a slow cold analyze runs on the
+        other worker replies first — whether it is a warm prove that
+        learns nothing or a cold analyze of another program that records
+        block memos.  Every reply matches its one-shot run, and an
+        analyze's reply still implies its own merge: a follow-up of the
+        same program is served from the store."""
+        slow = parallel_vsftpd(depth=5)
+        slow_baseline = _fresh_cli_result(tmp_path, slow)
+        if overtaker == "warm-prove":
+            prop = (
+                pathlib.Path(SRC_DIR).parent / "examples" / "properties"
+                / "midpoint_bounds.c"
+            )
+            one_shot = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "prove", str(prop)],
+                capture_output=True, text=True, env=_subprocess_env(),
+                cwd=tmp_path, timeout=300,
+            )
+            quick = {
+                "cmd": "prove", "lang": "mixy", "source": prop.read_text(),
+                "options": {"name": str(prop)},
+            }
+            quick_baseline = {
+                "exit": one_shot.returncode,
+                "lines": one_shot.stdout.splitlines()[:1],
+            }
+        else:
+            quick = {"cmd": "analyze", "lang": "mixy", "source": STAIRCASE,
+                     "options": {}}
+            quick_baseline = _fresh_cli_result(tmp_path, STAIRCASE)
         proc, address = _start_daemon(tmp_path, "--pool", "2")
         try:
-            cold_prove = request(address, prove, timeout=300.0)
-            finished = []
             replies = {}
+            if overtaker == "warm-prove":
+                replies["cold prove"] = request(address, quick, timeout=300.0)
+            finished = []
 
             def send(kind, payload):
                 replies[kind] = request(address, payload, timeout=300.0)
@@ -1168,8 +1154,8 @@ class TestPoolConcurrency:
 
             analyze = threading.Thread(
                 target=send,
-                args=("analyze", {"cmd": "analyze", "lang": "mixy",
-                                  "source": slow, "options": {}}),
+                args=("slow", {"cmd": "analyze", "lang": "mixy",
+                               "source": slow, "options": {}}),
             )
             analyze.start()
 
@@ -1177,32 +1163,39 @@ class TestPoolConcurrency:
                 workers = request(address, {"cmd": "stats"})["stats"]
                 return sum(w["busy"] for w in workers["pool"]["workers"])
 
-            # A busy worker means the analyze holds the earlier
-            # admission number (both are assigned under the pool lock).
+            # A busy worker means the slow analyze is already running.
             deadline = time.monotonic() + 60
             while not busy_workers():
                 assert time.monotonic() < deadline, "analyze never started"
                 time.sleep(0.01)
-            send("prove", prove)
-            # The prove's reply came while the analyze still ran.
-            busy_after_prove = busy_workers()
+            send("quick", quick)
+            # The quick reply came while the slow analyze still ran.
+            busy_after_quick = busy_workers()
             analyze.join(timeout=300)
-            follow_up = _analyze_request(address, source=slow)
+            follow_ups = [
+                _analyze_request(address, source=source)
+                for source in (
+                    [slow] if overtaker == "warm-prove" else [slow, STAIRCASE]
+                )
+            ]
         finally:
             request(address, {"cmd": "shutdown"})
             _finish(proc)
-        assert finished == ["prove", "analyze"]
-        assert busy_after_prove == 1
-        assert replies["analyze"]["status"] == "ok"
-        assert replies["analyze"]["result"] == analyze_baseline
-        for reply in (cold_prove, replies["prove"]):
-            assert reply["status"] == "ok"
-            assert reply["result"]["exit"] == prove_baseline.returncode
-            assert reply["result"]["lines"] == (
-                prove_baseline.stdout.splitlines()[:1]
-            )
-        assert follow_up["result"] == analyze_baseline
-        assert follow_up["served"]["store"].get("mixy_hits", 0) > 0
+        assert finished == ["quick", "slow"]
+        assert busy_after_quick == 1
+        assert replies["slow"]["status"] == "ok"
+        assert replies["slow"]["result"] == slow_baseline
+        for kind in set(replies) - {"slow"}:
+            assert replies[kind]["status"] == "ok", kind
+            result = replies[kind]["result"]
+            assert {"exit": result["exit"], "lines": result["lines"]} == (
+                quick_baseline
+            ), kind
+        for follow_up, baseline in zip(
+            follow_ups, [slow_baseline, quick_baseline]
+        ):
+            assert follow_up["result"] == baseline
+            assert follow_up["served"]["store"].get("mixy_hits", 0) > 0
 
     def test_retry_hint_accounts_for_pool_width(self):
         """The shed-client backoff hint divides the in-flight queue over
@@ -1215,7 +1208,7 @@ class TestPoolConcurrency:
         assert pooled._retry_after_ms() == 2000  # two dispatch waves
 
         serial = ReproDaemon(
-            socket_path="unused.sock", store_dir=None, isolate=False
+            socket_path="unused.sock", store_dir=None, pool_size=1
         )
         serial._avg_secs = 1.0
         serial._inflight = 8
@@ -1223,24 +1216,22 @@ class TestPoolConcurrency:
 
     @pytest.mark.parametrize("width", [0, -3])
     def test_pool_below_one_worker_is_rejected(self, width):
-        """A pool has at least one worker; in-process serving is
-        ``isolate=False``, never a zero-width pool."""
-        with pytest.raises(ValueError, match="isolate=False"):
+        """A pool has at least one worker: the pool is the daemon's only
+        request path."""
+        with pytest.raises(ValueError, match="pool_size must be >= 1"):
             ReproDaemon(
                 socket_path="unused.sock", store_dir=None, pool_size=width
             )
 
     @pytest.mark.parametrize("width", ["0", "-1"])
-    def test_cli_pool_below_one_exits_2_pointing_at_no_isolate(
-        self, width, capsys
-    ):
+    def test_cli_pool_below_one_exits_2(self, width, capsys):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--pool", width, "--no-store"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --pool" in err and "--no-isolate" in err
+        assert "argument --pool" in err and "must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------
@@ -1289,13 +1280,11 @@ def _serial_series(tmp, source, name, *extra):
             start = time.monotonic()
             replies.append(request(address, payload, timeout=300))
             timings.append(time.monotonic() - start)
-        stats = request(address, {"cmd": "stats"})["stats"]
         request(address, {"cmd": "shutdown"})
     finally:
         _finish(proc)
     for reply in replies:
         assert reply["ok"], reply
-    assert bool(stats["isolated_workers"]) == ("--no-isolate" not in extra)
     return {
         "results": [reply["result"] for reply in replies],
         "cold_secs": timings[0],
@@ -1317,20 +1306,17 @@ def staircase_daemons(tmp_path_factory):
         "serial_pooled": _serial_series(
             tmp, source, "serial-pooled", "--pool", str(BURST_POOL)
         ),
-        "serial_inproc": _serial_series(
-            tmp, source, "serial-inproc", "--no-isolate"
-        ),
     }
 
 
 class TestStaircaseDaemons:
     """A four-worker pool and a one-worker pool under an 8-client burst,
-    and a pooled and an in-process daemon serving one request at a
-    time: every reply is a fresh one-shot run's, byte for byte."""
+    and a four-worker pool serving one request at a time: every reply is
+    a fresh one-shot run's, byte for byte."""
 
     def test_concurrency_never_leaks_into_answers(self, staircase_daemons):
         baseline = staircase_daemons["baseline"]
-        for mode in ("pooled", "serialized", "serial_pooled", "serial_inproc"):
+        for mode in ("pooled", "serialized", "serial_pooled"):
             for result in staircase_daemons[mode]["results"]:
                 assert result == baseline, mode
 
@@ -1340,8 +1326,7 @@ class TestStaircaseDaemons:
         assert pooled["epoch"] >= 1  # the cold request's memos were merged
         assert staircase_daemons["serialized"]["stats"]["pool"]["forks"] >= 1
 
-    def test_both_serial_series_went_warm(self, staircase_daemons):
-        for mode in ("serial_pooled", "serial_inproc"):
-            series = staircase_daemons[mode]
-            assert series["warm_memo_hits"] > 0, mode
-            assert series["warm_secs_mean"] < series["cold_secs"], mode
+    def test_serial_series_went_warm(self, staircase_daemons):
+        series = staircase_daemons["serial_pooled"]
+        assert series["warm_memo_hits"] > 0
+        assert series["warm_secs_mean"] < series["cold_secs"]

@@ -414,9 +414,24 @@ class Mix:
             for d in out.state.defs:
                 if d not in assumptions:
                     assumptions.append(d)
+        service = smt.get_service()
+        timeouts = service.stats.query_timeouts
         try:
             exhaustive = smt.is_valid(smt.or_(*guards), assuming=assumptions)
         except smt.SolverError:
+            budget = self.config.budget
+            if budget is not None and (
+                budget.expired() or service.stats.query_timeouts > timeouts
+            ):
+                # The budget cut the check short: the paths may well be
+                # exhaustive, so report the breach, not a coverage gap.
+                self.stats["budget_breaches"] += 1
+                raise MixTypeError(
+                    "resource budget breached: the exhaustiveness check "
+                    "was cut short; the analysis cannot finish soundly",
+                    block.pos,
+                    kind=ErrKind.BUDGET,
+                )
             exhaustive = False
         if not exhaustive:
             raise MixTypeError(

@@ -430,7 +430,9 @@ class TestDeadlineContract:
     verdict: a ``BUDGET`` rejection in SOUND mode, a truncation warning
     in GOOD_ENOUGH, never a hang or a silently wrong acceptance."""
 
-    @pytest.mark.parametrize("k", [8, 10])
+    # 2^10 paths take a few times DEADLINE ungoverned, 2^12 tens of times;
+    # 2^8 finishes inside it, so it cannot exercise the contract.
+    @pytest.mark.parametrize("k", [10, 12])
     @pytest.mark.parametrize(
         "soundness", [SoundnessMode.SOUND, SoundnessMode.GOOD_ENOUGH]
     )
@@ -463,6 +465,21 @@ class TestDeadlineContract:
         )
         assert elapsed <= 2 * DEADLINE
         assert not report.ok
+
+    def test_exhaustiveness_check_cut_by_budget_reports_the_breach(self):
+        """Every path completes, but the budget leaves the final validity
+        query undecided: the rejection names the breach, not a coverage
+        gap the paths do not have."""
+        report, _, _ = _timed(
+            lambda: _fork_k(
+                2, SoundnessMode.SOUND, Budget(query_timeout=1e-9)
+            )
+        )
+        assert not report.ok
+        assert [d.kind for d in report.diagnostics] == [ErrKind.BUDGET]
+        assert "exhaustiveness check was cut short" in str(
+            report.diagnostics[0]
+        )
 
     def test_vsftpd_degrades_with_fallbacks(self):
         """A deadline far below mini-vsftpd's ungoverned runtime: the

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
@@ -150,9 +151,22 @@ class MixyConfig:
 
 
 @dataclass
-class _CacheEntry:
-    null_slots: list[QVar]
-    warnings: list[CWarning]
+class _BlockLog:
+    """What one executing block does that a replay must repeat, in
+    order: every warning it raises (one of another block's already
+    included, since :meth:`CSymExecutor.warn` would drop it here but
+    not in a run without that block), and every typed call as
+    ``(callee, arg_nullness, position)``, where ``position`` counts the
+    warnings raised before it.  A call to a function returning a data
+    pointer makes the block unreplayable: its havocked return value
+    reads the callee's return-qualifier solution, which the store key
+    does not cover."""
+
+    warnings: list[CWarning] = field(default_factory=list)
+    calls: list[tuple[str, tuple[Optional[bool], ...], int]] = field(
+        default_factory=list
+    )
+    replayable: bool = True
 
 
 @dataclass
@@ -160,13 +174,12 @@ class _BlockExecution:
     """One symbolic block execution's results plus the bookkeeping the
     cross-run store needs to replay it: the watched list as slot
     references (:attr:`QualInference.slot_refs`), null conclusions as
-    indices into it, and whether it made typed calls."""
+    indices into it, and the block's :class:`_BlockLog`."""
 
     null_slots: list[QVar]
-    warnings: list[CWarning]
     watched: tuple[tuple[tuple, int], ...]
     null_indices: tuple[int, ...]
-    typed_calls_delta: int
+    log: _BlockLog
 
 
 @dataclass
@@ -215,8 +228,14 @@ class Mixy:
             self.executor.witness_checker = self._check_witness
         self._replay_context: Optional[_ReplayContext] = None
         self._entry: tuple[str, str] = ("typed", "main")
-        self._cache: dict[tuple, _CacheEntry] = {}
+        #: §4.3 block cache: a symbolic block's null conclusions per
+        #: (name, calling context); a typed block's key alone records
+        #: that its constraints were added
+        self._cache: dict[tuple, list[QVar]] = {}
         self._block_stack: list[tuple] = []
+        #: the innermost block executing right now, unless a typed call
+        #: it made is running (see _typed_call_effects)
+        self._block_log: Optional[_BlockLog] = None
         #: entry -> (qualifier-graph edge count, (typed, frontier)); the
         #: call-graph walk is invalidated only when the graph gained edges
         self._partition_cache: dict[str, tuple[int, tuple[frozenset[str], frozenset[str]]]] = {}
@@ -406,16 +425,16 @@ class Mixy:
                 self.stats["cache_hits"] += 1
                 if span is not None:
                     span.fields["cached"] = True
-                self._apply_conclusions(cached.null_slots, name)
+                self._apply_conclusions(cached, name)
                 return
         memo_key: Optional[str] = None
         if self._store_active():
-            memo_key = self._store_key(fn, context_key)
+            memo_key = self._store_key(fn, context_key, context_slots)
             entry = self.config.store.mixy_get(memo_key)
             if entry is not None:
                 # Cross-run store hit: replay the block's observable
-                # effects — warnings and null conclusions — without
-                # re-executing it.
+                # effects — warnings, typed calls and null conclusions —
+                # without re-executing it.
                 if span is not None:
                     span.fields["store_hit"] = True
                 self._replay_block_entry(fn, entry, name, stack_key)
@@ -424,7 +443,6 @@ class Mixy:
         breaches_before = self.executor.stats["budget_breaches"]
         try:
             execution = self._execute_symbolic_block(fn, context_slots)
-            null_slots, warnings = execution.null_slots, execution.warnings
         except CTypeError:
             raise  # a frontend/program error, not an analysis crash
         except Exception as error:
@@ -434,7 +452,7 @@ class Mixy:
             return
         finally:
             self._block_stack.pop()
-        self._apply_conclusions(null_slots, name)
+        self._apply_conclusions(execution.null_slots, name)
         if self.executor.stats["budget_breaches"] > breaches_before:
             # The governor cut this block short.  The null facts gathered so
             # far are sound (each came from a feasible path) and were
@@ -449,15 +467,14 @@ class Mixy:
             self.qual.constrain_function(name)
             return
         if self.config.enable_cache:
-            self._cache[stack_key] = _CacheEntry(null_slots, warnings)
-        if memo_key is not None and execution.typed_calls_delta == 0:
-            # Record for future runs.  Only *pure* blocks — no typed
-            # calls executed — are memoizable: a typed call's qualifier
-            # constraints and nested analyses are side effects a skip
-            # could not replay.  Warnings ship as plain strings; the
-            # watched list as slot references and null conclusions as
-            # indices into it, never as QVar objects (their identity is
-            # per-run).
+            self._cache[stack_key] = execution.null_slots
+        log = execution.log
+        if memo_key is not None and log.replayable:
+            # Record for future runs: everything _replay_block_entry
+            # repeats.  Warnings ship as plain strings and typed calls as
+            # (callee, argument nullness, warning position); the watched
+            # list as slot references and null conclusions as indices
+            # into it, never as QVar objects (their identity is per-run).
             self.config.store.mixy_put(
                 memo_key,
                 {
@@ -465,8 +482,9 @@ class Mixy:
                     "null_indices": execution.null_indices,
                     "warnings": tuple(
                         (w.kind.value, w.message, w.function)
-                        for w in execution.warnings
+                        for w in log.warnings
                     ),
+                    "calls": tuple(log.calls),
                 },
             )
         if self.config.restore_aliasing:
@@ -488,11 +506,17 @@ class Mixy:
             and smt.get_service().fault_injector is None
         )
 
-    def _store_key(self, fn: CFunction, context_key: tuple) -> str:
+    def _store_key(
+        self,
+        fn: CFunction,
+        context_key: tuple,
+        context_slots: list[tuple[str, QualType]],
+    ) -> str:
         """The block's cross-run identity: its content hash widened with
         its transitive callee cone, struct layouts, the typed calling
-        context, and the analysis configuration.  Editing one function
-        retires exactly the keys whose cone contains it."""
+        context, the field solutions its materialization reads, and the
+        analysis configuration.  Editing one function retires exactly
+        the keys whose cone contains it."""
         from repro.mixy.c.pretty import struct_text
         from repro.store import block_content_hash
 
@@ -519,9 +543,41 @@ class Mixy:
         return block_content_hash(
             self.program,
             fn.name,
-            context=(tuple(cone), self._struct_texts, context_key, config_fp),
+            context=(
+                tuple(cone),
+                self._struct_texts,
+                context_key,
+                self._field_context(context_slots),
+                config_fp,
+            ),
             text=self._function_text(fn),
         )
+
+    def _field_context(self, context_slots: list[tuple[str, QualType]]) -> tuple:
+        """The pointer-field solutions :meth:`_materialize_struct` reads
+        for the structs behind pointer parameters and globals.  The
+        in-process cache key leaves them out (the paper's calling
+        context is parameters and globals), so within a run a changed
+        field solution reuses the cached result, cold or warm alike; but
+        across runs an edit elsewhere can change them.  Slots are read,
+        never made: an absent slot is optimistically ``nonnull``, and
+        making one here would shift the ``#N`` ordinals."""
+        structs: set[str] = set()
+        for _, qt in context_slots:
+            ctype = qt.ctype
+            while isinstance(ctype, PtrType) and not isinstance(ctype.elem, FunType):
+                if isinstance(ctype.elem, StructType):
+                    structs.add(ctype.elem.name)
+                    break
+                ctype = ctype.elem
+        out = []
+        for sname in sorted(structs):
+            for fname, ftype in self.program.structs[sname].fields:
+                if isinstance(ftype, PtrType) and not isinstance(ftype.elem, FunType):
+                    fq = self.qual.existing_slot(("field", sname, fname))
+                    null = fq is not None and self.qual.solution(fq) is NULL
+                    out.append((sname, fname, "null" if null else "nonnull"))
+        return tuple(out)
 
     def _function_text(self, fn: CFunction) -> str:
         text = self._function_texts.get(fn.name)
@@ -555,21 +611,33 @@ class Mixy:
         self, fn: CFunction, entry: dict, name: str, stack_key: tuple
     ) -> None:
         """Apply a stored block result as if the block had just run, with
-        no symbolic state: warnings are re-raised through the
-        deduplicating path, and the stored null indices pick this run's
-        QVar conclusions out of the stored watched-slot references.
-        Every reference is resolved, in the cold walk's order, so a field
-        slot that only materialization would make gets its cold-run
-        ordinal (``#N`` ids print in witness paths)."""
+        no symbolic state, in the cold run's order.  Every watched-slot
+        reference is resolved first, as materialization met them, so a
+        field slot that only materialization would make gets its cold
+        ordinal (``#N`` ids print in witness paths).  Then the warnings
+        are re-raised through the deduplicating path, each typed call's
+        qualifier effects re-applied before the warning it preceded,
+        with the block on the stack as it was when it made them.  Last,
+        the stored null indices pick this run's QVar conclusions."""
         watched = [self.qual.slot_var(ref) for ref in entry["watched"]]
-        warnings = []
-        for kind_value, message, function in entry["warnings"]:
-            self.executor.warn(CErrKind(kind_value), message, function)
-            warnings.append(CWarning(CErrKind(kind_value), message, function))
+        calls = entry["calls"]
+        next_call = 0
+        self._block_stack.append(stack_key)
+        try:
+            for position, warning in enumerate((*entry["warnings"], None)):
+                while next_call < len(calls) and calls[next_call][2] == position:
+                    callee, arg_nullness, _ = calls[next_call]
+                    self._typed_call_effects(callee, arg_nullness)
+                    next_call += 1
+                if warning is not None:
+                    kind_value, message, function = warning
+                    self.executor.warn(CErrKind(kind_value), message, function)
+        finally:
+            self._block_stack.pop()
         null_slots = [watched[i] for i in entry["null_indices"]]
         self._apply_conclusions(null_slots, name)
         if self.config.enable_cache:
-            self._cache[stack_key] = _CacheEntry(null_slots, warnings)
+            self._cache[stack_key] = null_slots
         if self.config.restore_aliasing:
             self._restore_aliasing(fn)
 
@@ -618,7 +686,7 @@ class Mixy:
                 )
                 args.append(value)
         warnings_before = len(self.executor.warnings)
-        typed_calls_before = self.stats["typed_calls"]
+        log = _BlockLog()
         saved_context = self._replay_context
         if self.config.validate_witnesses:
             self._replay_context = _ReplayContext(
@@ -631,11 +699,11 @@ class Mixy:
                 warnings_before,
             )
         try:
-            results = list(self.executor.execute_function(fn, args, state))
+            with self._logging(log):
+                results = list(self.executor.execute_function(fn, args, state))
         finally:
             self.executor.global_env = saved_global_env
             self._replay_context = saved_context
-        new_warnings = self.executor.warnings[warnings_before:]
         # §4.1 symbolic values -> types: a watched cell whose final value
         # may be 0 on some feasible path constrains its slot to null.
         # Cells last written by a typed call's havoc are skipped: the
@@ -653,11 +721,23 @@ class Mixy:
                     null_indices.append(index)
         return _BlockExecution(
             null_slots=null_slots,
-            warnings=new_warnings,
             watched=tuple(self.qual.slot_refs[slot] for _, slot in watched),
             null_indices=tuple(null_indices),
-            typed_calls_delta=self.stats["typed_calls"] - typed_calls_before,
+            log=log,
         )
+
+    @contextmanager
+    def _logging(self, log: Optional[_BlockLog]) -> Iterator[None]:
+        """Make ``log`` the one that warnings and typed calls land in
+        (``None``: none does), restoring the enclosing one after."""
+        saved = self._block_log
+        self._block_log = log
+        self.executor.warn_log = log.warnings if log is not None else None
+        try:
+            yield
+        finally:
+            self._block_log = saved
+            self.executor.warn_log = saved.warnings if saved is not None else None
 
     def _materialize_slot(
         self, state: CState, qt: QualType, label: str, watched: list[tuple[int, QVar]]
@@ -914,43 +994,59 @@ class Mixy:
         # context".  The translation (may-be-null per pointer argument)
         # costs one solver query per argument, so compute it once and use
         # it both as the cache key and as the constraint seed.
-        arg_nullness: list[Optional[bool]] = []
-        for i, arg in enumerate(args):
-            if i < len(fn.params) and isinstance(fn.params[i].typ, PtrType):
-                arg_nullness.append(self._may_be_null(state, arg))
-            else:
-                arg_nullness.append(None)
-        cache_key = ("typed-block", name, tuple(arg_nullness))
-        if self.config.enable_cache and cache_key in self._cache:
-            self.stats["cache_hits"] += 1
-            # The constraints this context contributes were already added
-            # (the graph grows monotonically), so only the state effects
-            # (havoc + return shaping) are replayed below.
-        else:
-            # Run qualifier inference over the typed region rooted here.
-            typed, frontier = self._reachable_partition(name)
-            for t in sorted(typed):
-                self.qual.constrain_function(t)
-            for f in sorted(frontier):
-                self._analyze_symbolic_function(f)
-            # §4.1: translate argument symbolic values to type constraints.
-            for i, maybe_null in enumerate(arg_nullness):
-                if maybe_null:
-                    slot = self.qual.param_slot(fn, i)
-                    if slot.top is not None:
-                        self.qual.graph.add_flow(
-                            NULL,
-                            slot.top,
-                            f"symbolic argument {i + 1} of call to {name}",
-                        )
-            if self.config.enable_cache:
-                self._cache[cache_key] = _CacheEntry([], [])
+        arg_nullness = tuple(
+            self._may_be_null(state, arg)
+            if i < len(fn.params) and isinstance(fn.params[i].typ, PtrType)
+            else None
+            for i, arg in enumerate(args)
+        )
+        log = self._block_log
+        if log is not None:
+            log.calls.append((name, arg_nullness, len(log.warnings)))
+            if isinstance(fn.ret, PtrType) and not isinstance(fn.ret.elem, FunType):
+                log.replayable = False  # see _havoc_return_value
+        self._typed_call_effects(name, arg_nullness)
         # Havoc memory the typed callee may reach (§4.2-flavored SETypBlock).
         if self.config.havoc_on_typed_call:
             state = self._havoc_reachable(state, args)
         # Conservative return value from the callee's (inferred) type.
         state, ret = self._havoc_return_value(fn, state)
         yield state, ret
+
+    def _typed_call_effects(
+        self, name: str, arg_nullness: tuple[Optional[bool], ...]
+    ) -> None:
+        """A typed call's effects on the qualifier graph, keyed on the
+        arguments' translated types; the one path for a live call and
+        for a replayed block's logged one.  A context seen before adds
+        nothing (the graph grows monotonically).  Otherwise: qualifier
+        inference over the typed region rooted at the callee, its
+        symbolic frontier's blocks (which record and replay on their
+        own, not into the calling block's log), and a null flow into
+        each parameter whose argument may be null."""
+        cache_key = ("typed-block", name, arg_nullness)
+        if self.config.enable_cache and cache_key in self._cache:
+            self.stats["cache_hits"] += 1
+            return
+        with self._logging(None):
+            typed, frontier = self._reachable_partition(name)
+            for t in sorted(typed):
+                self.qual.constrain_function(t)
+            for f in sorted(frontier):
+                self._analyze_symbolic_function(f)
+        fn = self.program.functions[name]
+        # §4.1: translate argument symbolic values to type constraints.
+        for i, maybe_null in enumerate(arg_nullness):
+            if maybe_null:
+                slot = self.qual.param_slot(fn, i)
+                if slot.top is not None:
+                    self.qual.graph.add_flow(
+                        NULL,
+                        slot.top,
+                        f"symbolic argument {i + 1} of call to {name}",
+                    )
+        if self.config.enable_cache:
+            self._cache[cache_key] = []
 
     def _havoc_reachable(self, state: CState, args: list[smt.Term]) -> CState:
         """Forget cells reachable from the arguments and globals — the

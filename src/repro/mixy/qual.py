@@ -324,6 +324,10 @@ class QualInference:
                 self.slot_refs[var] = (key, level)
         return existing
 
+    def existing_slot(self, key: SlotKey) -> Optional[QualType]:
+        """The slot ``key`` names, or None if none was made yet."""
+        return self._slots.get(key)
+
     def slot_var(self, ref: tuple[SlotKey, int]) -> QVar:
         """The variable a :attr:`slot_refs` value names.  Only a field
         slot can be missing here (block materialization makes them);

@@ -200,6 +200,9 @@ class CSymExecutor:
         self.budget = budget
         self.warnings: list[CWarning] = []
         self._warned: set[tuple] = set()
+        #: while the driver records a block: every warning :meth:`warn`
+        #: is asked for, duplicates of earlier blocks' included, once each
+        self.warn_log: Optional[list[CWarning]] = None
         #: trust ring 1 (MIXY half): the driver installs a callback that
         #: replays a fresh NULL_DEREF warning through the concrete mini-C
         #: interpreter; its verdict lands in ``witnesses`` keyed by the
@@ -290,6 +293,9 @@ class CSymExecutor:
     def warn(self, kind: CErrKind, message: str, function: str) -> Optional[CWarning]:
         """Record a warning; returns it when fresh, ``None`` on a dup."""
         warning = CWarning(kind, message, function)
+        log = self.warn_log
+        if log is not None and warning not in log:
+            log.append(warning)
         if warning.key in self._warned:
             return None
         self._warned.add(warning.key)

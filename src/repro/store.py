@@ -8,7 +8,7 @@ that reuse survive the process: a small on-disk store that a later run
 — or a long-lived ``repro serve`` daemon across restarts — loads to
 start warm.
 
-Layout of one store directory (format version 5)::
+Layout of one store directory (format version 6)::
 
     .repro-store/
       meta.json            # manifest: schema, generation, per-section records
@@ -26,19 +26,33 @@ cached — so importing a store can accelerate but never change an
 answer.
 
 The **block memo** sections record, per analyzed block, just enough to
-replay the block's *observable effects* without re-executing it: the
-warnings it raised, its watched list as qualifier-slot references and
-which of them concluded null (MIXY), or
+replay the block's *observable effects* without re-executing it, or
 the result type, stat deltas and fresh names consumed (MIX, whose one
 name supply runs through the whole program, so a skip fast-forwards
-it).  MIXY names symbols per block
+it).  A MIXY entry holds:
+
+- ``warnings``: every warning the block raised, including one another
+  block raised first (a replay re-raises them through the
+  deduplicating path, so a run without that other block still prints
+  it);
+- ``calls``: every typed call the block made, as ``(callee, argument
+  nullness, position among the warnings)``; a replay re-applies each
+  call's qualifier effects (typed-region constraints, the callee's
+  symbolic frontier, null arguments) in the cold order;
+- ``watched`` and ``null_indices``: its watched list as qualifier-slot
+  references, and which of them concluded null.
+
+A block that calls a typed or extern function returning a data pointer
+is never recorded: the havocked return value reads the callee's
+return-qualifier solution, which the key does not cover.  MIXY names
+symbols per block
 (:meth:`repro.mixy.symexec.CSymExecutor.block_scope`), so a skipped
 MIXY block shifts no other block's names and needs no fast-forward.
 Keys are content hashes over the block's text, its
-transitive callee cone, and its typed calling context
-(:func:`block_content_hash` widened with a context), so editing one
-function invalidates exactly that function's dependency cone and
-nothing else.
+transitive callee cone, its typed calling context and the struct-field
+solutions its materialization reads (:func:`block_content_hash` widened
+with a context), so editing one function invalidates exactly that
+function's dependency cone and nothing else.
 
 **Integrity: per-section checksums, two copies per section.**  Each
 section alternates between its own two file *slots*: a save writes each
@@ -77,9 +91,9 @@ from typing import Optional
 
 from repro.fsio import atomic_write, checksummed_write, read_checksummed
 
-#: 5: MIXY memo entries carry their watched list as slot references,
-#: and the manifest keeps a "previous" record per section.
-STORE_VERSION = 5
+#: 6: MIXY memo entries carry the block's typed calls, and their
+#: warnings include those another block raised first.
+STORE_VERSION = 6
 STORE_SCHEMA = "repro-store"
 
 #: The persisted sections, in save order.

@@ -33,7 +33,10 @@ inherited parent pointer (the fan-out span that forked them), so the
 timeline stays one tree across processes.  After each pool drains, the
 parent appends the sidecar files' lines to the main trace in sorted
 filename order and deletes them — deterministic merge order, mirroring
-the query-cache delta merge.
+the query-cache delta merge.  A pooled ``repro serve`` worker is forked
+before the requests it serves, so :func:`aggregate` attributes each of
+its ``run`` spans to the parent's ``request`` span for that worker's
+``pid`` whose interval encloses it.
 
 .. _EVENT SCHEMA:
 
@@ -495,17 +498,25 @@ def _is_worker_id(span_id: Optional[str]) -> bool:
     return bool(span_id) and span_id.startswith("w")
 
 
+#: Slack for comparing span bounds, which are rounded to microseconds.
+_BOUND_SLACK = 1e-5
+
+
 def aggregate(events: Iterable[dict]) -> dict:
     """Fold trace events into the digest dict behind ``repro
     trace-report`` and the ``trace_digest`` section of BENCH files.
 
-    Spans from worker processes (id prefix ``w``) are speculative work
-    overlapping the parent's wall-clock; they are reported in their own
+    Wall-clock roots are the parent process's ``request`` spans and its
+    ``run`` spans outside any request.  Spans from worker processes (id
+    prefix ``w<pid>:``) are of two sorts.  A pooled daemon worker's
+    ``run`` is the work of the parent's ``request`` span with the same
+    ``pid`` whose interval encloses it, and is attributed there.  Spans
+    under a ``worker.task`` are the parallel engine's speculative work
+    overlapping the parent's wall-clock: they are reported in their own
     section and excluded from wall-clock attribution.
     """
     spans: dict[str, dict] = {}
-    point_counts: dict[str, int] = {}
-    worker_point_counts: dict[str, int] = {}
+    point_events: list[tuple[str, Optional[str]]] = []
     counters: dict[str, Union[int, float]] = {}
     n_events = 0
     for obj in events:
@@ -514,44 +525,79 @@ def aggregate(events: Iterable[dict]) -> dict:
         if ev == "span":
             spans[obj["id"]] = obj
         elif ev == "event":
-            table = (
-                worker_point_counts
-                if _is_worker_id(obj.get("span"))
-                else point_counts
-            )
-            table[obj["kind"]] = table.get(obj["kind"], 0) + 1
+            point_events.append((obj["kind"], obj.get("span")))
         elif ev == "counter":
             counters[obj["name"]] = obj["value"]
 
-    def nearest_ancestor(span: dict, kinds: tuple) -> Optional[dict]:
-        """The closest enclosing span of one of ``kinds``, following
+    requests: dict[str, list[dict]] = {}
+    for s in spans.values():
+        if s["kind"] == "request" and "pid" in s and not _is_worker_id(s["id"]):
+            requests.setdefault(str(s["pid"]), []).append(s)
+    for s in list(spans.values()):
+        if s["kind"] != "run" or not _is_worker_id(s["id"]):
+            continue
+        pid = s["id"][1:].split(":", 1)[0]
+        for r in requests.get(pid, ()):
+            if (
+                r["t"] - _BOUND_SLACK <= s["t"]
+                and s["t"] + s["dur"] <= r["t"] + r["dur"] + _BOUND_SLACK
+            ):
+                spans[s["id"]] = {**s, "parent": r["id"]}
+                break
+
+    def ancestors(span: dict) -> Iterator[dict]:
+        """The spans enclosing ``span``, innermost first, following
         parent links (which cross the worker/parent boundary: a worker
-        span's chain passes through the parent's fanout span)."""
+        span's chain passes through the parent's fanout or request
+        span)."""
         seen = set()
         cur: Optional[dict] = span
         while cur is not None:
             parent_id = cur.get("parent")
             if parent_id is None or parent_id in seen:
-                return None
+                return
             seen.add(parent_id)
             cur = spans.get(parent_id)
-            if cur is not None and cur["kind"] in kinds:
-                return cur
-        return None
+            if cur is not None:
+                yield cur
+
+    def nearest_ancestor(span: dict, kinds: tuple) -> Optional[dict]:
+        """The closest enclosing span of one of ``kinds``."""
+        return next((a for a in ancestors(span) if a["kind"] in kinds), None)
 
     def nearest_block(span: dict) -> Optional[dict]:
-        return nearest_ancestor(span, ("mixy.block", "mix.block", "worker.task"))
+        return nearest_ancestor(span, ("mixy.block", "mix.block"))
 
-    parent_spans = [s for s in spans.values() if not _is_worker_id(s["id"])]
-    worker_spans = [s for s in spans.values() if _is_worker_id(s["id"])]
+    speculative_ids = {
+        s["id"]
+        for s in spans.values()
+        if s["kind"] == "worker.task"
+        or nearest_ancestor(s, ("worker.task",)) is not None
+    }
+    authoritative = [s for s in spans.values() if s["id"] not in speculative_ids]
+    speculative = [s for s in spans.values() if s["id"] in speculative_ids]
+    point_counts: dict[str, int] = {}
+    spec_point_counts: dict[str, int] = {}
+    for kind, span_id in point_events:
+        table = spec_point_counts if span_id in speculative_ids else point_counts
+        table[kind] = table.get(kind, 0) + 1
 
-    runs = [s for s in parent_spans if s["kind"] == "run"]
-    wall = sum(s["dur"] for s in runs)
-    run_ids = {s["id"] for s in runs}
-    attributed = sum(s["dur"] for s in parent_spans if s.get("parent") in run_ids)
+    roots = [
+        s
+        for s in authoritative
+        if s["kind"] == "request"
+        or (
+            s["kind"] == "run"
+            and not _is_worker_id(s["id"])
+            and nearest_ancestor(s, ("request",)) is None
+        )
+    ]
+    wall = sum(s["dur"] for s in roots)
+    root_ids = {s["id"] for s in roots}
+    attributed = sum(s["dur"] for s in authoritative if s.get("parent") in root_ids)
 
     span_kinds: dict[str, dict] = {}
-    for s in parent_spans:
+    for s in authoritative:
         agg = span_kinds.setdefault(s["kind"], {"count": 0, "seconds": 0.0})
         agg["count"] += 1
         agg["seconds"] += s["dur"]
@@ -566,27 +612,29 @@ def aggregate(events: Iterable[dict]) -> dict:
             agg["seconds"] += s["dur"]
         return table
 
-    parent_queries = [s for s in parent_spans if s["kind"] == "solver.query"]
-    worker_queries = [s for s in worker_spans if s["kind"] == "solver.query"]
+    queries = [s for s in authoritative if s["kind"] == "solver.query"]
+    spec_queries = [s for s in speculative if s["kind"] == "solver.query"]
 
     # Per-block table (authoritative only): inclusive seconds, query
     # count, and solver seconds attributed through the parent chain.
     blocks: dict[tuple[str, str], dict] = {}
-    for s in parent_spans:
+    for s in authoritative:
         if s["kind"] not in ("mixy.block", "mix.block"):
             continue
         agg = blocks.setdefault(
             (s["kind"], s["name"]),
             {"kind": s["kind"], "name": s["name"], "count": 0, "seconds": 0.0,
              "queries": 0, "solver_seconds": 0.0, "cache_hits": 0,
-             "tiers": {}, "spec_runs": 0, "spec_queries": 0,
-             "spec_solver_seconds": 0.0},
+             "store_hits": 0, "tiers": {}, "spec_runs": 0,
+             "spec_queries": 0, "spec_solver_seconds": 0.0},
         )
         agg["count"] += 1
         agg["seconds"] += s["dur"]
         if s.get("cached"):
             agg["cache_hits"] += 1
-    for q in parent_queries:
+        if s.get("store_hit"):
+            agg["store_hits"] += 1
+    for q in queries:
         block = nearest_block(q)
         if block is None:
             continue
@@ -599,14 +647,14 @@ def aggregate(events: Iterable[dict]) -> dict:
 
     # Speculative (worker-side) per-block attribution.  Worker spans
     # carry real block names inside their worker.task wrappers.
-    for s in worker_spans:
+    for s in speculative:
         if s["kind"] not in ("mixy.block", "mix.block"):
             continue
         key = (s["kind"], s["name"])
         if key in blocks:
             blocks[key]["spec_runs"] += 1
-    for q in worker_queries:
-        block = nearest_ancestor(q, ("mixy.block", "mix.block"))
+    for q in spec_queries:
+        block = nearest_block(q)
         if block is None:
             continue
         key = (block["kind"], block["name"])
@@ -627,19 +675,19 @@ def aggregate(events: Iterable[dict]) -> dict:
             "typed": s.get("typed"),
         }
         for s in sorted(
-            (s for s in parent_spans if s["kind"] == "mixy.round"),
+            (s for s in authoritative if s["kind"] == "mixy.round"),
             key=lambda s: s["t"],
         )
     ]
 
-    solver_seconds = sum(s["dur"] for s in parent_queries)
-    witness_seconds = sum(s["dur"] for s in parent_spans if s["kind"] == "witness.replay")
-    merge_seconds = sum(s["dur"] for s in parent_spans if s["kind"] == "parallel.merge")
-    fanout_seconds = sum(s["dur"] for s in parent_spans if s["kind"] == "parallel.fanout")
+    solver_seconds = sum(s["dur"] for s in queries)
+    witness_seconds = sum(s["dur"] for s in authoritative if s["kind"] == "witness.replay")
+    merge_seconds = sum(s["dur"] for s in authoritative if s["kind"] == "parallel.merge")
+    fanout_seconds = sum(s["dur"] for s in authoritative if s["kind"] == "parallel.fanout")
     block_seconds = sum(b["seconds"] for b in blocks.values())
 
     verdicts: dict[str, int] = {}
-    for s in parent_spans:
+    for s in authoritative:
         if s["kind"] == "witness.replay" and "verdict" in s:
             verdicts[s["verdict"]] = verdicts.get(s["verdict"], 0) + 1
 
@@ -664,7 +712,7 @@ def aggregate(events: Iterable[dict]) -> dict:
             "parallel_fanout": round(fanout_seconds, 6),
             "parallel_merge": round(merge_seconds, 6),
         },
-        "query_tiers": rounded(tier_table(parent_queries)),
+        "query_tiers": rounded(tier_table(queries)),
         "blocks": sorted(
             (
                 {
@@ -675,6 +723,7 @@ def aggregate(events: Iterable[dict]) -> dict:
                     "queries": b["queries"],
                     "solver_seconds": round(b["solver_seconds"], 6),
                     "cache_hits": b["cache_hits"],
+                    "store_hits": b["store_hits"],
                     "tiers": dict(sorted(b["tiers"].items())),
                     "spec_runs": b["spec_runs"],
                     "spec_queries": b["spec_queries"],
@@ -687,10 +736,10 @@ def aggregate(events: Iterable[dict]) -> dict:
         "rounds": rounds,
         "point_events": dict(sorted(point_counts.items())),
         "speculative": {
-            "tasks": sum(1 for s in worker_spans if s["kind"] == "worker.task"),
-            "seconds": round(sum(s["dur"] for s in worker_spans if s["kind"] == "worker.task"), 6),
-            "query_tiers": rounded(tier_table(worker_queries)),
-            "point_events": dict(sorted(worker_point_counts.items())),
+            "tasks": sum(1 for s in speculative if s["kind"] == "worker.task"),
+            "seconds": round(sum(s["dur"] for s in speculative if s["kind"] == "worker.task"), 6),
+            "query_tiers": rounded(tier_table(spec_queries)),
+            "point_events": dict(sorted(spec_point_counts.items())),
         },
         "witness_verdicts": dict(sorted(verdicts.items())),
         "counters": counters,
@@ -738,10 +787,12 @@ def format_report(digest: dict, top: int = 10) -> str:
     lines.extend(
         _table(
             f"top {top} hottest blocks",
-            ["block", "kind", "runs", "seconds", "queries", "solver s", "cache hits"],
+            ["block", "kind", "runs", "seconds", "queries", "solver s",
+             "cache hits", "store hits"],
             [
                 [b["name"], b["kind"], b["count"], f"{b['seconds']:.4f}",
-                 b["queries"], f"{b['solver_seconds']:.4f}", b["cache_hits"]]
+                 b["queries"], f"{b['solver_seconds']:.4f}", b["cache_hits"],
+                 b["store_hits"]]
                 for b in digest["blocks"][:top]
             ],
         )

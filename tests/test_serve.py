@@ -1106,6 +1106,38 @@ class TestPoolConcurrency:
         assert digest["span_kinds"]["request"]["count"] == 2
         assert main(["trace-report", str(trace)]) == 0
 
+    def test_pooled_trace_report_attributes_worker_runs(self, tmp_path, capsys):
+        """Every analysis runs in a pool worker, whose spans land in a
+        sidecar merged at shutdown.  ``repro trace-report`` attributes
+        each worker ``run`` to the parent's ``request`` span that served
+        it: wall time is the requests', and the block table holds the
+        workers' blocks — the second request's replayed from the store."""
+        from repro.cli import main
+
+        trace = tmp_path / "serve.jsonl"
+        proc, address = _start_daemon(
+            tmp_path, "--pool", "2", "--trace", str(trace)
+        )
+        try:
+            replies = [_analyze_request(address, source=STAIRCASE)
+                       for _ in range(2)]
+        finally:
+            request(address, {"cmd": "shutdown"})
+            _finish(proc)
+        assert [reply["status"] for reply in replies] == ["ok", "ok"]
+        assert replies[1]["served"]["store"].get("mixy_hits", 0) > 0
+        capsys.readouterr()
+        assert main(["trace-report", str(trace), "--json"]) == 0
+        digest = json.loads(capsys.readouterr().out)
+        assert digest["wall_seconds"] > 0
+        assert 0 < digest["attributed_fraction"] <= 1
+        assert digest["blocks"]
+        assert any(block["store_hits"] > 0 for block in digest["blocks"])
+        assert digest["speculative"]["tasks"] == 0
+        assert main(["trace-report", str(trace)]) == 0
+        report = capsys.readouterr().out
+        assert "wall 0.000s" not in report and "crunch_" in report
+
     @pytest.mark.parametrize("overtaker", ["warm-prove", "cold-analyze"])
     def test_quick_request_overtakes_a_slow_cold_analyze(
         self, tmp_path, overtaker

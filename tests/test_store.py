@@ -34,18 +34,20 @@ from repro.symexec import values
 from repro.trace import TRACER, read_trace
 from repro.typecheck.types import INT, TypeEnv
 
-#: Fast corpus for degradation tests.  Its symbolic blocks all make
-#: typed calls, so it exercises the store plumbing without recording.
+#: Fast corpus for degradation tests.
 SOURCE = CASES["case1"].source(False)
-#: Corpus with *pure* symbolic blocks (no typed calls), the memoizable
-#: kind — what the round-trip tests need.
+#: Corpus whose symbolic blocks the store memoizes, one of them
+#: (``crunch_filter``) making a typed call — what the round-trip tests
+#: need.
 STAIRCASE = parallel_vsftpd(depth=1)
-#: A pure symbolic block (``clamp``) reached only through a typed call
+#: A symbolic block (``clamp``) reached only through a typed call
 #: (``pick``) made from inside another symbolic block (``session``).
 #: ``clamp`` is memoizable; on a warm run it is skipped mid-way through
 #: ``session``, whose later fresh names and addresses (``pick``'s
 #: havocked return object) must not move.  ``clamp``'s null conclusion
-#: for ``g_buf`` is what makes ``session`` warn.
+#: for ``g_buf`` is what makes ``session`` warn.  ``session`` is never
+#: recorded: ``pick`` returns a pointer, whose havocked value reads a
+#: qualifier solution the store key does not cover.
 NESTED = """
 void sysutil_free(void *nonnull p_ptr) MIX(typed);
 int *g_buf;
@@ -210,19 +212,27 @@ class TestStoreRoundTrip:
         assert warm_stats["mixy_hits"] > 0
         assert warm_stats["solver_entries_loaded"] > 0
 
-    def test_mixy_entries_hold_only_conclusions_and_warnings(self, tmp_path):
+    def test_mixy_entries_hold_conclusions_warnings_and_calls(self, tmp_path):
         # Block-scoped naming: a skipped block shifts no other block's
         # names, so entries carry no fresh-name counts to fast-forward.
         # The watched list is slot references, so a replay needs no
         # symbolic state to map null indices to qualifier variables.
+        # Typed calls are (callee, argument nullness, position among the
+        # block's warnings), so a replay repeats them in the cold order.
         store = AnalysisStore.open(str(tmp_path / "store"))
         _analyze(store, source=STAIRCASE)
         assert store.mixy_blocks
+        calls = []
         for entry in store.mixy_blocks.values():
-            assert set(entry) == {"watched", "null_indices", "warnings"}
+            assert set(entry) == {"watched", "null_indices", "warnings", "calls"}
             assert all(
                 index < len(entry["watched"]) for index in entry["null_indices"]
             )
+            for callee, arg_nullness, position in entry["calls"]:
+                assert isinstance(callee, str) and isinstance(arg_nullness, tuple)
+                assert 0 <= position <= len(entry["warnings"])
+            calls += [call[0] for call in entry["calls"]]
+        assert "sysutil_free" in calls  # crunch_filter's typed call
 
     def test_memo_is_inactive_under_a_budget(self, tmp_path):
         store = AnalysisStore.open(str(tmp_path / "store"))
@@ -350,7 +360,6 @@ class TestDegradation:
         # references, and the manifest kept one whole previous
         # generation.  Opening one is a version mismatch, never a
         # KeyError on replay.
-        assert STORE_VERSION == 5
         root = str(tmp_path / "store")
         store = AnalysisStore.open(root)
         cold_warnings, _ = _analyze(store, source=STAIRCASE)
@@ -359,6 +368,30 @@ class TestDegradation:
             for key, entry in store.mixy_blocks.items()
         }
         monkeypatch.setattr("repro.store.STORE_VERSION", 4)
+        store.save(smt.get_service())
+        monkeypatch.undo()
+        capsys.readouterr()
+        old = AnalysisStore.open(root)
+        assert "unsupported meta" in capsys.readouterr().err
+        assert old.mixy_blocks == {} and old.solver_cache is None
+        warnings, stats = _analyze(old, source=STAIRCASE)
+        assert warnings == cold_warnings
+        assert stats["mixy_hits"] == 0
+
+    def test_version_5_store_starts_cold(self, tmp_path, capsys, monkeypatch):
+        # The previous format: MIXY entries had no typed calls (a block
+        # that made one was never recorded), and their warnings left out
+        # those another block raised first.  Opening one is a version
+        # mismatch, never a KeyError on replay.
+        assert STORE_VERSION == 6
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        cold_warnings, _ = _analyze(store, source=STAIRCASE)
+        store.mixy_blocks = {
+            key: {k: v for k, v in entry.items() if k != "calls"}
+            for key, entry in store.mixy_blocks.items()
+        }
+        monkeypatch.setattr("repro.store.STORE_VERSION", 5)
         store.save(smt.get_service())
         monkeypatch.undo()
         capsys.readouterr()
@@ -819,7 +852,8 @@ class TestNestedBlocks:
         first_warnings, first_stats = _analyze(store, source=NESTED, jobs=jobs)
         store.save(smt.get_service())
         assert first_warnings == cold_warnings
-        assert first_stats["mixy_records"] == 1  # clamp: the one pure block
+        # clamp; session calls pick, which returns a pointer
+        assert first_stats["mixy_records"] == 1
 
         warm = AnalysisStore.open(str(tmp_path / "store"))
         warm_warnings, warm_stats = _analyze(warm, source=NESTED, jobs=jobs)
@@ -1013,9 +1047,19 @@ class TestBlockContentHash:
 
 
 def _staircase_run(store, source):
-    """(warning texts, symbolic blocks run, store stats) of one run."""
-    mixy, warnings, stats = _run(store, source=source)
-    return warnings, mixy.stats["symbolic_blocks_run"], stats
+    """(warning texts, names of the symbolic blocks executed, store
+    stats) of one run."""
+    executed = []
+    execute = Mixy._execute_symbolic_block
+
+    def spy(self, fn, context_slots):
+        executed.append(fn.name)
+        return execute(self, fn, context_slots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Mixy, "_execute_symbolic_block", spy)
+        _, warnings, stats = _run(store, source=source)
+    return warnings, executed, stats
 
 
 @pytest.fixture(scope="module")
@@ -1051,11 +1095,13 @@ class TestStaircaseReuse:
     def test_cold_run_records_and_warm_run_replays(self, staircase_runs):
         _, cold_blocks, cold = staircase_runs["cold"]
         _, warm_blocks, warm = staircase_runs["warm"]
-        assert cold["mixy_records"] > 0
+        assert cold["mixy_records"] == len(cold_blocks) > 0
         assert warm["solver_entries_loaded"] > 0
         assert warm["mixy_hits"] >= cold["mixy_records"]
-        # Only the impure (typed-calling) blocks re-execute when warm.
-        assert warm_blocks < cold_blocks
+        # Every block replays, the typed-calling one (crunch_filter,
+        # which calls sysutil_free) included.
+        assert "crunch_filter" in cold_blocks
+        assert warm_blocks == []
 
     def test_one_edit_reanalyzes_only_its_cone(self, staircase_runs):
         cold_warnings, cold_blocks, _ = staircase_runs["cold"]
@@ -1064,5 +1110,147 @@ class TestStaircaseReuse:
         assert edited_warnings == cold_warnings
         # ...most blocks still replay from their memos...
         assert edited["mixy_hits"] > edited["mixy_misses"]
-        # ...and strictly fewer symbolic blocks execute than a cold run.
-        assert 0 < edited_blocks < cold_blocks
+        # ...and only the edited function's blocks execute.
+        assert set(edited_blocks) == {"crunch_access"}
+        assert len(edited_blocks) < len(cold_blocks)
+
+
+# ---------------------------------------------------------------------------
+# A replay reproduces what the block would do now
+# ---------------------------------------------------------------------------
+
+#: ``alpha`` and ``beta`` each dereference ``g_p`` through ``rd``: the
+#: warning is ``alpha``'s first, a duplicate when ``beta`` raises it.
+DUPLICATE = """
+int *g_p;
+int rd(int *p) { return *p; }
+int alpha(int k) MIX(symbolic) { int r = 0; if (k > 0) { r = rd(g_p); } return r; }
+int beta(int k) MIX(symbolic) { int r = 0; if (k > 1) { r = rd(g_p); } return r; }
+int main(void) { g_p = NULL; alpha(1); beta(2); return 0; }
+"""
+
+#: ``reader`` dereferences a struct field whose qualifier only the typed
+#: ``setup`` constrains.
+FIELD = """
+struct box { int *val; int n; };
+struct box *g_box;
+int reader(int k) MIX(symbolic) { int r = 0; if (k > 0) { r = *(g_box->val); } return r; }
+void setup(void) MIX(typed) { g_box->n = 1; }
+int main(void) {
+  int v = 3;
+  struct box *b = malloc(sizeof(struct box));
+  b->val = &v; g_box = b; setup(); reader(1); return 0;
+}
+"""
+
+
+#: ``outer``'s typed call to ``mid`` analyzes the nested block
+#: ``inner``, whose warning a cold run prints before ``outer``'s own.
+ORDER = """
+int *g_a;
+int *g_b;
+int inner(int k) MIX(symbolic) { int r = 0; if (k > 1) { r = *g_b; } return r; }
+void mid(int k) MIX(typed) { int t; t = inner(k); }
+int outer(int k) MIX(symbolic) { int r = 0; mid(k); if (k > 2) { r = *g_a; } return r; }
+int main(void) { g_a = NULL; g_b = NULL; outer(3); return 0; }
+"""
+
+#: ``alpha`` reaches ``inner`` through ``mid``, whose parameter only
+#: ``main``'s ``mid(NULL)`` makes maybe-null: ``inner`` warns or not
+#: by code outside ``alpha``'s cone.
+NESTED_CONTEXT = """
+int *g_ok;
+int inner(int *p) MIX(symbolic) { return *p; }
+void mid(int *p) MIX(typed) { int t; t = inner(p); }
+int alpha(int k) MIX(symbolic) { mid(g_ok); return k; }
+int main(void) { int x = 1; g_ok = &x; mid(NULL); alpha(1); return 0; }
+"""
+
+#: ``drive``'s materialization makes the field slot of ``zeta`` (global
+#: ``g_a``) before that of ``alpha`` (``g_b``), and the warning's path
+#: prints the first one's ordinal.  Sorted by struct name, the store
+#: key meets them the other way round.
+TWO_STRUCTS = """
+void sink(int *nonnull p) MIX(typed);
+struct zeta { int *z; int n; };
+struct alpha { int *a; int n; };
+struct zeta *g_a;
+struct alpha *g_b;
+void use(void) MIX(typed) { sink(g_a->z); }
+int drive(int k) MIX(symbolic) { use(); return k; }
+int setter(int k) MIX(symbolic) { if (k > 1) { g_a->z = NULL; } return k; }
+int main(void) {
+  struct zeta *a = malloc(sizeof(struct zeta));
+  struct alpha *b = malloc(sizeof(struct alpha));
+  g_a = a; g_b = b; drive(1); setter(2); return 0;
+}
+"""
+
+
+class TestReplayMatchesExecution:
+    def _edited_runs(self, tmp_path, *versions):
+        """The cold warnings of the last of ``versions``, and those of a
+        run of it on a store that recorded the others in order."""
+        store = AnalysisStore.open(str(tmp_path / "store"))
+        for source in versions[:-1]:
+            _analyze(store, source=source)
+        cold, _ = _analyze(source=versions[-1])
+        warm, stats = _analyze(store, source=versions[-1])
+        return cold, warm, stats
+
+    def test_a_duplicate_warning_survives_its_first_raisers_edit(self, tmp_path):
+        # beta's memo must hold rd's warning though alpha raised it
+        # first: with alpha edited, only beta's replay raises it.
+        edited = DUPLICATE.replace(
+            "if (k > 0) { r = rd(g_p); }", "if (k > 0) { r = 1; }"
+        )
+        cold, warm, stats = self._edited_runs(tmp_path, DUPLICATE, edited)
+        assert cold == ["[symbolic] possible NULL dereference in rd: *p may be NULL"]
+        assert stats["mixy_hits"] == 1  # beta replayed
+        assert warm == cold
+
+    def test_a_field_solution_change_retires_the_memo(self, tmp_path):
+        # Nulling the field in typed code makes reader's materialized
+        # field maybe-null: the memo recorded with it nonnull must miss.
+        edited = FIELD.replace("g_box->n = 1;", "g_box->n = 1; g_box->val = NULL;")
+        cold, warm, stats = self._edited_runs(tmp_path, FIELD, edited)
+        assert len(cold) == 1 and "NULL dereference in reader" in cold[0]
+        assert stats["mixy_hits"] == 0
+        assert warm == cold
+
+    def test_the_store_key_reads_field_solutions_without_making_slots(
+        self, tmp_path
+    ):
+        cold, _ = _analyze(source=TWO_STRUCTS)
+        assert len(cold) == 1 and "'zeta.z#" in cold[0]
+        store = AnalysisStore.open(str(tmp_path / "store"))
+        recorded, stats = _analyze(store, source=TWO_STRUCTS)
+        assert stats["mixy_records"] == 2
+        assert recorded == cold
+
+    def test_a_typed_call_replays_before_the_warnings_it_preceded(
+        self, tmp_path
+    ):
+        # outer's memo puts its call to mid before its own warning, so
+        # inner's warning, raised under that call, keeps its place.
+        cold, warm, stats = self._edited_runs(tmp_path, ORDER, ORDER)
+        assert [line.split(":")[0] for line in cold] == [
+            "[symbolic] possible NULL dereference in inner",
+            "[symbolic] possible NULL dereference in outer",
+        ]
+        assert stats["mixy_hits"] == 2  # the second run replays both
+        assert warm == cold
+
+    def test_a_nested_replay_stays_out_of_its_callers_memo(self, tmp_path):
+        # Editing alpha makes it execute while inner replays from the
+        # store under its typed call; inner's warning belongs to inner's
+        # memo, not alpha's.  Once main no longer passes NULL to mid,
+        # inner does not warn, and alpha's memo (same key: main is
+        # outside its cone) must not warn for it.
+        edited = NESTED_CONTEXT.replace("return k;", "return k + 0;")
+        fixed = edited.replace("mid(NULL);", "mid(g_ok);")
+        cold, warm, _ = self._edited_runs(
+            tmp_path, NESTED_CONTEXT, edited, fixed
+        )
+        assert cold == []
+        assert warm == cold

@@ -15,6 +15,10 @@ from disk and the pooled daemon:
   that only a memoized block makes;
 - a fixed-seed sample of a small generator of programs over struct and
   pointer globals and parameters, ``NULL`` and ``MIX`` annotations.
+
+A third replays what the store recorded for earlier versions of a
+program: seeded edit sequences, each version analyzed on the one store
+and matched against its own cold run.
 """
 
 from __future__ import annotations
@@ -77,11 +81,13 @@ def _user(rng: random.Random, name: str, fields: list[str]) -> str:
 def struct_program(rng: random.Random) -> str:
     """One generated program: a struct with 2-3 pointer fields, a
     struct pointer and an ``int`` pointer global, a ``nonnull`` sink,
-    1-3 symbolic setters, 1-2 typed users of the sink, and a symbolic
-    driver making typed calls to some users (so the store never
-    memoizes it).  ``main`` calls the setters, the driver and the other
-    users in a random order, so a field's slot is made either by typed
-    code or first by a setter's materialization."""
+    1-3 symbolic setters, 1-2 typed users of the sink, a symbolic
+    driver making typed calls to some users (``void``, so the store
+    memoizes it with its calls), and a symbolic ``peek`` that calls the
+    typed pointer-returning ``fetch`` (so the store never memoizes it).
+    ``main`` calls the setters, the driver, ``peek`` and the other users
+    in a random order, so a field's slot is made either by typed code
+    or first by a setter's materialization."""
     fields = [f"f{i}" for i in range(rng.randint(2, 3))]
     struct = f"struct conn {{ {' '.join(f'int *{f};' for f in fields)} int v; }};"
     setters = [f"set{i}" for i in range(rng.randint(1, 3))]
@@ -107,6 +113,15 @@ def struct_program(rng: random.Random) -> str:
     calls += [f"{user}(a);" for user in users if user not in driven]
     calls.append(f"{driver}(a);")
     rng.shuffle(calls)
+    # Drawn last, so the draws above do not depend on fetch and peek.
+    got = rng.choice([f"s->{field}" for field in fields] + ["g_ptr"])
+    use = rng.choice(["k = *t;", "if (t != NULL) { k = *t; }", "g_ptr = t;"])
+    lines.append(f"int *fetch(struct conn *s) MIX(typed) {{ return {got}; }}")
+    lines.append(
+        "int peek(struct conn *s, int k) MIX(symbolic) "
+        f"{{ int *t; t = fetch(s); {use} return k; }}"
+    )
+    calls.insert(rng.randint(0, len(calls)), "k = peek(a, k);")
     lines.append(
         "int main(void) { int x = 1; int k = 2; int *p = &x; "
         "struct conn *a = malloc(sizeof(struct conn)); "
@@ -118,6 +133,119 @@ def struct_program(rng: random.Random) -> str:
 SEED = 2010
 SAMPLE = 12
 PROGRAMS = [struct_program(random.Random(SEED + n)) for n in range(SAMPLE)]
+
+
+#: Pointer globals of the edit-sequence programs.
+EDIT_GLOBALS = ("g_a", "g_b", "g_c")
+
+
+def _symbolic_statement(rng: random.Random, typed: list[str]) -> str:
+    """A statement of a symbolic block: null or copy a global, pass one
+    to the ``nonnull`` sink or a typed function (a recorded call),
+    dereference one directly or through the shared unannotated ``rd``
+    (so two blocks raise the same warning), read or null the struct
+    field ``g_box->val``, or take ``fetch``'s pointer (an unrecorded
+    call)."""
+    g, h = rng.choice(EDIT_GLOBALS), rng.choice(EDIT_GLOBALS)
+    options = [
+        f"if (k > {rng.randint(0, 5)}) {{ {g} = NULL; }}",
+        f"{g} = {h};",
+        f"sink({g});",
+        f"k = *{g};",
+        f"if ({g} != NULL) {{ k = k + *{g}; }}",
+        f"if (k < {rng.randint(0, 5)}) {{ {g} = q; }}",
+        f"k = rd({g});",
+        f"if (k > {rng.randint(0, 3)}) {{ k = rd({g}); }}",
+        "k = *(g_box->val);",
+        f"if (k > {rng.randint(0, 3)}) {{ g_box->val = NULL; }}",
+        f"{g} = fetch(k);",
+    ]
+    if typed:
+        t = rng.choice(typed)
+        options += [f"{t}({g}, k);", f"if (k > {rng.randint(0, 4)}) {{ {t}(q, k + 1); }}"]
+    return rng.choice(options)
+
+
+def _typed_statement(rng: random.Random, symbolic: list[str]) -> str:
+    """A statement of a typed function: null, set or copy a global or
+    the struct field, pass one to the sink, or call a symbolic block
+    (a block nested inside the caller's typed call)."""
+    g, h = rng.choice(EDIT_GLOBALS), rng.choice(EDIT_GLOBALS)
+    options = [
+        f"{g} = NULL;", f"{g} = p;", f"{g} = {h};", f"sink({g});",
+        "g_box->val = NULL;", "g_box->val = p;", f"{g} = g_box->val;",
+        "k = rd(p);",
+    ]
+    if symbolic:
+        b = rng.choice(symbolic)
+        options += [f"k = {b}(k, p);", f"k = {b}(k + 1, {g});"]
+    return rng.choice(options)
+
+
+def edit_sequence(seed: int, edits: int) -> list[str]:
+    """A generated program and ``edits`` successive versions of it, each
+    replacing or deleting one statement of one function."""
+    rng = random.Random(seed)
+    symbolic = [f"s{i}" for i in range(rng.randint(2, 4))]
+    typed = [f"t{i}" for i in range(rng.randint(1, 3))]
+    bodies = {b: [_symbolic_statement(rng, typed) for _ in range(rng.randint(1, 4))]
+              for b in symbolic}
+    bodies.update(
+        {t: [_typed_statement(rng, symbolic) for _ in range(rng.randint(1, 3))]
+         for t in typed}
+    )
+    calls = [f"k = {b}(k, p);" for b in symbolic]
+    calls += [f"{t}(p, k);" for t in typed if rng.random() < 0.5]
+    rng.shuffle(calls)
+
+    def render() -> str:
+        lines = [
+            "void sink(int *nonnull p) MIX(typed);",
+            "struct box { int *val; int n; };",
+            "struct box *g_box;",
+        ]
+        lines += [f"int *{g};" for g in EDIT_GLOBALS]
+        lines += [
+            "int rd(int *p) { return *p; }",
+            "int *fetch(int k) MIX(typed) { return g_a; }",
+        ]
+        lines += [f"void {t}(int *p, int k) MIX(typed);" for t in typed]
+        lines += [
+            f"int {b}(int k, int *q) MIX(symbolic) {{ {' '.join(bodies[b])} return k; }}"
+            for b in symbolic
+        ]
+        lines += [
+            f"void {t}(int *p, int k) MIX(typed) {{ {' '.join(bodies[t])} }}"
+            for t in typed
+        ]
+        lines.append(
+            "int main(void) { int x = 1; int k = 2; int *p = &x; "
+            "struct box *b = malloc(sizeof(struct box)); b->val = p; g_box = b; "
+            + " ".join(f"{g} = p;" for g in EDIT_GLOBALS)
+            + f" {' '.join(calls)} return k; }}"
+        )
+        return "\n".join(lines) + "\n"
+
+    versions = [render()]
+    for _ in range(edits):
+        name = rng.choice(symbolic + typed)
+        body = bodies[name]
+        index = rng.randrange(len(body))
+        if name in symbolic:
+            statement = _symbolic_statement(rng, typed)
+        else:
+            statement = _typed_statement(rng, symbolic)
+        if rng.random() < 0.3 and len(body) > 1:
+            del body[index]
+        else:
+            body[index] = statement
+        versions.append(render())
+    return versions
+
+
+EDIT_SEED = 0
+EDIT_SAMPLE = 60
+EDITS = 6
 
 # ---------------------------------------------------------------------------
 # The runs
@@ -233,6 +361,51 @@ class TestGeneratedPrograms:
             fields += any("'conn.f" in line for line in _cold(source)["lines"])
         assert hits > 0 and fields > 0
 
+    def test_void_typed_calls_record_and_pointer_returns_do_not(
+        self, tmp_path, monkeypatch
+    ):
+        """The driver's calls to the ``void`` users are replayable, so
+        its block is memoized with them; ``peek``'s call to ``fetch``
+        havocks a return value that reads a qualifier solution the key
+        does not cover, so ``peek`` is never memoized."""
+        from repro.mixy.driver import Mixy
+
+        store_key = Mixy._store_key
+        monkeypatch.setattr(
+            Mixy,
+            "_store_key",
+            lambda self, fn, *rest: f"{fn.name}:{store_key(self, fn, *rest)}",
+        )
+        recorded: dict[str, list] = {}
+        for n, source in enumerate(PROGRAMS):
+            smt.reset_service()
+            store = AnalysisStore.open(str(tmp_path / f"store{n}"), quiet=True)
+            analyze_source("mixy", source, {}, store=store)
+            for key, entry in store.mixy_blocks.items():
+                recorded.setdefault(key.split(":")[0], []).append(entry)
+        drivers = recorded.get("drive", []) + recorded.get("tick", [])
+        assert any(entry["calls"] for entry in drivers)
+        assert "peek" not in recorded
+        assert recorded  # the setters
+
     def test_pooled_daemon_matches_cold(self, daemon_results):
         for source in PROGRAMS:
             assert daemon_results[source] == [_cold(source)] * 2, source
+
+
+class TestEditSequences:
+    @pytest.mark.parametrize("seed", range(EDIT_SEED, EDIT_SEED + EDIT_SAMPLE))
+    def test_each_version_on_the_shared_store_matches_cold(self, tmp_path, seed):
+        """A memo recorded for an earlier version replays only where it
+        is what executing the block would do now: a warning another
+        block raised first, a typed call's effects, a changed struct
+        field solution."""
+        root = str(tmp_path / "store")
+        for step, source in enumerate(edit_sequence(seed, EDITS)):
+            cold = _cold(source)
+            smt.reset_service()
+            store = AnalysisStore.open(root, quiet=True)
+            store.load_into_service(smt.get_service())
+            stored = analyze_source("mixy", source, {}, store=store).result
+            store.save(smt.get_service())
+            assert stored == cold, (step, source)

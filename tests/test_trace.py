@@ -238,7 +238,7 @@ class TestAggregate:
         assert sorted(block) == [
             "cache_hits", "count", "kind", "name", "queries", "seconds",
             "solver_seconds", "spec_queries", "spec_runs",
-            "spec_solver_seconds", "tiers",
+            "spec_solver_seconds", "store_hits", "tiers",
         ]
         assert "scheduler" not in digest
         assert digest["query_tiers"]["exact"]["count"] == 1
@@ -263,6 +263,37 @@ class TestAggregate:
         # ...and never pollute the authoritative tables.
         assert digest["query_tiers"] == {}
         assert digest["point_events"] == {}
+
+
+    def test_pool_worker_runs_are_attributed_to_their_requests(self):
+        # A pooled daemon worker was forked before its requests, so its
+        # run has no parent link: the request with its pid whose
+        # interval encloses it owns it.  Worker 9's second run falls in
+        # no request of its own (worker 8's does not count).
+        events = [
+            {"ev": "span", "id": "1", "parent": None, "kind": "request",
+             "name": "mixy", "t": 0.0, "dur": 1.0, "pid": 9},
+            {"ev": "span", "id": "2", "parent": None, "kind": "request",
+             "name": "mixy", "t": 2.0, "dur": 1.0, "pid": 8},
+            {"ev": "span", "id": "w9:1", "parent": None, "kind": "run",
+             "name": "mixy:typed:main", "t": 0.1, "dur": 0.5},
+            {"ev": "span", "id": "w9:2", "parent": "w9:1", "kind": "mixy.block",
+             "name": "b", "t": 0.2, "dur": 0.2, "store_hit": True},
+            {"ev": "span", "id": "w9:3", "parent": "w9:2", "kind": "solver.query",
+             "name": "check_sat", "t": 0.3, "dur": 0.1, "tier": "exact"},
+            {"ev": "event", "kind": "path.fork", "span": "w9:2", "t": 0.3},
+            {"ev": "span", "id": "w9:4", "parent": None, "kind": "run",
+             "name": "mixy:typed:main", "t": 2.1, "dur": 0.5},
+        ]
+        digest = aggregate(events)
+        assert digest["wall_seconds"] == 2.0  # the two requests
+        assert digest["attributed_seconds"] == 0.5  # w9:1 only
+        (block,) = digest["blocks"]
+        assert (block["name"], block["queries"], block["store_hits"]) == ("b", 1, 1)
+        assert digest["query_tiers"]["exact"]["count"] == 1
+        assert digest["point_events"] == {"path.fork": 1}
+        assert digest["speculative"]["tasks"] == 0
+        assert digest["speculative"]["query_tiers"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,6 @@ class ManagedDaemon:
             str(self.read_deadline),
             "--request-deadline",
             "30",
-            "--checkpoint-secs",
-            "2",
         ]
         self.proc = subprocess.Popen(
             cmd,

@@ -164,15 +164,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="serve from memory only; nothing is persisted",
     )
     serve.add_argument(
-        "--save-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="persist the store after every N analyze requests (default 1); "
-        "a save writes a new generation only if a block memo or the solver "
-        "cache changed since the last one",
-    )
-    serve.add_argument(
         "--max-requests",
         type=int,
         default=None,
@@ -252,21 +243,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default 200; 0 = unbounded)",
     )
     serve.add_argument(
-        "--worker-max-rss-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="recycle a pooled worker whose RSS high-water mark passes MB",
-    )
-    serve.add_argument(
-        "--checkpoint-secs",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="persist unsaved warm state (block memos or solver entries) "
-        "every S seconds, on top of --save-every (default 30; 0 disables)",
-    )
-    serve.add_argument(
         "--crash-dir",
         default=".repro-crashes",
         metavar="DIR",
@@ -332,21 +308,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--served",
         action="store_true",
         help="also print this request's daemon-side cache counters to stderr",
-    )
-    client.add_argument(
-        "--bench",
-        type=int,
-        default=None,
-        metavar="N",
-        help="load-generator mode: fire N copies of this analyze request "
-        "at the daemon and print throughput plus p50/p95/p99 latency",
-    )
-    client.add_argument(
-        "--concurrency",
-        type=int,
-        default=1,
-        metavar="C",
-        help="client connections driving --bench traffic (default 1)",
     )
     client.add_argument(
         "--prove",
@@ -721,18 +682,15 @@ def _run_serve(args: argparse.Namespace) -> int:
         socket_path=socket_path,
         listen=args.listen,
         store_dir=None if args.no_store else args.store,
-        save_every=args.save_every,
         max_requests=args.max_requests,
         queue_depth=args.queue_depth,
         read_deadline=args.read_deadline,
         max_request_bytes=args.max_request_bytes,
         max_conns=args.max_conns,
         request_deadline=args.request_deadline,
-        checkpoint_secs=args.checkpoint_secs,
         crash_dir=args.crash_dir,
         pool_size=args.pool,
         worker_requests=args.worker_requests,
-        worker_max_rss_mb=args.worker_max_rss_mb,
     )
     try:
         announce = daemon.bind()
@@ -790,8 +748,6 @@ def _run_client(args: argparse.Namespace) -> int:
             "source": source,
             "options": options,
         }
-        if args.bench is not None:
-            return _run_client_bench(args, payload)
         response = request_with_retry(
             args.connect,
             payload,
@@ -820,66 +776,6 @@ def _run_client(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return code
-
-
-def _run_client_bench(args: argparse.Namespace, payload: dict) -> int:
-    """``repro client --bench N --concurrency C``: hammer the daemon with
-    N copies of this analyze request over C connections and print
-    throughput plus latency percentiles.  Exits 1 unless every request
-    got an ``ok`` reply and all replies carry the same ``result``."""
-    import json
-
-    from repro.serve import bench
-
-    if args.bench < 1 or args.concurrency < 1:
-        print(
-            "error: --bench needs N >= 1 and --concurrency C >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    report = bench(
-        args.connect,
-        payload,
-        requests=args.bench,
-        concurrency=args.concurrency,
-        timeout=args.timeout,
-    )
-    statuses = ", ".join(
-        f"{status}={count}"
-        for status, count in sorted(report["statuses"].items())
-    ) or "none"
-    print(
-        f"bench: {report['completed']}/{report['requests']} replies over "
-        f"{report['concurrency']} connection(s) in "
-        f"{report['wall_secs']:.2f}s"
-    )
-    print(f"  throughput: {report['throughput_rps']:.2f} req/s")
-    print(
-        f"  latency: p50 {report['p50_ms']:.1f} ms | "
-        f"p95 {report['p95_ms']:.1f} ms | p99 {report['p99_ms']:.1f} ms"
-    )
-    print(f"  statuses: {statuses}")
-    for error in report["errors"][:5]:
-        print(f"  error: {error}", file=sys.stderr)
-    failed = (
-        report["completed"] != report["requests"]
-        or report["ok"] != report["completed"]
-    )
-    # Every request sent the same payload, so every reply must carry the
-    # same deterministic result, whatever order replies completed in.
-    distinct = {
-        json.dumps(result, sort_keys=True)
-        for result in report["results"]
-        if result is not None
-    }
-    if len(distinct) > 1:
-        print(
-            f"error: replies disagree: {len(distinct)} distinct results "
-            "for one request",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -261,3 +261,4 @@ class ParallelEngine:
             if result.error is not None:
                 service.stats.speculation_failures += 1
             service.merge_delta(result.delta)
+            service.stats.merge_perf(result.delta.stats)

@@ -73,8 +73,8 @@ later reply is the same.  Each worker's snapshot is labeled with a
 warm-state **epoch**; a merge that changes what a fresh fork would
 inherit bumps the epoch, and stale idle workers are lazily recycled —
 killed and reforked from the now-warmer parent — at acquire time.
-Workers are also recycled after ``--worker-requests`` served requests,
-past an ``--worker-max-rss-mb`` high-water mark, and on any fault.
+Workers are also recycled after ``--worker-requests`` served requests
+and on any fault.
 
 **Overload and hostile input.**  Connections are handled by one thread
 each.  Admission is a bounded semaphore of ``--queue-depth`` analyze
@@ -85,13 +85,13 @@ slow-loris) and a max-request-size cap (anti memory bomb); both produce
 ``protocol_error`` replies, not a wedged accept loop.
 
 **Durability.**  The store uses per-section CRC32 checksums and a
-two-generation write scheme (see :mod:`repro.store`), and a checkpoint
-thread persists unsaved warm state every ``--checkpoint-secs`` — so
-``kill -9`` at any instruction loses at most one checkpoint interval of
-warm state and can never corrupt the store.  Every save — per request,
-checkpoint, shutdown — writes a generation only when a block memo or
-the solver cache changed since the last one, so all-hits traffic does
-no store I/O.
+two-generation write scheme (see :mod:`repro.store`), and a clean merge
+is saved before its reply, under the same lock — so ``kill -9`` at any
+instruction loses nothing a client already has a reply for and can
+never corrupt the store.  A save that failed (``OSError``) is retried
+by the next merge's save or the shutdown save.  Every save writes a
+generation only when a block memo or the solver cache changed since the
+last one, so all-hits traffic does no store I/O.
 
 Per-request equivalence with a fresh process is engineered, not hoped
 for: each analyze request resets the process-global string-intern
@@ -115,7 +115,6 @@ import json
 import os
 import pickle
 import random
-import resource
 import select
 import signal
 import socket
@@ -621,18 +620,10 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
             )
         except BaseException as error:
             payload = {"error": f"{type(error).__name__}: {error}"}
-        payload["rss_kb"] = int(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        )
         try:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException as error:
-            blob = pickle.dumps(
-                {
-                    "error": f"{type(error).__name__}: {error}",
-                    "rss_kb": payload.get("rss_kb", 0),
-                }
-            )
+            blob = pickle.dumps({"error": f"{type(error).__name__}: {error}"})
         try:
             _write_frame(write_fd, blob)
         except BaseException:
@@ -646,7 +637,7 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
 class PoolWorker:
     """Parent-side handle to one long-lived pooled request worker."""
 
-    __slots__ = ("pid", "send_fd", "recv_fd", "epoch", "served", "rss_kb")
+    __slots__ = ("pid", "send_fd", "recv_fd", "epoch", "served")
 
     def __init__(self, pid: int, send_fd: int, recv_fd: int, epoch: int) -> None:
         self.pid = pid
@@ -656,8 +647,6 @@ class PoolWorker:
         self.epoch = epoch
         #: Clean requests served (the recycle request-cap counts these).
         self.served = 0
-        #: Worker-reported RSS high-water mark (KB) after its last reply.
-        self.rss_kb = 0
 
     def exchange(
         self, blob: bytes, kill_after: Optional[float]
@@ -685,7 +674,6 @@ class WorkerPool:
       at acquire time: merges bump the epoch only when they change what
       a fresh fork would inherit, so all-warm traffic never refreshes);
     - it has served ``worker_requests`` requests (staleness bound);
-    - its reported RSS high-water mark passes ``max_rss_kb``;
     - anything went wrong: analyzer error, fault-injected request,
       death mid-request, or a kill-deadline breach.
 
@@ -698,12 +686,10 @@ class WorkerPool:
         daemon: "ReproDaemon",
         size: int,
         worker_requests: Optional[int],
-        max_rss_kb: Optional[int],
     ) -> None:
         self._daemon = daemon
         self.size = size
         self.worker_requests = worker_requests
-        self.max_rss_kb = max_rss_kb
         self._cv = threading.Condition()
         self._idle: list[PoolWorker] = []
         self._live: dict[int, PoolWorker] = {}
@@ -803,16 +789,13 @@ class WorkerPool:
 
     def release(self, worker: PoolWorker, retire: Optional[str] = None) -> None:
         """Return a worker after its request.  ``retire`` (a reason
-        string) forces recycling; otherwise the request-cap and RSS
-        high-water policies decide."""
+        string) forces recycling; otherwise the request cap decides."""
         if (
             retire is None
             and self.worker_requests
             and worker.served >= self.worker_requests
         ):
             retire = "request-cap"
-        if retire is None and self.max_rss_kb and worker.rss_kb > self.max_rss_kb:
-            retire = "rss-high-water"
         with self._cv:
             if worker.pid not in self._live:
                 pass  # pool closed underneath the request
@@ -932,32 +915,27 @@ class ReproDaemon:
         socket_path: Optional[str] = None,
         listen: Optional[str] = None,
         store_dir: Optional[str] = ".repro-store",
-        save_every: int = 1,
         max_requests: Optional[int] = None,
         queue_depth: int = 8,
         read_deadline: float = 10.0,
         max_request_bytes: int = 4 * 1024 * 1024,
         max_conns: int = 32,
         request_deadline: Optional[float] = None,
-        checkpoint_secs: float = 30.0,
         crash_dir: str = ".repro-crashes",
         pool_size: Optional[int] = None,
         worker_requests: int = 200,
-        worker_max_rss_mb: Optional[float] = None,
     ) -> None:
         if (socket_path is None) == (listen is None):
             raise ValueError("exactly one of socket_path / listen required")
         self.socket_path = socket_path
         self.listen = listen
         self.store_dir = store_dir
-        self.save_every = max(1, save_every)
         self.max_requests = max_requests
         self.queue_depth = max(1, queue_depth)
         self.read_deadline = read_deadline
         self.max_request_bytes = max_request_bytes
         self.max_conns = max(1, max_conns)
         self.request_deadline = request_deadline
-        self.checkpoint_secs = checkpoint_secs
         self.crash_dir = crash_dir
         #: Pool width: N long-lived prefork workers serving requests
         #: concurrently; the default is a small host-sized pool.
@@ -967,9 +945,6 @@ class ReproDaemon:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.pool_size = int(pool_size)
         self.worker_requests = worker_requests
-        self.worker_max_rss_kb = (
-            int(worker_max_rss_mb * 1024) if worker_max_rss_mb else None
-        )
         #: Lazily created at the first analyze — by then any test
         #: monkeypatching is in place and forks inherit it.
         self._pool: Optional[WorkerPool] = None
@@ -978,9 +953,7 @@ class ReproDaemon:
         #: block memos), i.e. exactly when idle snapshots go stale.
         self._epoch = 0
         self.requests_served = 0
-        self._unsaved = 0
         self._stop = False
-        self._stop_event = threading.Event()
         self.store = None
         self._sock: Optional[socket.socket] = None
         #: serializes warm-state mutation: merges and saves.  Requests
@@ -1047,12 +1020,6 @@ class ReproDaemon:
         per-connection failures never do)."""
         assert self._sock is not None, "bind() first"
         self._sock.settimeout(_POLL_SECS)
-        checkpointer: Optional[threading.Thread] = None
-        if self.store is not None and self.checkpoint_secs > 0:
-            checkpointer = threading.Thread(
-                target=self._checkpoint_loop, daemon=True, name="checkpoint"
-            )
-            checkpointer.start()
         threads: list[threading.Thread] = []
         try:
             while not self._stop:
@@ -1077,11 +1044,8 @@ class ReproDaemon:
                 threads = [t for t in threads if t.is_alive()]
         finally:
             self._stop = True
-            self._stop_event.set()
             for thread in threads:
                 thread.join(timeout=10.0)
-            if checkpointer is not None:
-                checkpointer.join(timeout=10.0)
             if self._pool is not None:
                 self._pool.close()
             self._persist()
@@ -1241,12 +1205,10 @@ class ReproDaemon:
                 self.requests_served >= self.max_requests
             ):
                 self._stop = True
-                self._stop_event.set()
         if cmd == "ping":
             return _reply("ok", pong=True, protocol=PROTOCOL_VERSION)
         if cmd == "shutdown":
             self._stop = True
-            self._stop_event.set()
             return _reply("ok", bye=True)
         if cmd == "stats":
             with self._lock:
@@ -1329,18 +1291,6 @@ class ReproDaemon:
                 self._inflight -= 1
             self._slots.release()
 
-    def _save_if_due(self) -> None:
-        """Count one clean completion toward ``--save-every`` and persist
-        when due.  Caller holds ``_serial``."""
-        if self.store is None:
-            return
-        from repro import smt
-
-        self._unsaved += 1
-        if self._unsaved >= self.save_every:
-            self.store.save(smt.get_service())
-            self._unsaved = 0
-
     def _retry_after_ms(self) -> int:
         """When to tell a shed client to come back: the EWMA request
         duration times the number of dispatch *waves* ahead of it —
@@ -1369,10 +1319,7 @@ class ReproDaemon:
         with self._lock:
             if self._pool is None:
                 self._pool = WorkerPool(
-                    self,
-                    self.pool_size,
-                    self.worker_requests,
-                    self.worker_max_rss_kb,
+                    self, self.pool_size, self.worker_requests
                 )
             return self._pool
 
@@ -1470,7 +1417,6 @@ class ReproDaemon:
                 )
             else:
                 worker.served += 1
-                worker.rss_kb = int(payload.get("rss_kb") or 0)
                 if payload.get("faulted"):
                     # The injector consumed schedule state inside the
                     # worker; recycling keeps the next request pristine.
@@ -1485,9 +1431,10 @@ class ReproDaemon:
             try:
                 if payload is not None:
                     with self._serial:
-                        self._merge_pooled(smt.get_service(), payload, worker)
-                        if reply is not None and reply["status"] == "ok":
-                            self._save_if_due()
+                        service = smt.get_service()
+                        self._merge_pooled(service, payload, worker)
+                        if self.store is not None:
+                            self.store.save(service)
             finally:
                 if worker is not None:
                     pool.release(worker, retire=retire)
@@ -1507,6 +1454,8 @@ class ReproDaemon:
         try:
             if delta is not None:
                 imported = service.merge_delta(delta)
+                # The parent runs no analysis: the worker's work is its own.
+                service.stats.add_perf(delta.stats)
         except Exception as error:
             print(
                 "repro-serve: note: dropped a worker cache delta "
@@ -1569,25 +1518,6 @@ class ReproDaemon:
         if repro_path:
             reply["crash_repro"] = str(repro_path)
         return reply
-
-    # -- periodic checkpointing ---------------------------------------------
-
-    def _checkpoint_loop(self) -> None:
-        """Persist unsaved warm state every ``checkpoint_secs`` so a
-        ``kill -9`` loses at most one interval, on top of the per-N
-        ``--save-every`` saves.  New block memos and solver entries
-        learned without one (budgeted requests, blocks with typed calls)
-        both count: :meth:`~repro.store.AnalysisStore.unsaved` decides."""
-        from repro import smt
-
-        while not self._stop_event.wait(self.checkpoint_secs):
-            if self._stop or self.store is None:
-                continue
-            with self._serial:
-                service = smt.get_service()
-                if self.store.unsaved(service):
-                    with TRACER.span("checkpoint", "periodic"):
-                        self.store.save(service)
 
     def _persist(self) -> None:
         if self.store is not None:
@@ -1768,95 +1698,3 @@ def request_with_retry(
             )
         time.sleep((delay_ms / 1000.0) * (0.5 + rng.random()))
         attempt += 1
-
-
-def bench(
-    address: str,
-    payload: dict,
-    requests: int,
-    concurrency: int,
-    timeout: float = 300.0,
-    retries: int = 8,
-    payloads: Optional[list[dict]] = None,
-) -> dict:
-    """Load generator (``repro client --bench N --concurrency C``): fire
-    ``requests`` analyze requests at the daemon over ``concurrency``
-    client threads — one fresh connection per request, like the CLI
-    client — and return throughput plus latency percentiles.
-
-    ``payloads``, when given, is a request mix the workers draw from
-    round-robin (benchmarks use it for distinct-corpora traffic);
-    otherwise every request sends ``payload``.  ``busy`` sheds are
-    retried (honoring the daemon's ``retry_after_ms`` hint), so the
-    reported latency is the client-observed time to an answer, not to a
-    first attempt.  Replies' ``result`` payloads come back in
-    ``results`` so callers can check determinism."""
-    if requests < 1 or concurrency < 1:
-        raise ValueError("bench needs requests >= 1 and concurrency >= 1")
-    mix = payloads if payloads else [payload]
-    lock = threading.Lock()
-    cursor = {"next": 0}
-    latencies: list[float] = []
-    statuses: dict[str, int] = {}
-    errors: list[str] = []
-    results: list[tuple[int, Optional[dict]]] = []
-
-    def drive() -> None:
-        rng = random.Random()
-        while True:
-            with lock:
-                index = cursor["next"]
-                if index >= requests:
-                    return
-                cursor["next"] = index + 1
-            started = time.monotonic()
-            try:
-                response = request_with_retry(
-                    address,
-                    mix[index % len(mix)],
-                    timeout=timeout,
-                    retries=retries,
-                    rng=rng,
-                )
-            except ClientError as error:
-                with lock:
-                    errors.append(str(error))
-                continue
-            elapsed = time.monotonic() - started
-            status = str(response.get("status", "?"))
-            with lock:
-                latencies.append(elapsed)
-                statuses[status] = statuses.get(status, 0) + 1
-                results.append((index, response.get("result")))
-
-    wall_started = time.monotonic()
-    threads = [
-        threading.Thread(target=drive, daemon=True, name=f"bench-{i}")
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.monotonic() - wall_started
-    ordered = sorted(latencies)
-
-    def percentile(p: float) -> float:
-        if not ordered:
-            return 0.0
-        return ordered[min(len(ordered) - 1, int(p / 100.0 * len(ordered)))]
-
-    return {
-        "requests": requests,
-        "concurrency": concurrency,
-        "completed": len(latencies),
-        "ok": statuses.get("ok", 0),
-        "statuses": statuses,
-        "errors": errors,
-        "wall_secs": wall,
-        "throughput_rps": (len(latencies) / wall) if wall > 0 else 0.0,
-        "p50_ms": percentile(50) * 1000.0,
-        "p95_ms": percentile(95) * 1000.0,
-        "p99_ms": percentile(99) * 1000.0,
-        "results": [result for _, result in sorted(results)],
-    }

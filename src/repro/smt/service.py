@@ -207,16 +207,21 @@ class SolverStats:
             setattr(delta, name, getattr(self, name) - getattr(baseline, name))
         return delta
 
+    def add_perf(self, delta: "SolverStats") -> None:
+        """Add a perf-counter delta to this table's own counters (a
+        daemon's pool worker did the parent's work for it)."""
+        for name in self.PERF_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(delta, name))
+
     def merge_perf(self, delta: "SolverStats") -> None:
-        """Fold a worker's perf-counter delta into the ``speculative``
-        sub-table.  Workers run concurrently with (and are then replayed
-        by) the authoritative pass, so adding their counters to the
-        authoritative fields would count the same wall time twice."""
+        """Fold a ``--jobs N`` worker's perf-counter delta into the
+        ``speculative`` sub-table.  Workers run concurrently with (and
+        are then replayed by) the authoritative pass, so adding their
+        counters to the authoritative fields would count the same wall
+        time twice."""
         if self.speculative is None:
             self.speculative = SolverStats()
-        spec = self.speculative
-        for name in self.PERF_FIELDS:
-            setattr(spec, name, getattr(spec, name) + getattr(delta, name))
+        self.speculative.add_perf(delta)
 
     def _rows(self) -> list[tuple[str, object]]:
         """Flattened ``(key, value)`` rows straight from :meth:`as_dict`
@@ -754,11 +759,11 @@ class SolverService:
 
     def merge_delta(self, delta: CacheDelta) -> int:
         """Fold a worker's :class:`CacheDelta` into this service's cache
-        and stats; returns the number of entries actually imported.
-        Callers merge deltas in a deterministic (block-name) order so
-        the cache contents are reproducible run to run."""
+        and count the entries actually imported; returns that number.
+        The delta's perf counters are the caller's to file:
+        :meth:`SolverStats.merge_perf` (speculative work the caller
+        redoes) or :meth:`SolverStats.add_perf` (work done on its behalf)."""
         imported = self._import_entries(delta)
-        self.stats.merge_perf(delta.stats)
         self.stats.cache_entries_imported += imported
         return imported
 
@@ -816,9 +821,9 @@ class SolverService:
     def import_cache(self, delta: CacheDelta) -> int:
         """Load a persisted :meth:`export_cache` into the shards;
         returns the number of entries imported.  Unlike
-        :meth:`merge_delta` this merges no perf counters — a disk
-        store's history is not this run's work — so the run's own
-        tier/timing stats stay honest.  Every entry is a definite
+        :meth:`merge_delta` this touches no counter — a disk store's
+        history is not this run's work — so the run's own tier/timing
+        stats stay honest.  Every entry is a definite
         verdict of its formula (UNKNOWN is never cached), so importing
         can accelerate but never change any answer."""
         return self._import_entries(delta)

@@ -88,7 +88,6 @@ SPAN_KINDS = frozenset(
         "parallel.merge",  # parent: merging worker deltas + trace files
         "worker.task",  # worker: one speculative task
         "request",  # daemon: one client request (analyze/ping/stats)
-        "checkpoint",  # daemon: one periodic store checkpoint
     }
 )
 

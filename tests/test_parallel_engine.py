@@ -169,6 +169,8 @@ class TestCacheDelta:
 
         parent = SolverService()
         parent.merge_delta(delta)
+        assert parent.stats.speculative is None  # the caller files perf
+        parent.stats.merge_perf(delta.stats)
         # Worker counters land in the speculative sub-table, never in the
         # authoritative fields: the parent re-runs the blocks itself, so
         # folding worker solve time in would double-count wall time.
@@ -253,6 +255,13 @@ class TestCacheDelta:
         assert spec["full_solves"] == 4
         assert spec["solve_seconds"] == 1.0
         assert stats.queries == 0 and stats.solve_seconds == 0.0
+
+    def test_added_perf_lands_in_the_own_counters(self):
+        stats = SolverService().stats
+        stats.add_perf(SolverStats(queries=4, full_solves=2, solve_seconds=0.5))
+        assert stats.queries == 4 and stats.full_solves == 2
+        assert stats.solve_seconds == 0.5
+        assert "speculative" not in stats.as_dict()
 
 
 TWO_CLEAN_BLOCKS = """

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -29,7 +30,6 @@ from repro.serve import (
     ReproDaemon,
     TERMINAL_STATUSES,
     analyze_source,
-    bench,
     request,
     request_with_retry,
 )
@@ -467,20 +467,17 @@ class TestDaemonEndToEnd:
         assert response["result"] == expected
         assert response["served"]["store"].get("mixy_hits", 0) > 0
 
-    def test_checkpoint_persists_solver_entries_learned_without_memos(
+    def test_reply_persists_solver_entries_learned_without_memos(
         self, tmp_path
     ):
         # A budgeted request records no block memo, only solver entries;
-        # with --save-every out of reach, the checkpoint alone must
-        # persist them before the kill -9.
-        proc, address = _start_daemon(
-            tmp_path, "--save-every", "1000", "--checkpoint-secs", "0.5"
-        )
-        budgeted = _analyze_request(address, source=STAIRCASE, deadline=300)
+        # its merge is saved before its reply, so the store is on disk
+        # the moment the reply arrives and survives a kill -9.
+        proc, address = _start_daemon(tmp_path)
         meta = tmp_path / "store" / "meta.json"
-        deadline = time.monotonic() + 10.0
-        while not meta.exists() and time.monotonic() < deadline:
-            time.sleep(0.1)
+        assert not meta.exists()
+        budgeted = _analyze_request(address, source=STAIRCASE, deadline=300)
+        assert meta.exists()
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=20)
         proc.stdout.close()
@@ -944,38 +941,6 @@ class TestClientFailureModes:
                 retries=0,
             )
 
-    def test_bench_fails_when_replies_disagree(self, tmp_path, capsys):
-        """``repro client --bench`` sends one payload N times, so every
-        reply must carry the same result: two ``ok`` replies with
-        different results exit 1 with a message."""
-        from repro.cli import main
-
-        served = []
-
-        def behavior(conn):
-            conn.recv(65536)
-            result = {"exit": 0, "lines": [f"answer {len(served)}"]}
-            served.append(result)
-            conn.sendall(
-                (json.dumps({"ok": True, "status": "ok", "result": result})
-                 + "\n").encode("utf-8")
-            )
-            return len(served) < 2
-
-        address, server = self._one_shot_server(behavior)
-        path = tmp_path / "prog.c"
-        path.write_text(SOURCE)
-        try:
-            code = main([
-                "client", "mixy", str(path), "--connect", address,
-                "--bench", "2", "--concurrency", "1",
-            ])
-        finally:
-            server.close()
-        assert len(served) == 2
-        assert code == 1
-        assert "replies disagree" in capsys.readouterr().err
-
 
 # ---------------------------------------------------------------------------
 # The prefork pool: concurrent dispatch, epochs, recycling
@@ -1058,26 +1023,20 @@ class TestPoolConcurrency:
         assert stats["pool"]["recycles"] >= 6
         assert stats["pool"]["forks"] > 2  # replacements beyond the first pair
 
-    def test_bench_reports_complete_identical_replies(self, tmp_path):
-        """The load generator behind ``repro client --bench``: all
-        requests complete, every reply is the same analysis, and the
-        latency percentiles are ordered."""
+    def test_stats_count_pool_work_as_the_daemons_own(self, tmp_path):
+        """The parent runs no analysis: a pool worker's solver work is
+        the daemon's own, not speculative work a later pass redoes."""
         proc, address = _start_daemon(
-            tmp_path, "--pool", "2", "--max-requests", "6"
+            tmp_path, "--no-store", "--pool", "1", "--max-requests", "2"
         )
-        report = bench(
-            address,
-            {"cmd": "analyze", "lang": "mixy", "source": SOURCE,
-             "options": {}},
-            requests=6, concurrency=3, timeout=300.0,
-        )
+        reply = _analyze_request(address, source=STAIRCASE)
+        solver = request(address, {"cmd": "stats"})["stats"]["solver"]
         _finish(proc)
-        assert report["completed"] == 6 and report["ok"] == 6
-        assert report["statuses"] == {"ok": 6}
-        distinct = {json.dumps(r, sort_keys=True) for r in report["results"]}
-        assert len(distinct) == 1
-        assert report["p50_ms"] <= report["p95_ms"] <= report["p99_ms"]
-        assert report["throughput_rps"] > 0
+        assert reply["ok"]
+        assert solver["queries"] > 0
+        assert solver["full_solves"] > 0
+        assert solver["cache_entries_imported"] > 0
+        assert "speculative" not in solver
 
     def test_pooled_trace_passes_trace_report(self, tmp_path):
         """The pool's point events (spawn, recycle, epoch) are trace
@@ -1274,31 +1233,30 @@ BURST_POOL = 4
 BURST_REQUESTS = 16
 BURST_CONCURRENCY = 8
 WARM_REQUESTS = 4
-#: Shed nothing under the burst; save once, at shutdown.
-BURST_FLAGS = (
-    "--queue-depth", "32", "--save-every", "1000", "--checkpoint-secs", "0",
-)
+#: Shed nothing under the burst (which learns nothing, so saves nothing).
+BURST_FLAGS = ("--queue-depth", "32")
 
 
 def _burst_series(tmp, source, name, *extra):
-    """One daemon life: a cold analyze, then a BURST_REQUESTS x
-    BURST_CONCURRENCY warm burst through the ``client --bench`` engine."""
+    """One daemon life: a cold analyze, then BURST_REQUESTS warm ones
+    over BURST_CONCURRENCY client threads."""
     proc, address = _start_daemon(tmp, *BURST_FLAGS, *extra, store=f"store-{name}")
     payload = {"cmd": "analyze", "lang": "mixy", "source": source, "options": {}}
     try:
         cold = request(address, payload, timeout=300)
-        report = bench(
-            address, payload, requests=BURST_REQUESTS,
-            concurrency=BURST_CONCURRENCY, timeout=300,
-        )
+        with ThreadPoolExecutor(max_workers=BURST_CONCURRENCY) as clients:
+            burst = list(clients.map(
+                lambda _: request(address, payload, timeout=300),
+                range(BURST_REQUESTS),
+            ))
         stats = request(address, {"cmd": "stats"})["stats"]
         request(address, {"cmd": "shutdown"})
     finally:
         _finish(proc)
     assert cold["ok"], cold
-    assert report["completed"] == BURST_REQUESTS, report["errors"]
-    assert report["ok"] == BURST_REQUESTS, report["statuses"]
-    return {"results": [cold["result"], *report["results"]], "stats": stats}
+    assert len(burst) == BURST_REQUESTS
+    assert all(reply["ok"] for reply in burst), burst
+    return {"results": [cold["result"], *(r["result"] for r in burst)], "stats": stats}
 
 
 def _serial_series(tmp, source, name, *extra):

@@ -594,7 +594,7 @@ class ChaosCampaign:
             self._check_result(reply, "store_corrupt")
 
     def _pool_workers(self) -> List[dict]:
-        """The daemon's live pooled workers (pid/epoch/served/busy), or
+        """The daemon's live pooled workers (pid/served/busy), or
         ``[]`` when none is live or the stats request failed."""
         try:
             reply = request_with_retry(
@@ -614,7 +614,7 @@ class ChaosCampaign:
         # SIGKILL a pooled worker *between* requests: the pool must reap
         # the corpse at the next acquire and replace it with a fresh
         # fork — the client-visible reply stays clean 'ok' and identical
-        # to the baseline (no degraded, no epoch corruption).
+        # to the baseline (no degraded, no lost warm state).
         workers = self._pool_workers()
         if not workers:
             # Pool not spawned yet (it forks lazily at the first

@@ -231,8 +231,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="N",
         help="persistent prefork worker pool width, N >= 1: N long-lived "
-        "workers serve analyze requests concurrently and are recycled on "
-        "staleness or faults (default min(4, cpu count))",
+        "workers serve analyze requests concurrently, are kept warm by "
+        "catch-up and recycled on faults (default min(4, cpu count))",
     )
     serve.add_argument(
         "--worker-requests",

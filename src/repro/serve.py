@@ -69,12 +69,14 @@ served from what that one learned.  Merge order cannot reach a reply:
 answers are cache-independent (the store accelerates, it never
 answers), and a merge carries only formula→verdict entries and block
 memos — never a model — so whichever completion merges first, every
-later reply is the same.  Each worker's snapshot is labeled with a
-warm-state **epoch**; a merge that changes what a fresh fork would
-inherit bumps the epoch, and stale idle workers are lazily recycled —
-killed and reforked from the now-warmer parent — at acquire time.
-Workers are also recycled after ``--worker-requests`` served requests
-and on any fault.
+later reply is the same.  Every clean merge reaches every worker by
+**catch-up**: the parent keeps, per worker, a cursor into its own warm
+state (the solver journal mark and the memo dicts' lengths) as of that
+worker's fork or last job, and each job frame carries what the parent
+merged since — a journal-suffix cache delta and the memo dicts' tails —
+which the worker imports before it marks its own request.  No worker
+is reforked for being behind; workers are recycled only after
+``--worker-requests`` served requests and on any fault.
 
 **Overload and hostile input.**  Connections are handled by one thread
 each.  Admission is a bounded semaphore of ``--queue-depth`` analyze
@@ -151,9 +153,9 @@ _POLL_SECS = 0.25
 #: crash-containment and witness-replay paths, plus ``repro.parallel``,
 #: which every new pool worker imports (with multiprocessing and
 #: subprocess: 16–19 ms a fork).  :meth:`ReproDaemon.bind` imports them
-#: before the first pool fork, so every worker — reforks after an epoch
-#: bump included — inherits them instead of paying the imports (~60 ms
-#: for the MIXY driver alone) on its first request.
+#: before the first pool fork, so every worker — the replacement of a
+#: recycled one included — inherits them instead of paying the imports
+#: (~60 ms for the MIXY driver alone) on its first request.
 PRELOAD_MODULES = (
     "repro.budget",
     "repro.core",
@@ -535,60 +537,91 @@ def _read_frame(
         data += chunk
 
 
-def _worker_payload(
-    lang: str,
-    source: str,
-    options: dict,
-    store,
-    request_deadline: Optional[float],
-    crash_dir: str,
-) -> dict:
-    """Pooled worker: run one request and build the pickle frame the
-    parent merges.  Fault-injected requests are marked ``faulted`` and
-    ship no solver delta — chaos must never poison the shared cache
-    (their block memos are already suppressed by the drivers).
+class Cursor(NamedTuple):
+    """A position in one process's warm state: the solver cache's
+    :meth:`~repro.smt.service.SolverService.cache_mark` and the lengths
+    of the store's insertion-ordered memo dicts."""
+
+    mark: dict
+    mixy: int
+    mix: int
+
+
+def _cursor(service, store) -> Cursor:
+    return Cursor(
+        service.cache_mark(),
+        len(store.mixy_blocks) if store is not None else 0,
+        len(store.mix_blocks) if store is not None else 0,
+    )
+
+
+def _learned_since(service, store, cursor: Cursor, stats0) -> dict:
+    """What ``service`` and ``store`` gained since ``cursor``: a cache
+    delta read as a journal suffix (carrying the perf counters since
+    ``stats0``) and the new block memos, in O(what was gained).  Memo
+    dicts are insert-only, so "new" is the tail past the cursor's
+    lengths (dict order is insertion order; an overwrite keeps its
+    original position and need not ship — every copy is identical by
+    determinism)."""
+    memos = {"mixy_new": {}, "mix_new": {}}
+    if store is not None:
+        memos["mixy_new"] = dict(
+            itertools.islice(store.mixy_blocks.items(), cursor.mixy, None)
+        )
+        memos["mix_new"] = dict(
+            itertools.islice(store.mix_blocks.items(), cursor.mix, None)
+        )
+    return {"delta": service.collect_delta_since(cursor.mark, stats0), **memos}
+
+
+def _catch_up(service, store, catch_up: Optional[dict]) -> None:
+    """Worker: import what the parent merged since this worker's cursor
+    (see :meth:`ReproDaemon._job_frame`).  It touches no counter: the
+    parent's merges are not this worker's work."""
+    if catch_up is None:
+        return
+    if catch_up["delta"].entries:
+        service.import_cache(catch_up["delta"])
+    if store is not None:
+        store.mixy_blocks.update(catch_up["mixy_new"])
+        store.mix_blocks.update(catch_up["mix_new"])
+
+
+def _worker_payload(job: dict, store, crash_dir: str) -> dict:
+    """Pooled worker: import the job's catch-up, run its request and
+    build the pickle frame the parent merges.  The catch-up lands before
+    the marks are taken, so the frame ships only what this request
+    learned, never the parent's merges back.  Fault-injected requests
+    are marked ``faulted`` and ship no solver delta — chaos must never
+    poison the shared cache (their block memos are already suppressed
+    by the drivers).
 
     All before/after accounting is O(what the request gained), not
-    O(cache size): the solver delta reads the insertion journal from a
-    :meth:`~repro.smt.service.SolverService.cache_mark`, and new block
-    memos are the tail of the insertion-ordered memo dicts.  A warm
-    all-hits request therefore ships a near-empty frame — the property
-    the pool's isolation budget rests on."""
+    O(cache size) (:func:`_learned_since`).  A warm all-hits request
+    therefore ships a near-empty frame — the property the pool's
+    isolation budget rests on."""
     from dataclasses import replace
 
     from repro import smt
 
     service = smt.get_service()
-    mark = service.cache_mark()
+    _catch_up(service, store, job["catch_up"])
+    cursor = _cursor(service, store)
     stats0 = replace(service.stats)
-    mixy_before = len(store.mixy_blocks) if store is not None else 0
-    mix_before = len(store.mix_blocks) if store is not None else 0
+    options = job["options"]
     run = analyze_source(
-        lang, source, options, store=store,
-        request_deadline=request_deadline, crash_dir=crash_dir,
+        job["lang"], job["source"], options, store=store,
+        request_deadline=job["request_deadline"], crash_dir=crash_dir,
     )
     faulted = bool(options.get("inject_fault"))
     payload = {
         "result": run.result,
-        "delta": None,
         "faulted": faulted,
-        "mixy_new": {},
-        "mix_new": {},
         "store_stats": run.store,
+        **_learned_since(service, store, cursor, stats0),
     }
-    if not faulted:
-        payload["delta"] = service.collect_delta_since(mark, stats0)
-    if store is not None:
-        # Memo dicts are insert-only within a request, so "new" is the
-        # tail past the pre-request length (dict order is insertion
-        # order; overwrites keep their original position and need not
-        # ship — the parent's copy is identical by determinism).
-        payload["mixy_new"] = dict(
-            itertools.islice(store.mixy_blocks.items(), mixy_before, None)
-        )
-        payload["mix_new"] = dict(
-            itertools.islice(store.mix_blocks.items(), mix_before, None)
-        )
+    if faulted:
+        payload["delta"] = None
     return payload
 
 
@@ -609,14 +642,8 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
         if frame is None:
             os._exit(0)  # parent closed the pipe (or died): retire
         try:
-            job = pickle.loads(frame)
             payload = _worker_payload(
-                job["lang"],
-                job["source"],
-                job["options"],
-                daemon.store,
-                job.get("request_deadline"),
-                daemon.crash_dir,
+                pickle.loads(frame), daemon.store, daemon.crash_dir
             )
         except BaseException as error:
             payload = {"error": f"{type(error).__name__}: {error}"}
@@ -637,14 +664,17 @@ def _pool_worker_serve(daemon: "ReproDaemon", read_fd: int, write_fd: int) -> No
 class PoolWorker:
     """Parent-side handle to one long-lived pooled request worker."""
 
-    __slots__ = ("pid", "send_fd", "recv_fd", "epoch", "served")
+    __slots__ = ("pid", "send_fd", "recv_fd", "cursor", "served")
 
-    def __init__(self, pid: int, send_fd: int, recv_fd: int, epoch: int) -> None:
+    def __init__(
+        self, pid: int, send_fd: int, recv_fd: int, cursor: Cursor
+    ) -> None:
         self.pid = pid
         self.send_fd = send_fd
         self.recv_fd = recv_fd
-        #: The daemon warm-state epoch this worker's snapshot reflects.
-        self.epoch = epoch
+        #: The parent's warm state as this worker last saw it: at fork,
+        #: at its last job frame's catch-up, or past its own merge.
+        self.cursor = cursor
         #: Clean requests served (the recycle request-cap counts these).
         self.served = 0
 
@@ -666,14 +696,14 @@ class WorkerPool:
 
     Workers are forked lazily — up to ``size`` — from the warm daemon
     process, and each serves many requests over its job pipe, so the
-    fork is paid once per worker, not once per request.  A worker is
-    **recycled** — killed and replaced by a fresh fork of the
-    now-warmer parent — when:
+    fork is paid once per worker, not once per request.  Workers stay
+    warm by catch-up (each job frame carries what the parent merged
+    since the worker's cursor), never by refork.  A worker is
+    **recycled** — killed and replaced by a fresh fork of the parent —
+    when:
 
-    - its snapshot ``epoch`` falls behind the daemon's (checked lazily
-      at acquire time: merges bump the epoch only when they change what
-      a fresh fork would inherit, so all-warm traffic never refreshes);
-    - it has served ``worker_requests`` requests (staleness bound);
+    - it has served ``worker_requests`` requests (the bound on a
+      worker's life);
     - anything went wrong: analyzer error, fault-injected request,
       death mid-request, or a kill-deadline breach.
 
@@ -696,12 +726,17 @@ class WorkerPool:
         self._closed = False
         self.forks = 0
         self.recycles = 0
+        #: job frames that carried a catch-up, and what they carried
+        self.catch_ups = 0
+        self.catch_up_entries = 0
+        self.catch_up_memos = 0
 
     # -- acquisition ---------------------------------------------------------
 
     def acquire(self) -> PoolWorker:
-        """A current-epoch worker.  Blocks while every worker is busy;
-        dead or stale idle workers are recycled on the way."""
+        """An idle worker, or a new fork while the pool is below its
+        size.  Blocks while every worker is busy; idle workers found
+        dead are reaped on the way."""
         with self._cv:
             while True:
                 if self._closed:
@@ -714,16 +749,12 @@ class WorkerPool:
                 self._cv.wait(_POLL_SECS)
 
     def _next_idle_locked(self) -> Optional[PoolWorker]:
-        epoch = self._daemon._epoch
         while self._idle:
             worker = self._idle.pop(0)
             if self._dead_locked(worker):
                 # e.g. chaos SIGKILLed an idle worker between requests:
                 # reap the corpse here so the request never sees it.
                 self._discard_locked(worker, "died-idle", kill=False)
-                continue
-            if worker.epoch != epoch:
-                self._discard_locked(worker, "stale-epoch", kill=True)
                 continue
             return worker
         return None
@@ -743,16 +774,16 @@ class WorkerPool:
         sys.stderr.flush()
         job_read, job_write = os.pipe()
         reply_read, reply_write = os.pipe()
-        # Read before fork: a merge racing past between this read and
-        # the fork can only make the child *warmer* than its label, so
-        # the worst case is one spurious recycle, never a stale reuse.
-        epoch = daemon._epoch
         siblings = [
             fd
             for other in self._live.values()
             for fd in (other.send_fd, other.recv_fd)
         ]
-        pid = os.fork()
+        with daemon._serial:
+            # No merge or save runs across the fork: the child's warm
+            # state is exactly its cursor.
+            cursor = daemon.cursor()
+            pid = os.fork()
         if pid == 0:
             # -- child: serve until EOF; never return to the caller -------
             try:
@@ -778,11 +809,11 @@ class WorkerPool:
                 os._exit(1)  # only reachable if the serve loop raised
         os.close(job_read)
         os.close(reply_write)
-        worker = PoolWorker(pid, job_write, reply_read, epoch)
+        worker = PoolWorker(pid, job_write, reply_read, cursor)
         self._live[pid] = worker
         self.forks += 1
         if TRACER.enabled:
-            TRACER.event("pool_spawn", pid=pid, epoch=epoch)
+            TRACER.event("pool_spawn", pid=pid)
         return worker
 
     # -- release and retirement ----------------------------------------------
@@ -890,10 +921,12 @@ class WorkerPool:
                 "size": self.size,
                 "forks": self.forks,
                 "recycles": self.recycles,
+                "catch_ups": self.catch_ups,
+                "catch_up_entries": self.catch_up_entries,
+                "catch_up_memos": self.catch_up_memos,
                 "workers": [
                     {
                         "pid": worker.pid,
-                        "epoch": worker.epoch,
                         "served": worker.served,
                         "busy": worker.pid not in idle,
                     }
@@ -948,17 +981,14 @@ class ReproDaemon:
         #: Lazily created at the first analyze — by then any test
         #: monkeypatching is in place and forks inherit it.
         self._pool: Optional[WorkerPool] = None
-        #: Warm-state epoch: bumped only by merges that change what a
-        #: freshly forked worker would inherit (new cache entries or
-        #: block memos), i.e. exactly when idle snapshots go stale.
-        self._epoch = 0
         self.requests_served = 0
         self._stop = False
         self.store = None
         self._sock: Optional[socket.socket] = None
-        #: serializes warm-state mutation: merges and saves.  Requests
-        #: *execute* concurrently in the pool and take this lock only for
-        #: their merge, in completion order (see the module docstring).
+        #: serializes warm-state access: merges, saves, catch-ups and
+        #: forks.  Requests *execute* concurrently in the pool and take
+        #: this lock only for their catch-up and their merge, the merges
+        #: in completion order (see the module docstring).
         self._serial = threading.Lock()
         #: guards the small shared counters below.
         self._lock = threading.Lock()
@@ -1219,7 +1249,6 @@ class ReproDaemon:
                     "inflight": self._inflight,
                     "shed": self._shed,
                     "worker_crashes": self._worker_crashes,
-                    "epoch": self._epoch,
                     "solver": smt.get_service().stats.as_dict(),
                 }
             stats["pool"] = self._ensure_pool().describe()
@@ -1326,23 +1355,21 @@ class ReproDaemon:
     def _analyze_pooled(
         self, lang: str, source: str, options: dict, injector
     ) -> dict:
-        """One request through the worker pool: acquire a current-epoch
-        worker, exchange frames concurrently with other requests, then
-        merge what it learned under ``_serial`` and reply.  The worker
-        is held across its merge so its epoch can self-advance
-        (its local state already contains its own contribution); it
-        returns to the pool, or is recycled, after."""
+        """One request through the worker pool: acquire a worker, send
+        it the request with its catch-up, exchange frames concurrently
+        with other requests, then merge what it learned under
+        ``_serial`` and reply.  The worker is held across its merge so
+        its cursor can move past its own contribution (its local state
+        already contains it); it returns to the pool, or is recycled,
+        after."""
         pool = self._ensure_pool()
         kill_after = self._kill_after(options)
-        job = pickle.dumps(
-            {
-                "lang": lang,
-                "source": source,
-                "options": options,
-                "request_deadline": self.request_deadline,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        job = {
+            "lang": lang,
+            "source": source,
+            "options": options,
+            "request_deadline": self.request_deadline,
+        }
         reply = self._pooled_attempt(
             pool, job, kill_after, lang, source, options, injector,
             retry_on_death=injector is None,
@@ -1366,7 +1393,7 @@ class ReproDaemon:
     def _pooled_attempt(
         self,
         pool: WorkerPool,
-        job: bytes,
+        job: dict,
         kill_after: Optional[float],
         lang: str,
         source: str,
@@ -1385,8 +1412,10 @@ class ReproDaemon:
         payload = None
         retire: Optional[str] = None
         try:
+            with self._serial:
+                blob = self._job_frame(pool, worker, job)
             with TRACER.span("request", lang, pid=worker.pid):
-                frame, timed_out = worker.exchange(job, kill_after)
+                frame, timed_out = worker.exchange(blob, kill_after)
             if frame is not None:
                 try:
                     payload = pickle.loads(frame)
@@ -1440,20 +1469,65 @@ class ReproDaemon:
                     pool.release(worker, retire=retire)
         return reply
 
-    def _merge_pooled(self, service, payload: dict, worker) -> None:
+    def cursor(self) -> Cursor:
+        """Where the parent's warm state stands (caller holds
+        ``_serial``)."""
+        from repro import smt
+
+        return _cursor(smt.get_service(), self.store)
+
+    def _job_frame(
+        self, pool: WorkerPool, worker: PoolWorker, job: dict
+    ) -> bytes:
+        """The pickled job frame for ``worker`` (caller holds
+        ``_serial``): the request plus its **catch-up**, everything the
+        parent merged since the worker's cursor (``None`` when it has
+        seen it all), and the cursor moves to the parent's state now.
+        Every clean merge thus reaches every worker at its next job, and
+        no worker is reforked for being behind."""
+        from repro import smt
+
+        service = smt.get_service()
+        now = self.cursor()
+        catch_up = None
+        if now != worker.cursor:
+            catch_up = _learned_since(
+                service, self.store, worker.cursor, service.stats
+            )
+            worker.cursor = now
+            entries = len(catch_up["delta"])
+            memos = len(catch_up["mixy_new"]) + len(catch_up["mix_new"])
+            pool.catch_ups += 1
+            pool.catch_up_entries += entries
+            pool.catch_up_memos += memos
+            if TRACER.enabled:
+                TRACER.event(
+                    "pool_catch_up",
+                    pid=worker.pid,
+                    entries=entries,
+                    memos=memos,
+                )
+        return pickle.dumps(
+            {**job, "catch_up": catch_up}, protocol=pickle.HIGHEST_PROTOCOL
+        )
+
+    def _merge_pooled(
+        self, service, payload: dict, worker: PoolWorker
+    ) -> None:
         """Fold a clean pooled completion's warm state into the parent
-        (caller holds ``_serial``), bumping the epoch iff the merge
-        changed what a fresh fork would inherit.  An epoch bump lazily
-        recycles every *other* worker; the contributing worker's own
-        snapshot already contains its contribution, so its epoch
-        advances with the parent's and it keeps serving warm."""
+        (caller holds ``_serial``).  The contributing worker's own state
+        already contains its contribution: when no other merge came
+        between its catch-up and this one, its cursor moves past this
+        merge, so its next catch-up does not ship its own work back (if
+        one did come between, the next catch-up re-ships this merge too,
+        which the worker's import skips)."""
         if payload.get("faulted"):
             return
-        imported = 0
+        before = self.cursor()
         delta = payload.get("delta")
         try:
             if delta is not None:
-                imported = service.merge_delta(delta)
+                service.merge_delta(delta)
                 # The parent runs no analysis: the worker's work is its own.
                 service.stats.add_perf(delta.stats)
         except Exception as error:
@@ -1462,26 +1536,14 @@ class ReproDaemon:
                 f"({type(error).__name__}: {error})",
                 file=sys.stderr,
             )
-        fresh_memos = False
         if self.store is not None:
-            fresh_memos = self.store.merge_worker(
+            self.store.merge_worker(
                 payload.get("mixy_new") or {},
                 payload.get("mix_new") or {},
                 payload.get("store_stats") or {},
             )
-        if imported or fresh_memos:
-            with self._lock:
-                previous = self._epoch
-                self._epoch = previous + 1
-                if worker is not None and worker.epoch == previous:
-                    worker.epoch = self._epoch
-            if TRACER.enabled:
-                TRACER.event(
-                    "epoch",
-                    epoch=self._epoch,
-                    imported=imported,
-                    fresh_memos=bool(fresh_memos),
-                )
+        if worker.cursor == before:
+            worker.cursor = self.cursor()
 
     def _degraded_reply(
         self, lang: str, source: str, injector, reason: str

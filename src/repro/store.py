@@ -8,7 +8,7 @@ that reuse survive the process: a small on-disk store that a later run
 — or a long-lived ``repro serve`` daemon across restarts — loads to
 start warm.
 
-Layout of one store directory (format version 6)::
+Layout of one store directory (format version 7)::
 
     .repro-store/
       meta.json            # manifest: schema, generation, per-section records
@@ -29,7 +29,11 @@ The **block memo** sections record, per analyzed block, just enough to
 replay the block's *observable effects* without re-executing it, or
 the result type, stat deltas and fresh names consumed (MIX, whose one
 name supply runs through the whole program, so a skip fast-forwards
-it).  A MIXY entry holds:
+it).  Entries are held, shipped between daemon processes and persisted
+as their pickled bytes: ``mixy_put``/``mix_put`` encode once and
+``mixy_get``/``mix_get`` decode a fresh copy per hit, so a long-lived
+store holds one flat ``bytes`` object per entry instead of a nest of
+tuples, and a save writes those bytes as they are.  A MIXY entry holds:
 
 - ``warnings``: every warning the block raised, including one another
   block raised first (a replay re-raises them through the
@@ -91,9 +95,8 @@ from typing import Optional
 
 from repro.fsio import atomic_write, checksummed_write, read_checksummed
 
-#: 6: MIXY memo entries carry the block's typed calls, and their
-#: warnings include those another block raised first.
-STORE_VERSION = 6
+#: 7: memo entries are held and persisted as their pickled bytes.
+STORE_VERSION = 7
 STORE_SCHEMA = "repro-store"
 
 #: The persisted sections, in save order.
@@ -151,9 +154,10 @@ class AnalysisStore:
         self.root = root
         #: the persisted solver cache, if one loaded (a CacheDelta)
         self.solver_cache = None
-        #: content-hash -> memo entry (plain dicts; see mixy_put/mix_put)
-        self.mixy_blocks: dict[str, dict] = {}
-        self.mix_blocks: dict[str, dict] = {}
+        #: content-hash -> pickled memo entry (see mixy_put/mix_put);
+        #: insertion-ordered, so "recorded since" is a tail of each
+        self.mixy_blocks: dict[str, bytes] = {}
+        self.mix_blocks: dict[str, bytes] = {}
         #: why (part of) the store was ignored, for stderr surfacing
         self.notes: list[str] = []
         #: a block memo changed since the last save, or the store opened
@@ -290,6 +294,11 @@ class AnalysisStore:
                 if payload["version"] != STORE_VERSION:
                     raise ValueError(f"version {payload['version']}")
                 mixy, mix = dict(payload["mixy"]), dict(payload["mix"])
+                for blob in (*mixy.values(), *mix.values()):
+                    if not isinstance(blob, bytes):
+                        raise TypeError(
+                            f"memo entry of type {type(blob).__name__}"
+                        )
                 self.mixy_blocks, self.mix_blocks = mixy, mix
             except _LOAD_ERRORS as error:
                 self.notes.append(
@@ -347,7 +356,9 @@ class AnalysisStore:
         — if this store object wrote it — so a save that learned only
         block memos re-exports no solver cache.  Write failures are
         swallowed with a note — persisting is an optimization, never
-        worth failing an analysis over.
+        worth failing an analysis over.  The store stays unsaved, so the
+        next save retries; a failure that repeats an earlier one adds no
+        second note.
 
         A save that would rewrite what the store already holds is
         skipped: it writes only when ``force`` is set or
@@ -410,8 +421,9 @@ class AnalysisStore:
                 self._cache_seen = (service, version)
         except OSError as error:
             note = f"store {self.root}: could not persist ({error})"
-            self.notes.append(note)
-            print(f"note: {note}", file=sys.stderr)
+            if note not in self.notes:
+                self.notes.append(note)
+                print(f"note: {note}", file=sys.stderr)
 
     def _payload(self, name: str, service) -> Optional[bytes]:
         """One section's pickled contents (None: no solver cache)."""
@@ -433,16 +445,11 @@ class AnalysisStore:
         mixy_new: dict,
         mix_new: dict,
         stats_delta: Optional[dict] = None,
-    ) -> bool:
-        """Fold one request worker's new block memos and stat deltas into
-        this (parent-side) store.  Returns True iff any memo was genuinely
-        new to the parent — the signal ``repro serve`` uses to decide
-        whether pooled workers' snapshots just went stale (an epoch bump);
-        a worker re-deriving memos the parent already holds changes
-        nothing another worker could observe."""
-        fresh = any(key not in self.mixy_blocks for key in mixy_new) or any(
-            key not in self.mix_blocks for key in mix_new
-        )
+    ) -> None:
+        """Fold one request worker's new (encoded) block memos and stat
+        deltas into this (parent-side) store.  Memos the parent already
+        holds leave it clean: a worker re-deriving them changes nothing
+        a save would write."""
         if _changes(self.mixy_blocks, mixy_new) or _changes(
             self.mix_blocks, mix_new
         ):
@@ -451,31 +458,34 @@ class AnalysisStore:
         self.mix_blocks.update(mix_new)
         for key, delta_value in (stats_delta or {}).items():
             self.stats[key] = self.stats.get(key, 0) + delta_value
-        return fresh
 
     # -- block memos ---------------------------------------------------------
 
     def mixy_get(self, key: str) -> Optional[dict]:
-        entry = self.mixy_blocks.get(key)
-        self.stats["mixy_hits" if entry is not None else "mixy_misses"] += 1
-        return entry
+        blob = self.mixy_blocks.get(key)
+        self.stats["mixy_hits" if blob is not None else "mixy_misses"] += 1
+        return None if blob is None else pickle.loads(blob)
 
     def mixy_put(self, key: str, entry: dict) -> None:
-        self.mixy_blocks[key] = entry
+        self.mixy_blocks[key] = _encode(entry)
         self.stats["mixy_records"] += 1
         self.dirty = True
 
     def mix_get(self, key: str) -> Optional[dict]:
-        entry = self.mix_blocks.get(key)
-        self.stats["mix_hits" if entry is not None else "mix_misses"] += 1
-        return entry
+        blob = self.mix_blocks.get(key)
+        self.stats["mix_hits" if blob is not None else "mix_misses"] += 1
+        return None if blob is None else pickle.loads(blob)
 
     def mix_put(self, key: str, entry: dict) -> None:
-        self.mix_blocks[key] = entry
+        self.mix_blocks[key] = _encode(entry)
         self.stats["mix_records"] += 1
         self.dirty = True
 
 
+def _encode(entry: dict) -> bytes:
+    return pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def _changes(memos: dict, new: dict) -> bool:
     """Whether folding ``new`` into ``memos`` changes any entry."""
-    return any(memos.get(key) != entry for key, entry in new.items())
+    return any(memos.get(key) != blob for key, blob in new.items())

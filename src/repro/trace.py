@@ -104,7 +104,7 @@ POINT_KINDS = frozenset(
         "pool_recycle",  # daemon: a pool worker was killed to be replaced
         "pool_retire",  # daemon: a pool worker died mid-request and was reaped
         "pool_request_retry",  # daemon: a request re-ran after its worker died
-        "epoch",  # daemon: a merge made fresh forks warmer
+        "pool_catch_up",  # daemon: a job frame carried merges a worker lacked
     }
 )
 

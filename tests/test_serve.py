@@ -626,7 +626,7 @@ print(json.dumps([reply["status"] for reply in replies]))
     def test_fresh_workers_import_nothing(self, tmp_path):
         # A worker forked after bind() must find every module it needs
         # already imported: an import in a fresh worker is paid on every
-        # fork (a learning merge recycles the idle workers).  The daemon
+        # fork (each recycle forks a replacement).  The daemon
         # runs in a fresh interpreter with a one-request worker cap, so
         # every request runs on a fresh worker; each records its whole
         # sys.modules after its request, against the parent's at bind().
@@ -943,7 +943,7 @@ class TestClientFailureModes:
 
 
 # ---------------------------------------------------------------------------
-# The prefork pool: concurrent dispatch, epochs, recycling
+# The prefork pool: concurrent dispatch, catch-ups, recycling
 # ---------------------------------------------------------------------------
 
 
@@ -987,8 +987,9 @@ class TestPoolConcurrency:
     def test_racy_burst_merges_deterministically_and_warms(self, tmp_path):
         """A concurrent burst of identical memoizable requests: every
         reply matches the one-shot baseline regardless of merge race
-        outcomes, the first merge bumps the epoch, and a follow-up
-        request is served warm from the merged store."""
+        outcomes, the parent merges the workers' memos and cache
+        entries, and a follow-up request is served warm from the merged
+        store by a worker that was never reforked."""
         baseline = _fresh_cli_result(tmp_path, STAIRCASE)
         proc, address = _start_daemon(
             tmp_path, "--pool", "2", "--max-requests", "6"
@@ -1001,8 +1002,10 @@ class TestPoolConcurrency:
             assert reply["status"] == "ok"
             assert reply["result"] == baseline
         assert warm["served"]["store"].get("mixy_hits", 0) > 0
-        assert stats["epoch"] >= 1
+        assert stats["store"]["mixy_records"] > 0
+        assert stats["solver"]["cache_entries_imported"] > 0
         assert stats["pool"]["forks"] >= 1
+        assert stats["pool"]["recycles"] == 0
 
     def test_recycle_mid_burst_drops_and_duplicates_nothing(self, tmp_path):
         """With ``--worker-requests 1`` every worker is recycled after a
@@ -1039,30 +1042,38 @@ class TestPoolConcurrency:
         assert "speculative" not in solver
 
     def test_pooled_trace_passes_trace_report(self, tmp_path):
-        """The pool's point events (spawn, recycle, epoch) are trace
-        schema kinds: with a recycle after every request, the daemon's
-        trace validates and aggregates, and ``repro trace-report`` on it
-        exits 0."""
+        """The pool's point events (spawn, catch-up, recycle) are trace
+        schema kinds: two concurrent requests fork both workers, so the
+        next two (served in turn by the idle workers) each catch up on
+        the merge the other worker's request made, and both workers
+        retire at their two-request cap.  The daemon's trace validates
+        and aggregates, and ``repro trace-report`` on it exits 0."""
         from repro.cli import main
         from repro.trace import aggregate, read_trace
 
         trace = tmp_path / "serve.jsonl"
         proc, address = _start_daemon(
-            tmp_path, "--pool", "2", "--worker-requests", "1",
+            tmp_path, "--pool", "2", "--worker-requests", "2",
             "--trace", str(trace),
         )
         try:
-            replies = [_analyze_request(address, source=STAIRCASE)
-                       for _ in range(2)]
+            replies = _concurrent_requests(address, [STAIRCASE, SOURCE])
+            replies += [_analyze_request(address, source=STAIRCASE)
+                        for _ in range(2)]
         finally:
             request(address, {"cmd": "shutdown"})
             _finish(proc)
-        assert [reply["status"] for reply in replies] == ["ok", "ok"]
+        assert [reply["status"] for reply in replies] == ["ok"] * 4
         events = read_trace(trace)
         kinds = {event.get("kind") for event in events}
-        assert {"pool_spawn", "pool_recycle", "epoch"} <= kinds
+        assert {"pool_spawn", "pool_catch_up", "pool_recycle"} <= kinds
+        catch_ups = [e for e in events if e.get("kind") == "pool_catch_up"]
+        assert all(
+            isinstance(e["pid"], int) and e["entries"] + e["memos"] > 0
+            for e in catch_ups
+        )
         digest = aggregate(events)
-        assert digest["span_kinds"]["request"]["count"] == 2
+        assert digest["span_kinds"]["request"]["count"] == 4
         assert main(["trace-report", str(trace)]) == 0
 
     def test_pooled_trace_report_attributes_worker_runs(self, tmp_path, capsys):
@@ -1107,7 +1118,8 @@ class TestPoolConcurrency:
         learns nothing or a cold analyze of another program that records
         block memos.  Every reply matches its one-shot run, and an
         analyze's reply still implies its own merge: a follow-up of the
-        same program is served from the store."""
+        same program is served from the store, by the two workers the
+        pool forked first: no merge reforks a worker."""
         slow = parallel_vsftpd(depth=5)
         slow_baseline = _fresh_cli_result(tmp_path, slow)
         if overtaker == "warm-prove":
@@ -1169,11 +1181,14 @@ class TestPoolConcurrency:
                     [slow] if overtaker == "warm-prove" else [slow, STAIRCASE]
                 )
             ]
+            pool = request(address, {"cmd": "stats"})["stats"]["pool"]
         finally:
             request(address, {"cmd": "shutdown"})
             _finish(proc)
         assert finished == ["quick", "slow"]
         assert busy_after_quick == 1
+        assert pool["forks"] == 2 and pool["recycles"] == 0
+        assert pool["catch_ups"] >= 1
         assert replies["slow"]["status"] == "ok"
         assert replies["slow"]["result"] == slow_baseline
         for kind in set(replies) - {"slow"}:
@@ -1313,7 +1328,10 @@ class TestStaircaseDaemons:
     def test_pool_actually_ran_and_merged(self, staircase_daemons):
         pooled = staircase_daemons["pooled"]["stats"]
         assert pooled["pool"]["forks"] >= 1
-        assert pooled["epoch"] >= 1  # the cold request's memos were merged
+        assert pooled["pool"]["recycles"] == 0
+        # The cold request's memos and cache entries were merged.
+        assert pooled["store"]["mixy_records"] > 0
+        assert pooled["solver"]["cache_entries_imported"] > 0
         assert staircase_daemons["serialized"]["stats"]["pool"]["forks"] >= 1
 
     def test_serial_series_went_warm(self, staircase_daemons):

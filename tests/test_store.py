@@ -172,9 +172,14 @@ class TestStoreRoundTrip:
         store.mix_put("k2", {"names": 2})
         store.save()
         reopened = AnalysisStore.open(str(tmp_path / "store"))
-        assert reopened.mixy_get("k1") == store.mixy_blocks["k1"]
-        assert reopened.mix_get("k2") == store.mix_blocks["k2"]
+        assert reopened.mixy_get("k1") == {
+            "null_indices": (0,), "warnings": ()
+        }
+        assert reopened.mix_get("k2") == {"names": 2}
         assert reopened.notes == []
+        # Held and persisted encoded: the bytes round-trip as they are.
+        assert reopened.mixy_blocks == store.mixy_blocks
+        assert all(isinstance(b, bytes) for b in store.mixy_blocks.values())
 
     def test_solver_cache_round_trips_through_disk(self, tmp_path):
         _fresh_process_state()
@@ -223,7 +228,8 @@ class TestStoreRoundTrip:
         _analyze(store, source=STAIRCASE)
         assert store.mixy_blocks
         calls = []
-        for entry in store.mixy_blocks.values():
+        for key in list(store.mixy_blocks):
+            entry = store.mixy_get(key)
             assert set(entry) == {"watched", "null_indices", "warnings", "calls"}
             assert all(
                 index < len(entry["watched"]) for index in entry["null_indices"]
@@ -339,8 +345,8 @@ class TestDegradation:
         store = AnalysisStore.open(root)
         cold_warnings, _ = _analyze(store, source=STAIRCASE)
         store.mixy_blocks = {
-            key: {**entry, "symbols": 3, "addresses": 1}
-            for key, entry in store.mixy_blocks.items()
+            key: {**pickle.loads(blob), "symbols": 3, "addresses": 1}
+            for key, blob in store.mixy_blocks.items()
         }
         monkeypatch.setattr("repro.store.STORE_VERSION", 2)
         store.save(smt.get_service())
@@ -364,8 +370,10 @@ class TestDegradation:
         store = AnalysisStore.open(root)
         cold_warnings, _ = _analyze(store, source=STAIRCASE)
         store.mixy_blocks = {
-            key: {k: v for k, v in entry.items() if k != "watched"}
-            for key, entry in store.mixy_blocks.items()
+            key: {
+                k: v for k, v in pickle.loads(blob).items() if k != "watched"
+            }
+            for key, blob in store.mixy_blocks.items()
         }
         monkeypatch.setattr("repro.store.STORE_VERSION", 4)
         store.save(smt.get_service())
@@ -383,13 +391,12 @@ class TestDegradation:
         # that made one was never recorded), and their warnings left out
         # those another block raised first.  Opening one is a version
         # mismatch, never a KeyError on replay.
-        assert STORE_VERSION == 6
         root = str(tmp_path / "store")
         store = AnalysisStore.open(root)
         cold_warnings, _ = _analyze(store, source=STAIRCASE)
         store.mixy_blocks = {
-            key: {k: v for k, v in entry.items() if k != "calls"}
-            for key, entry in store.mixy_blocks.items()
+            key: {k: v for k, v in pickle.loads(blob).items() if k != "calls"}
+            for key, blob in store.mixy_blocks.items()
         }
         monkeypatch.setattr("repro.store.STORE_VERSION", 5)
         store.save(smt.get_service())
@@ -401,6 +408,43 @@ class TestDegradation:
         warnings, stats = _analyze(old, source=STAIRCASE)
         assert warnings == cold_warnings
         assert stats["mixy_hits"] == 0
+
+    def test_version_6_store_starts_cold(self, tmp_path, capsys, monkeypatch):
+        # The previous format: memo entries were held and persisted as
+        # plain dicts, not as their pickled bytes.  Opening one is a
+        # version mismatch, never a TypeError on a hit.
+        assert STORE_VERSION == 7
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        cold_warnings, _ = _analyze(store, source=STAIRCASE)
+        store.mixy_blocks = {
+            key: pickle.loads(blob) for key, blob in store.mixy_blocks.items()
+        }
+        monkeypatch.setattr("repro.store.STORE_VERSION", 6)
+        store.save(smt.get_service())
+        monkeypatch.undo()
+        capsys.readouterr()
+        old = AnalysisStore.open(root)
+        assert "unsupported meta" in capsys.readouterr().err
+        assert old.mixy_blocks == {} and old.solver_cache is None
+        warnings, stats = _analyze(old, source=STAIRCASE)
+        assert warnings == cold_warnings
+        assert stats["mixy_hits"] == 0
+
+    def test_unencoded_memo_entries_start_the_section_cold(
+        self, tmp_path, capsys
+    ):
+        # A current-version blocks section whose entries are not bytes
+        # is unusable as a whole, never a TypeError on a later hit.
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        store.mixy_put("k1", {"v": 1})
+        store.mixy_blocks["k1"] = {"v": 1}
+        store.save()
+        capsys.readouterr()
+        reopened = AnalysisStore.open(root)
+        assert "corrupt blocks section" in capsys.readouterr().err
+        assert reopened.mixy_get("k1") is None
 
     def test_unreadable_meta_starts_cold(self, tmp_path, capsys):
         root = str(tmp_path / "store")
@@ -546,6 +590,31 @@ class TestAtomicWriteFaults:
         assert reopened.mixy_get("k1") == {"v": 1}  # old generation intact
         assert reopened.mixy_get("k2") is None
 
+    def test_a_repeated_save_failure_notes_once_and_retries(
+        self, tmp_path, capsys
+    ):
+        """A store whose path cannot be written (here: under a regular
+        file) fails every save the same way.  A daemon saves after every
+        learning merge, so each failure must not add a note and a stderr
+        line: the error is recorded once, and every save still retries
+        — the first one after the path becomes writable persists."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        root = str(blocker / "store")
+        store = AnalysisStore.open(root)
+        capsys.readouterr()
+        for n in range(5):
+            store.mixy_put(f"k{n}", {"v": n})
+            store.save()
+        err = capsys.readouterr().err
+        assert len(store.notes) == 1 and "could not persist" in store.notes[0]
+        assert err.count("could not persist") == 1
+        assert store.unsaved() and store.generation == 0
+        blocker.unlink()
+        store.save()
+        assert store.generation == 1
+        assert AnalysisStore.open(root).mixy_get("k4") == {"v": 4}
+
 
 # ---------------------------------------------------------------------------
 # Two-generation integrity: checksum mismatch rolls back, never crashes
@@ -669,7 +738,7 @@ class TestSaveOnlyOnChange:
     def test_known_memos_from_a_worker_write_no_generation(self, tmp_path):
         root, store, service = self._reopened(tmp_path)
         known = dict(itertools.islice(store.mixy_blocks.items(), 1))
-        assert not store.merge_worker(known, {}, {"mixy_hits": 1})
+        store.merge_worker(known, {}, {"mixy_hits": 1})
         store.save(service)
         assert store.generation == 1
 
@@ -687,7 +756,7 @@ class TestSaveOnlyOnChange:
 
     def test_a_new_memo_writes_a_generation(self, tmp_path):
         root, store, service = self._reopened(tmp_path)
-        assert store.merge_worker({"fresh-key": {"v": 1}}, {}, {})
+        store.merge_worker({"fresh-key": pickle.dumps({"v": 1})}, {}, {})
         store.save(service)
         assert store.generation == 2
         assert AnalysisStore.open(root).mixy_get("fresh-key") == {"v": 1}

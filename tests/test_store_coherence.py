@@ -18,15 +18,19 @@ from disk and the pooled daemon:
 
 A third replays what the store recorded for earlier versions of a
 program: seeded edit sequences, each version analyzed on the one store
-and matched against its own cold run.
+and matched against its own cold run — and a slice of them through one
+pooled daemon, whose two workers stay warm by catch-up, never by
+refork.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -246,6 +250,8 @@ def edit_sequence(seed: int, edits: int) -> list[str]:
 EDIT_SEED = 0
 EDIT_SAMPLE = 60
 EDITS = 6
+#: The edit sequences that also run through one pooled daemon.
+DAEMON_EDIT_SAMPLE = 6
 
 # ---------------------------------------------------------------------------
 # The runs
@@ -276,36 +282,49 @@ def _store_runs(source: str, root: str) -> tuple[list[dict], int]:
     return results, hits
 
 
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _start_daemon(tmp: Path, *extra: str) -> tuple[subprocess.Popen, str]:
+    """``repro serve --pool 2`` with a store, on a loopback port."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve", "--listen",
+            "127.0.0.1:0", "--pool", "2", "--store", str(tmp / "store"),
+            *extra,
+        ],
+        cwd=tmp, env=_env(), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    announce = proc.stdout.readline()
+    assert "listening on tcp:" in announce, announce
+    return proc, announce.rsplit(" ", 1)[-1].strip()
+
+
+def _analyze(address: str, source: str) -> dict:
+    return request(
+        address,
+        {"cmd": "analyze", "lang": "mixy", "source": source},
+        timeout=120.0,
+    )
+
+
 @pytest.fixture(scope="module")
 def daemon_results(tmp_path_factory):
     """Each program analyzed twice by one pooled daemon with a store."""
     tmp = tmp_path_factory.mktemp("daemon")
     sources = [STRUCT_FIELDS] + PROGRAMS
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", "--listen",
-            "127.0.0.1:0", "--pool", "2", "--store", str(tmp / "store"),
-            "--max-requests", str(2 * len(sources)),
-        ],
-        cwd=tmp, env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    proc, address = _start_daemon(
+        tmp, "--max-requests", str(2 * len(sources))
     )
     try:
-        announce = proc.stdout.readline()
-        assert "listening on tcp:" in announce, announce
-        address = announce.rsplit(" ", 1)[-1].strip()
-        replies = {}
-        for source in sources:
-            replies[source] = [
-                request(
-                    address,
-                    {"cmd": "analyze", "lang": "mixy", "source": source},
-                    timeout=120.0,
-                )
-                for _ in range(2)
-            ]
+        replies = {
+            source: [_analyze(address, source) for _ in range(2)]
+            for source in sources
+        }
         proc.communicate(timeout=30)
     finally:
         if proc.poll() is None:
@@ -323,11 +342,9 @@ class TestStructFieldOrdinals:
     def test_cold_one_shot_prints_the_field_slot(self, tmp_path):
         path = tmp_path / "struct_fields.c"
         path.write_text(STRUCT_FIELDS)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "mixy", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_env(), timeout=120,
         )
         assert proc.returncode == 1
         assert "'conn.name#" in proc.stdout
@@ -381,8 +398,10 @@ class TestGeneratedPrograms:
             smt.reset_service()
             store = AnalysisStore.open(str(tmp_path / f"store{n}"), quiet=True)
             analyze_source("mixy", source, {}, store=store)
-            for key, entry in store.mixy_blocks.items():
-                recorded.setdefault(key.split(":")[0], []).append(entry)
+            for key in list(store.mixy_blocks):
+                recorded.setdefault(key.split(":")[0], []).append(
+                    store.mixy_get(key)
+                )
         drivers = recorded.get("drive", []) + recorded.get("tick", [])
         assert any(entry["calls"] for entry in drivers)
         assert "peek" not in recorded
@@ -409,3 +428,125 @@ class TestEditSequences:
             stored = analyze_source("mixy", source, {}, store=store).result
             store.save(smt.get_service())
             assert stored == cold, (step, source)
+
+
+class TestOneDaemon:
+    def test_edit_sequences_match_cold_and_fork_no_worker_twice(
+        self, tmp_path
+    ):
+        """Two clients each send three edit sequences, version by
+        version, to one two-worker daemon: every reply is its version's
+        cold run, byte for byte, while each worker replays memos the
+        other recorded (every merge reaches it by catch-up).  Nothing
+        reforks a worker: two forks, no recycle."""
+        sequences = [
+            edit_sequence(seed, EDITS)
+            for seed in range(EDIT_SEED, EDIT_SEED + DAEMON_EDIT_SAMPLE)
+        ]
+        colds = [[_cold(source) for source in seq] for seq in sequences]
+        replies: dict[tuple[int, int], dict] = {}
+        start = threading.Barrier(2)
+
+        def client(first: int) -> None:
+            start.wait()
+            for index in range(first, len(sequences), 2):
+                for step, source in enumerate(sequences[index]):
+                    replies[index, step] = _analyze(address, source)
+
+        proc, address = _start_daemon(tmp_path)
+        try:
+            clients = [
+                threading.Thread(target=client, args=(first,))
+                for first in (0, 1)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=300)
+            stats = request(address, {"cmd": "stats"})["stats"]
+            request(address, {"cmd": "shutdown"})
+            proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        for index, versions in enumerate(sequences):
+            for step in range(len(versions)):
+                reply = replies[index, step]
+                assert reply["status"] == "ok", (index, step, reply)
+                assert reply["result"] == colds[index][step], (index, step)
+        assert stats["pool"]["forks"] == 2
+        assert stats["pool"]["recycles"] == 0
+        assert stats["pool"]["catch_up_memos"] > 0
+        assert stats["store"]["mixy_hits"] > 0
+
+    def test_a_reply_frame_ships_only_the_memos_its_request_recorded(
+        self, tmp_path
+    ):
+        """A worker imports its catch-up before it marks its request, so
+        the frame it sends back holds exactly the memos that request
+        recorded — never the parent's merges it just received.  Two
+        concurrent requests fork both workers; the sequential ones
+        after them alternate between the workers, each catching up on
+        the other's programs."""
+        (tmp_path / "sources.json").write_text(json.dumps(PROGRAMS[:5]))
+        script = """
+import itertools, json, os, threading
+import repro.serve as serve
+
+inner = serve._worker_payload
+served = itertools.count()
+
+def recording(job, *args, **kwargs):
+    payload = inner(job, *args, **kwargs)
+    catch_up = job["catch_up"]
+    with open(f"frame.{os.getpid()}.{next(served)}", "w") as fh:
+        json.dump({
+            "caught_up": len(catch_up["mixy_new"]) if catch_up else 0,
+            "shipped": len(payload["mixy_new"]),
+            "recorded": payload["store_stats"].get("mixy_records", 0),
+        }, fh)
+    return payload
+
+serve._worker_payload = recording
+daemon = serve.ReproDaemon(
+    listen="127.0.0.1:0", store_dir="store", pool_size=2
+)
+daemon.bind()
+lines = [
+    json.dumps({"cmd": "analyze", "lang": "mixy", "source": source})
+    for source in json.load(open("sources.json"))
+]
+statuses = []
+
+def handle(line):
+    statuses.append(daemon.handle_line(line)["status"])
+
+pair = [threading.Thread(target=handle, args=(line,)) for line in lines[:2]]
+for thread in pair:
+    thread.start()
+for thread in pair:
+    thread.join()
+statuses += [daemon.handle_line(line)["status"] for line in lines[2:]]
+forks = daemon._pool.forks
+daemon._pool.close()
+print(json.dumps({"statuses": statuses, "forks": forks}))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=_env(), cwd=tmp_path, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout)
+        assert summary == {"statuses": ["ok"] * 5, "forks": 2}
+        frames = [
+            json.loads(path.read_text())
+            for path in sorted(tmp_path.glob("frame.*"))
+        ]
+        assert len(frames) == 5
+        for frame in frames:
+            assert frame["shipped"] == frame["recorded"], frames
+        assert any(
+            frame["caught_up"] > 0 and frame["recorded"] > 0
+            for frame in frames
+        ), frames

@@ -542,7 +542,7 @@ class Cursor(NamedTuple):
     :meth:`~repro.smt.service.SolverService.cache_mark` and the lengths
     of the store's insertion-ordered memo dicts."""
 
-    mark: dict
+    mark: tuple[int, int]
     mixy: int
     mix: int
 
@@ -580,8 +580,7 @@ def _catch_up(service, store, catch_up: Optional[dict]) -> None:
     parent's merges are not this worker's work."""
     if catch_up is None:
         return
-    if catch_up["delta"].entries:
-        service.import_cache(catch_up["delta"])
+    service.import_cache(catch_up["delta"])
     if store is not None:
         store.mixy_blocks.update(catch_up["mixy_new"])
         store.mix_blocks.update(catch_up["mix_new"])

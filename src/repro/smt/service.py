@@ -11,21 +11,19 @@ service answers from a tiered cache before ever touching DPLL(T):
 1. **exact** — the normalized key (a frozenset of hash-consed conjuncts,
    O(1) to hash because term identity is physical identity) has a cached
    verdict.
-2. **subset** — the conjunct set is a subset of a set previously proved
-   satisfiable: the same model still works, so the query is SAT.
-3. **superset** — the conjunct set is a superset of a cached UNSAT core:
+2. **superset** — the conjunct set is a superset of a cached UNSAT core:
    adding conjuncts cannot restore satisfiability, so the query is UNSAT.
-4. **model eval** — KLEE-style counterexample caching: recent models are
+3. **model eval** — KLEE-style counterexample caching: recent models are
    total interpretations (unassigned variables default to 0 / false), so
    if every conjunct evaluates to true under one of them the query is SAT.
-   The tier is indexed (:meth:`_Shard.find_model`): each recorded model
-   gets a serial number, and per conjunct the shard keeps bitmasks of the
-   live models it was evaluated under and of those it was false under,
-   so a model known to falsify any conjunct of the query is skipped
-   without evaluation.  The answer is still the *newest* satisfying
-   model, and no (conjunct, model) pair is evaluated that a plain
-   newest-first scan would not evaluate.
-5. **full solve** — only now does the query reach a :class:`Solver`.  Each
+   The tier is indexed (:meth:`_QueryCache.find_model`): each recorded
+   model gets a serial number, and per conjunct the cache keeps bitmasks
+   of the live models it was evaluated under and of those it was false
+   under, so a model known to falsify any conjunct of the query is
+   skipped without evaluation.  The answer is still the *newest*
+   satisfying model, and no (conjunct, model) pair is evaluated that a
+   plain newest-first scan would not evaluate.
+4. **full solve** — only now does the query reach a :class:`Solver`.  Each
    miss gets a fresh solver sized to the query: CDCL model search assigns
    *every* variable in its database, so sharing one growing solver across
    unrelated queries makes each solve pay for all previous ones.  Reuse of
@@ -33,10 +31,9 @@ service answers from a tiered cache before ever touching DPLL(T):
    incremental ``push``/``pop`` :class:`Solver` (for callers that hold
    one) are for.
 
-``UNKNOWN`` results are never cached.  Caches are sharded by
-``int_budget``: a verdict obtained under one budget is never reused under
-another (a larger budget can turn UNKNOWN into a real verdict, and
-budget-dependent UNKNOWNs must not leak across).
+``UNKNOWN`` results are never cached.  Every query is solved under the
+:class:`Solver` default ``int_budget``, so one cache serves them all;
+a caller that wants another budget holds its own :class:`Solver`.
 
 :class:`SolverStats` counts queries and hits per tier plus the CDCL
 counters, and is surfaced by the executors, the mix rules, the MIXY
@@ -75,7 +72,6 @@ class SolverStats:
     queries: int = 0
     syntactic_hits: int = 0
     exact_hits: int = 0
-    subset_hits: int = 0
     superset_hits: int = 0
     model_eval_hits: int = 0
     full_solves: int = 0
@@ -128,7 +124,6 @@ class SolverStats:
         return (
             self.syntactic_hits
             + self.exact_hits
-            + self.subset_hits
             + self.superset_hits
             + self.model_eval_hits
         )
@@ -142,7 +137,11 @@ class SolverStats:
             "queries": self.queries,
             "syntactic_hits": self.syntactic_hits,
             "exact_hits": self.exact_hits,
-            "subset_hits": self.subset_hits,
+            # No tier answers by subset any more.  The row stays, at 0,
+            # because perfbench reads it by name: perfbench/layers.py
+            # (smt.service.hits.subset, under --trace 1 as in the CI
+            # perfbench-smoke job) and run.py's SERIAL_EXACT counters.
+            "subset_hits": 0,
             "superset_hits": self.superset_hits,
             "model_eval_hits": self.model_eval_hits,
             "cache_hits": self.cache_hits,
@@ -185,7 +184,6 @@ class SolverStats:
         "queries",
         "syntactic_hits",
         "exact_hits",
-        "subset_hits",
         "superset_hits",
         "model_eval_hits",
         "full_solves",
@@ -306,6 +304,14 @@ class FaultInjector:
         for fault_kind in (kind, *(faults or {}).values()):
             if fault_kind not in self.ALL_KINDS:
                 raise ValueError(f"unknown fault kind {fault_kind!r}")
+        # A schedule that can never fire would run a clean analysis
+        # under a faulted request's name: refuse it.
+        if any(n < 1 for n in faults or {}):
+            raise ValueError(f"fault positions count queries from 1: {faults}")
+        if not 0.0 <= rate <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"fault rate {rate!r} is outside [0, 1]")
+        if rate and seed is None:
+            raise ValueError("a fault rate needs a seed")
         self.faults = dict(faults or {})
         self.kind = kind
         self.rate = rate
@@ -345,18 +351,17 @@ class FaultInjector:
         return fault
 
 
-class _Shard:
-    """Per-``int_budget`` cache state."""
+class _QueryCache:
+    """The service's cache state: every tier past the syntactic one."""
 
     #: Bounds keep lookups O(small constant) and memory flat under load.
     MAX_EXACT = 65_536
-    MAX_SETS = 512
+    MAX_CORES = 512
     MAX_MODELS = 64
 
-    def __init__(self) -> None:
+    def __init__(self, resets: int = 0, writes: int = 0) -> None:
         self.exact: dict[frozenset[Term], bool] = {}
-        self.sat_sets: Deque[frozenset[Term]] = deque(maxlen=self.MAX_SETS)
-        self.unsat_cores: Deque[frozenset[Term]] = deque(maxlen=self.MAX_SETS)
+        self.unsat_cores: Deque[frozenset[Term]] = deque(maxlen=self.MAX_CORES)
         self.models: Deque[Model] = deque(maxlen=self.MAX_MODELS)
         #: Serial number the next recorded model gets; the ring holds
         #: serials ``model_serial - len(models)`` .. ``model_serial - 1``,
@@ -376,11 +381,11 @@ class _Shard:
         #: conservatively sees the whole journal (everything now cached
         #: postdates the eviction).
         self.journal: list[frozenset[Term]] = []
-        self.resets = 0
+        self.resets = resets
         #: Count of writes that change what :meth:`SolverService.
         #: export_cache` reads: exact-tier inserts, verdict changes and
-        #: evictions, and sat-set / unsat-core appends.
-        self.writes = 0
+        #: evictions, and unsat-core appends.
+        self.writes = writes
 
     def put(self, key: frozenset[Term], verdict: bool) -> None:
         """Insert one exact-tier entry, journaling genuinely new keys
@@ -399,23 +404,17 @@ class _Shard:
         self.exact[key] = verdict
         self.writes += 1
 
-    def add_sat_set(self, key: frozenset[Term]) -> None:
-        self.sat_sets.append(key)
-        self.writes += 1
-
     def add_unsat_core(self, key: frozenset[Term]) -> None:
         self.unsat_cores.append(key)
         self.writes += 1
 
     def record(self, key: frozenset[Term], sat: bool, model: Optional[Model]) -> None:
         self.put(key, sat)
-        if sat:
-            self.add_sat_set(key)
-            if model is not None:
-                self.models.append(model)
-                self.model_serial += 1
-        else:
+        if not sat:
             self.add_unsat_core(key)
+        elif model is not None:
+            self.models.append(model)
+            self.model_serial += 1
 
     def find_model(self, conjuncts: frozenset[Term]) -> Optional[Model]:
         """The newest recorded model satisfying every conjunct, or None.
@@ -485,15 +484,15 @@ class CacheDelta:
     The picklable cross-process form of "what this worker learned":
     conjunct sets are wire-encoded (:mod:`repro.smt.terms`, one shared
     node table) because terms hash by identity and cannot cross a
-    process boundary as objects.  Each entry is
-    ``(int_budget, conjunct root positions, verdict, in sat_sets,
-    in unsat_cores)``.  Models are deliberately not shipped: a model is
+    process boundary as objects.  Each entry is ``(conjunct root
+    positions, verdict, in unsat_cores)``.  Models are deliberately not
+    shipped: a model is
     dead weight on the wire next to an exact verdict, and the model-eval
     tier refills from the parent's own solves.
     """
 
     wire: Wire
-    entries: list[tuple[int, tuple[int, ...], bool, bool, bool]]
+    entries: list[tuple[tuple[int, ...], bool, bool]]
     stats: SolverStats
 
     def __len__(self) -> int:
@@ -508,10 +507,7 @@ class SolverService:
     ) -> None:
         self.stats = SolverStats()
         self.cache_enabled = cache_enabled
-        self._shards: dict[int, _Shard] = {}
-        #: :meth:`cache_version` carried over the shards dropped by
-        #: :meth:`reset`, so the version never repeats.
-        self._retired_writes = 0
+        self._cache = _QueryCache()
         #: The active run's resource budget (installed via ``governed``).
         self.budget: Optional[Budget] = None
         #: Deterministic fault injection for degradation testing.
@@ -535,43 +531,30 @@ class SolverService:
         finally:
             self.budget = previous
 
-    def is_satisfiable(self, *formulas: Term, int_budget: int = 4000) -> bool:
+    def is_satisfiable(self, *formulas: Term) -> bool:
         """True iff the conjunction of ``formulas`` has a model."""
-        result = self.check_sat(formulas, int_budget=int_budget)
+        result = self.check_sat(formulas)
         if result is SatResult.UNKNOWN:
             raise SolverError(f"undecided satisfiability query: {list(formulas)}")
         return result is SatResult.SAT
 
-    def is_valid(
-        self, formula: Term, assuming: Iterable[Term] = (), int_budget: int = 4000
-    ) -> bool:
+    def is_valid(self, formula: Term, assuming: Iterable[Term] = ()) -> bool:
         """True iff ``formula`` holds in every model of ``assuming``."""
         from repro.smt.terms import not_
 
         formulas = (*assuming, not_(formula))
-        result = self.check_sat(formulas, int_budget=int_budget)
+        result = self.check_sat(formulas)
         if result is SatResult.UNKNOWN:
             raise SolverError(f"undecided validity query: {formula}")
         return result is SatResult.UNSAT
 
-    def model(self, *formulas: Term, int_budget: int = 4000) -> Model:
+    def model(self, *formulas: Term) -> Model:
         """A model of the conjunction (used by variable concretization)."""
         if not TRACER.enabled:
-            return self._model(formulas, int_budget)
-        span = TRACER.begin_span("solver.query", "model", budget=int_budget)
-        before = self._tier_snapshot()
-        try:
-            model = self._model(formulas, int_budget)
-        except BaseException as error:
-            TRACER.end_span(
-                span, tier=self._tier_hit(before), verdict="error",
-                error=type(error).__name__,
-            )
-            raise
-        TRACER.end_span(span, tier=self._tier_hit(before), verdict="MODEL")
-        return model
+            return self._model(formulas)
+        return self._traced("model", self._model, formulas)
 
-    def _model(self, formulas: tuple[Term, ...], int_budget: int) -> Model:
+    def _model(self, formulas: tuple[Term, ...]) -> Model:
         self.stats.queries += 1
         fault = self._next_fault()
         if fault == FaultInjector.DIE:
@@ -590,37 +573,26 @@ class SolverService:
         if conjuncts is None:
             raise SolverError(f"no model: query is not satisfiable: {list(formulas)}")
         if self.cache_enabled and fault is None:
-            model = self._shard(int_budget).find_model(conjuncts)
+            model = self._cache.find_model(conjuncts)
             if model is not None:
                 self.stats.model_eval_hits += 1
                 return model
         result, model = self._solve(
-            conjuncts, int_budget, corrupt=fault == FaultInjector.BAD_MODEL
+            conjuncts, corrupt=fault == FaultInjector.BAD_MODEL
         )
         if result is not SatResult.SAT or model is None:
             raise SolverError(f"no model: query is not satisfiable: {list(formulas)}")
         if self.cache_enabled and (fault is None or model.satisfies(conjuncts)):
-            self._shard(int_budget).record(conjuncts, True, model)
+            self._cache.record(conjuncts, True, model)
         return model
 
-    def check_sat(self, formulas: Iterable[Term], int_budget: int = 4000) -> SatResult:
+    def check_sat(self, formulas: Iterable[Term]) -> SatResult:
         """Tiered satisfiability check of a conjunction of formulas."""
         if not TRACER.enabled:
-            return self._check_sat(formulas, int_budget)
-        span = TRACER.begin_span("solver.query", "check_sat", budget=int_budget)
-        before = self._tier_snapshot()
-        try:
-            result = self._check_sat(formulas, int_budget)
-        except BaseException as error:
-            TRACER.end_span(
-                span, tier=self._tier_hit(before), verdict="error",
-                error=type(error).__name__,
-            )
-            raise
-        TRACER.end_span(span, tier=self._tier_hit(before), verdict=result.name)
-        return result
+            return self._check_sat(formulas)
+        return self._traced("check_sat", self._check_sat, formulas)
 
-    def _check_sat(self, formulas: Iterable[Term], int_budget: int) -> SatResult:
+    def _check_sat(self, formulas: Iterable[Term]) -> SatResult:
         self.stats.queries += 1
         fault = self._next_fault()
         if fault == FaultInjector.DIE:
@@ -656,33 +628,27 @@ class SolverService:
                 return SatResult.UNSAT
 
         if self.cache_enabled and fault is None:
-            shard = self._shard(int_budget)
+            cache = self._cache
             # Tier 1: exact.
-            cached = shard.exact.get(conjuncts)
+            cached = cache.exact.get(conjuncts)
             if cached is not None:
                 self.stats.exact_hits += 1
                 return SatResult.SAT if cached else SatResult.UNSAT
-            # Tier 2: subset of a satisfiable set.
-            for sat_set in shard.sat_sets:
-                if conjuncts <= sat_set:
-                    self.stats.subset_hits += 1
-                    shard.put(conjuncts, True)
-                    return SatResult.SAT
-            # Tier 3: superset of an UNSAT core.
-            for core in shard.unsat_cores:
+            # Tier 2: superset of an UNSAT core.
+            for core in cache.unsat_cores:
                 if core <= conjuncts:
                     self.stats.superset_hits += 1
-                    shard.put(conjuncts, False)
+                    cache.put(conjuncts, False)
                     return SatResult.UNSAT
-            # Tier 4: reuse a recent model as a total interpretation.
-            if shard.find_model(conjuncts) is not None:
+            # Tier 3: reuse a recent model as a total interpretation.
+            if cache.find_model(conjuncts) is not None:
                 self.stats.model_eval_hits += 1
-                shard.record(conjuncts, True, None)
+                cache.put(conjuncts, True)
                 return SatResult.SAT
 
-        # Tier 5: full DPLL(T) on a fresh solver.
+        # Tier 4: full DPLL(T) on a fresh solver.
         result, model = self._solve(
-            conjuncts, int_budget, corrupt=fault == FaultInjector.BAD_MODEL
+            conjuncts, corrupt=fault == FaultInjector.BAD_MODEL
         )
         if self.cache_enabled and result is not SatResult.UNKNOWN:
             # Never let a model that fails its own conjuncts into the
@@ -690,33 +656,31 @@ class SolverService:
             # the solver's, but the assignment itself is untrustworthy).
             if model is not None and fault is not None and not model.satisfies(conjuncts):
                 model = None
-            self._shard(int_budget).record(
-                conjuncts, result is SatResult.SAT, model
-            )
+            self._cache.record(conjuncts, result is SatResult.SAT, model)
         return result
 
     def reset(self) -> None:
-        """Drop all cached state and counters (tests and benchmarks)."""
+        """Drop all cached state and counters (tests and benchmarks).
+        The new cache counts on from the old one's resets and writes, so
+        a mark taken before the reset ships the whole new journal and
+        :meth:`cache_version` never repeats."""
         self.stats = SolverStats()
-        self._retired_writes = self.cache_version() + 1
-        self._shards.clear()
+        old = self._cache
+        self._cache = _QueryCache(resets=old.resets + 1, writes=old.writes + 1)
 
     # -- cross-process cache deltas (see repro.parallel) -----------------------
 
-    def cache_mark(self) -> dict[int, tuple[int, int]]:
-        """An O(#shards) position marker for :meth:`collect_delta_since`:
-        per shard, the eviction-reset count and the insertion-journal
-        length.  Taken at task start by every forked worker — the
-        ``--jobs`` engine's speculation tasks and the pooled ``repro
-        serve`` workers alike — so marking costs nothing even against
-        a large warm cache."""
-        return {
-            b: (shard.resets, len(shard.journal))
-            for b, shard in self._shards.items()
-        }
+    def cache_mark(self) -> tuple[int, int]:
+        """An O(1) position marker for :meth:`collect_delta_since`: the
+        cache's eviction-reset count and insertion-journal length.
+        Taken at task start by every forked worker — the ``--jobs``
+        engine's speculation tasks and the pooled ``repro serve``
+        workers alike — so marking costs nothing even against a large
+        warm cache."""
+        return self._cache.resets, len(self._cache.journal)
 
     def collect_delta_since(
-        self, mark: dict[int, tuple[int, int]], stats_baseline: SolverStats
+        self, mark: tuple[int, int], stats_baseline: SolverStats
     ) -> CacheDelta:
         """Everything cached since ``mark`` (a :meth:`cache_mark`),
         wire-encoded for the parent and read as a journal suffix —
@@ -724,33 +688,23 @@ class SolverService:
         Entries keep their insertion order.  Only definite verdicts live
         in the exact tier (UNKNOWN is never cached), so every shipped
         entry is sound to reuse: SAT is a function of the formula, not
-        of which process solved it.  A shard evicted since the mark
+        of which process solved it.  A cache evicted since the mark
         contributes its whole (restarted) journal: every surviving entry
-        postdates the mark.  An empty mark ships the whole cache."""
+        postdates the mark."""
+        cache = self._cache
+        resets, position = mark
+        if cache.resets != resets:
+            position = 0
+        suffix = cache.journal[position:]
+        # A set view of the core deque: membership per entry must be
+        # O(1), not a scan of up to MAX_CORES frozensets.
+        cores = set(cache.unsat_cores) if suffix else set()
         flat: list[Term] = []
-        entries: list[tuple[int, tuple[int, ...], bool, bool, bool]] = []
-        for int_budget, shard in self._shards.items():
-            resets, position = mark.get(int_budget, (0, 0))
-            if shard.resets != resets:
-                position = 0
-            if position >= len(shard.journal):
-                continue
-            # Set views of the tier deques: membership per entry must be
-            # O(1), not a scan of up to MAX_SETS frozensets.
-            in_sat_sets = set(shard.sat_sets)
-            in_unsat_cores = set(shard.unsat_cores)
-            for key in shard.journal[position:]:
-                positions = tuple(range(len(flat), len(flat) + len(key)))
-                flat.extend(key)
-                entries.append(
-                    (
-                        int_budget,
-                        positions,
-                        shard.exact[key],
-                        key in in_sat_sets,
-                        key in in_unsat_cores,
-                    )
-                )
+        entries: list[tuple[tuple[int, ...], bool, bool]] = []
+        for key in suffix:
+            positions = tuple(range(len(flat), len(flat) + len(key)))
+            flat.extend(key)
+            entries.append((positions, cache.exact[key], key in cores))
         return CacheDelta(
             wire=to_wire_many(flat),
             entries=entries,
@@ -768,58 +722,46 @@ class SolverService:
         return imported
 
     def _import_entries(self, delta: CacheDelta) -> int:
+        if not delta.entries:
+            return 0  # an all-hits request: nothing to decode
         roots = from_wire_many(delta.wire)
+        cache = self._cache
         imported = 0
-        # Per-shard set views of the tier deques, built once and kept in
-        # step with the appends below: the dedup checks must be O(1),
-        # not O(MAX_SETS) scans per imported entry.
-        sat_views: dict[int, set[frozenset[Term]]] = {}
-        core_views: dict[int, set[frozenset[Term]]] = {}
-        for int_budget, positions, verdict, in_sats, in_cores in delta.entries:
+        # A set view of the core deque, kept in step with the appends
+        # below: the dedup check must be O(1), not an O(MAX_CORES) scan
+        # per imported entry.
+        cores = set(cache.unsat_cores)
+        for positions, verdict, in_cores in delta.entries:
             key = frozenset(roots[i] for i in positions)
-            shard = self._shard(int_budget)
-            if key not in shard.exact:
-                shard.put(key, verdict)
+            if key not in cache.exact:
+                cache.put(key, verdict)
                 imported += 1
-            if in_sats:
-                view = sat_views.get(int_budget)
-                if view is None:
-                    view = sat_views[int_budget] = set(shard.sat_sets)
-                if key not in view:
-                    shard.add_sat_set(key)
-                    view.add(key)
-            if in_cores:
-                view = core_views.get(int_budget)
-                if view is None:
-                    view = core_views[int_budget] = set(shard.unsat_cores)
-                if key not in view:
-                    shard.add_unsat_core(key)
-                    view.add(key)
+            if in_cores and key not in cores:
+                cache.add_unsat_core(key)
+                cores.add(key)
         return imported
 
     # -- cross-run cache persistence (see repro.store) -------------------------
 
     def export_cache(self) -> CacheDelta:
-        """Every exact-tier entry of every shard, wire-encoded — the
-        persistable form of the whole cache, not a delta.  Reuses the
-        :class:`CacheDelta` shape against an empty mark; the stats
+        """Every exact-tier entry, wire-encoded — the persistable form
+        of the whole cache, not a delta.  Reuses the :class:`CacheDelta`
+        shape against a mark at the journal's start; the stats
         payload is zeroed (a store records verdicts, not the solve time
         some other run paid for them).  Models are not exported, same
         as deltas: the model-eval tier refills from live solves."""
-        delta = self.collect_delta_since({}, self.stats)
+        delta = self.collect_delta_since((self._cache.resets, 0), self.stats)
         return CacheDelta(wire=delta.wire, entries=delta.entries, stats=SolverStats())
 
     def cache_version(self) -> int:
         """A number that grows with every write :meth:`export_cache`
         reads, and only with those — equal versions mean an equal
-        export.  O(#shards), so :meth:`repro.store.AnalysisStore.save`
-        can ask it after every request."""
-        return self._retired_writes + sum(
-            shard.writes for shard in self._shards.values()
-        )
+        export.  O(1), so :meth:`repro.store.AnalysisStore.save` can
+        ask it after every request."""
+        return self._cache.writes
 
     def import_cache(self, delta: CacheDelta) -> int:
-        """Load a persisted :meth:`export_cache` into the shards;
+        """Load a persisted :meth:`export_cache` into the cache;
         returns the number of entries imported.  Unlike
         :meth:`merge_delta` this touches no counter — a disk store's
         history is not this run's work — so the run's own tier/timing
@@ -835,29 +777,32 @@ class SolverService:
     _TIER_COUNTERS = (
         ("syntactic_hits", "syntactic"),
         ("exact_hits", "exact"),
-        ("subset_hits", "subset"),
         ("superset_hits", "superset"),
         ("model_eval_hits", "model_eval"),
         ("full_solves", "full_solve"),
         ("injected_faults", "fault"),
     )
 
-    def _tier_snapshot(self) -> tuple[int, ...]:
-        """Tier counters before a query (trace spans diff them after)."""
-        return tuple(getattr(self.stats, name) for name, _ in self._TIER_COUNTERS)
+    def _traced(self, name: str, query, formulas):
+        """Run ``query(formulas)`` inside a ``solver.query`` span that
+        names the tier that answered it (diffing the tier counters)."""
+        span = TRACER.begin_span("solver.query", name)
+        before = [getattr(self.stats, counter) for counter, _ in self._TIER_COUNTERS]
 
-    def _tier_hit(self, before: tuple[int, ...]) -> str:
-        """Which cache tier answered the query since ``before``."""
-        for (name, label), prev in zip(self._TIER_COUNTERS, before):
-            if getattr(self.stats, name) > prev:
-                return label
-        return "uncached"
+        def tier() -> str:
+            for (counter, label), prev in zip(self._TIER_COUNTERS, before):
+                if getattr(self.stats, counter) > prev:
+                    return label
+            return "uncached"
 
-    def _shard(self, int_budget: int) -> _Shard:
-        shard = self._shards.get(int_budget)
-        if shard is None:
-            shard = self._shards[int_budget] = _Shard()
-        return shard
+        try:
+            result = query(formulas)
+        except BaseException as error:
+            TRACER.end_span(span, tier=tier(), verdict="error", error=type(error).__name__)
+            raise
+        verdict = result.name if isinstance(result, SatResult) else "MODEL"
+        TRACER.end_span(span, tier=tier(), verdict=verdict)
+        return result
 
     @staticmethod
     def _normalize(formulas: Iterable[Term]) -> Optional[frozenset[Term]]:
@@ -897,7 +842,7 @@ class SolverService:
         return fault
 
     def _solve(
-        self, conjuncts: frozenset[Term], int_budget: int, corrupt: bool = False
+        self, conjuncts: frozenset[Term], corrupt: bool = False
     ) -> tuple[SatResult, Optional[Model]]:
         deadline: Optional[float] = None
         if self.budget is not None:
@@ -906,7 +851,7 @@ class SolverService:
                 self.stats.deadline_breaches += 1
                 return SatResult.UNKNOWN, None
             deadline = self.budget.query_deadline_at()
-        result, model = self._solve_once(conjuncts, int_budget, deadline)
+        result, model = self._solve_once(conjuncts, deadline)
         if corrupt and model is not None:
             model = self._corrupted(model)
         if (
@@ -920,7 +865,7 @@ class SolverService:
             # on a fresh solver; if that one lies too, the query is
             # undecided as far as we are concerned.
             self.stats.self_check_failures += 1
-            result, model = self._solve_once(conjuncts, int_budget, deadline)
+            result, model = self._solve_once(conjuncts, deadline)
             if (
                 result is SatResult.SAT
                 and model is not None
@@ -930,10 +875,10 @@ class SolverService:
         return result, model
 
     def _solve_once(
-        self, conjuncts: frozenset[Term], int_budget: int, deadline: Optional[float]
+        self, conjuncts: frozenset[Term], deadline: Optional[float]
     ) -> tuple[SatResult, Optional[Model]]:
         self.stats.full_solves += 1
-        solver = Solver(int_budget=int_budget, deadline=deadline)
+        solver = Solver(deadline=deadline)
         solver.add(*conjuncts)
         started = time.perf_counter()
         try:

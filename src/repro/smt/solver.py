@@ -455,7 +455,7 @@ class Solver:
 # ---------------------------------------------------------------------------
 
 
-def is_satisfiable(*formulas: Term, int_budget: int = 4000) -> bool:
+def is_satisfiable(*formulas: Term) -> bool:
     """True iff the conjunction of ``formulas`` has a model.
 
     Routed through the process-wide :class:`repro.smt.service.SolverService`
@@ -464,10 +464,10 @@ def is_satisfiable(*formulas: Term, int_budget: int = 4000) -> bool:
     """
     from repro.smt.service import get_service
 
-    return get_service().is_satisfiable(*formulas, int_budget=int_budget)
+    return get_service().is_satisfiable(*formulas)
 
 
-def is_valid(formula: Term, assuming: Iterable[Term] = (), int_budget: int = 4000) -> bool:
+def is_valid(formula: Term, assuming: Iterable[Term] = ()) -> bool:
     """True iff ``formula`` holds in every model of ``assuming``.
 
     This implements the paper's ``exhaustive(g1, ..., gn)`` check: the
@@ -476,4 +476,4 @@ def is_valid(formula: Term, assuming: Iterable[Term] = (), int_budget: int = 400
     """
     from repro.smt.service import get_service
 
-    return get_service().is_valid(formula, assuming=assuming, int_budget=int_budget)
+    return get_service().is_valid(formula, assuming=assuming)

@@ -8,7 +8,7 @@ that reuse survive the process: a small on-disk store that a later run
 — or a long-lived ``repro serve`` daemon across restarts — loads to
 start warm.
 
-Layout of one store directory (format version 7)::
+Layout of one store directory (format version 8)::
 
     .repro-store/
       meta.json            # manifest: schema, generation, per-section records
@@ -17,8 +17,8 @@ Layout of one store directory (format version 7)::
       blocks.0.pkl
       blocks.1.pkl
 
-The **solver cache** section persists every exact-tier entry (verdict
-plus sat-set / unsat-core membership) via the wire codec
+The **solver cache** section persists every exact-tier entry as
+``(conjunct positions, verdict, unsat-core membership)`` via the wire codec
 (:func:`repro.smt.terms.to_wire_many`): terms hash by identity, so they
 cross runs the same way they cross processes in the parallel engine.
 Every entry is a definite verdict of its formula — UNKNOWN is never
@@ -96,7 +96,9 @@ from typing import Optional
 from repro.fsio import atomic_write, checksummed_write, read_checksummed
 
 #: 7: memo entries are held and persisted as their pickled bytes.
-STORE_VERSION = 7
+#: 8: solver-cache entries are ``(positions, verdict, in_unsat_cores)``,
+#: with no ``int_budget`` and no sat-set membership.
+STORE_VERSION = 8
 STORE_SCHEMA = "repro-store"
 
 #: The persisted sections, in save order.

@@ -53,7 +53,7 @@ Every line is one JSON object with an ``ev`` discriminator:
     A completed interval.  ``t`` is seconds since the tracer was
     enabled (monotonic clock, comparable across forked workers).
     ``kind`` is one of :data:`SPAN_KINDS`; extra keys are span fields
-    (e.g. ``tier``/``verdict``/``budget`` on ``solver.query``).
+    (e.g. ``tier``/``verdict`` on ``solver.query``).
 
 ``{"ev": "event", "kind": K, "span": "7", "t": ..., ...}``
     A point occurrence inside span ``span``; ``kind`` is one of
@@ -110,19 +110,6 @@ POINT_KINDS = frozenset(
 
 #: Keys reserved by the envelope; span/event fields must avoid them.
 RESERVED_KEYS = frozenset({"ev", "id", "parent", "kind", "name", "t", "dur", "span", "value", "schema", "pid"})
-
-#: solver.query tier labels (order = cache tier order).
-QUERY_TIERS = (
-    "syntactic",
-    "exact",
-    "subset",
-    "superset",
-    "model_eval",
-    "full_solve",
-    "fault",
-    "uncached",
-)
-
 
 class TraceSchemaError(ValueError):
     """A trace line failed schema validation."""

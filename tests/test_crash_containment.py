@@ -182,6 +182,18 @@ class TestCli:
         source.write_text(self.GUARDED)
         assert main(["mixy", str(source), "--inject-fault", "nope"]) == 2
 
+    @pytest.mark.parametrize("spec", ["0:crash", "-1:timeout"])
+    def test_fault_position_below_one_is_usage_error(self, tmp_path, capsys, spec):
+        # Queries count from 1: such a fault would never fire, and the
+        # run would pass for a faulted one.
+        from repro.cli import main
+
+        source = tmp_path / "guarded.c"
+        source.write_text(self.GUARDED)
+        assert main(["mixy", str(source), f"--inject-fault={spec}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "count queries from 1" in err
+
 
 class TestShrinker:
     def test_shrinks_to_the_crashing_node(self):

@@ -100,13 +100,12 @@ def _some_queries():
 
 
 def _delta_keys(delta):
-    """The delta's entries decoded back to ``(int_budget, key)`` pairs,
-    in shipping order (decoding re-interns, so keys compare by
-    identity against the shipping process's own)."""
+    """The delta's entries decoded back to their conjunct sets, in
+    shipping order (decoding re-interns, so keys compare by identity
+    against the shipping process's own)."""
     roots = smt.terms.from_wire_many(delta.wire)
     return [
-        (int_budget, frozenset(roots[i] for i in positions))
-        for int_budget, positions, _, _, _ in delta.entries
+        frozenset(roots[i] for i in positions) for positions, _, _ in delta.entries
     ]
 
 
@@ -181,56 +180,65 @@ class TestCacheDelta:
         assert parent.stats.witnesses_confirmed == 0
         assert parent.stats.cache_entries_imported == len(delta)
 
+    def test_merged_unsat_core_answers_supersets(self):
+        # Core membership crosses the process boundary: a superset of a
+        # worker's UNSAT core is answered by the superset tier.
+        worker = SolverService()
+        mark = worker.cache_mark()
+        stats0 = replace(worker.stats)
+        core = _some_queries()[0]
+        assert worker.check_sat(core) is smt.SatResult.UNSAT
+        parent = SolverService()
+        assert parent.merge_delta(worker.collect_delta_since(mark, stats0)) == 1
+        superset = (*core, smt.lt(smt.var("y", smt.INT), smt.int_const(2)))
+        assert parent.check_sat(superset) is smt.SatResult.UNSAT
+        assert parent.stats.superset_hits == 1
+        assert parent.stats.full_solves == 0
+
     def test_mark_delta_is_the_exact_key_difference_in_insertion_order(self):
         """The journal suffix ships exactly the exact-tier keys gained
-        since the mark — the set difference of ``shard.exact`` before
+        since the mark — the set difference of the exact tier before
         and after — in the order they were inserted, with each key's
         own verdict."""
         worker = SolverService()
         worker.check_sat(_some_queries()[0])  # pre-fork state: not shipped
-        before = {
-            b: set(shard.exact) for b, shard in worker._shards.items()
-        }
+        before = set(worker._cache.exact)
         mark = worker.cache_mark()
         stats0 = replace(worker.stats)
         for q in _some_queries():
             worker.check_sat(q)
         gained = [
-            (b, key)
-            for b, shard in worker._shards.items()
-            for key in shard.exact  # dict order is insertion order
-            if key not in before.get(b, set())
+            key
+            for key in worker._cache.exact  # dict order is insertion order
+            if key not in before
         ]
         delta = worker.collect_delta_since(mark, stats0)
         assert len(gained) == len(_some_queries()) - 1
         assert _delta_keys(delta) == gained
-        assert [entry[2] for entry in delta.entries] == [
-            worker._shards[b].exact[key] for b, key in gained
+        assert [entry[1] for entry in delta.entries] == [
+            worker._cache.exact[key] for key in gained
         ]
 
     def test_export_import_round_trip_keeps_the_exact_tier(self):
         """``export_cache`` -> ``import_cache`` into a fresh service
-        rebuilds the same exact tier: same shards, keys, verdicts and
-        insertion order — the store's persisted form of the cache."""
+        rebuilds the same exact tier: same keys, verdicts and insertion
+        order, and the same UNSAT cores — the store's persisted form of
+        the cache."""
         worker = SolverService()
         for q in _some_queries():
             worker.check_sat(q)
-        worker.check_sat(_some_queries()[1], int_budget=7)  # second shard
         exported = worker.export_cache()
         assert exported.stats == SolverStats()  # verdicts, not solve time
 
         fresh = SolverService()
         assert fresh.import_cache(exported) == len(exported)
-        assert list(fresh._shards) == list(worker._shards)
-        for b, shard in worker._shards.items():
-            assert list(fresh._shards[b].exact.items()) == list(
-                shard.exact.items()
-            )
-            assert fresh._shards[b].journal == list(shard.exact)
+        assert list(fresh._cache.exact.items()) == list(worker._cache.exact.items())
+        assert fresh._cache.journal == list(worker._cache.exact)
+        assert list(fresh._cache.unsat_cores) == list(worker._cache.unsat_cores)
         assert fresh.stats.full_solves == 0
 
     def test_stale_mark_ships_the_whole_journal(self):
-        """A shard evicted since the mark invalidates the journal
+        """A cache evicted since the mark invalidates the journal
         position; the conservative fallback ships every surviving entry
         — over-shipping is idempotent, under-shipping loses verdicts."""
         worker = SolverService()
@@ -239,8 +247,7 @@ class TestCacheDelta:
         stats0 = replace(worker.stats)
         for q in _some_queries()[1:]:
             worker.check_sat(q)
-        for shard in worker._shards.values():
-            shard.resets += 1  # as if eviction restarted the journal
+        worker._cache.resets += 1  # as if eviction restarted the journal
         delta = worker.collect_delta_since(mark, stats0)
         assert len(delta) == len(_some_queries())  # pre-mark entry included
 

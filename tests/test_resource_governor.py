@@ -143,6 +143,26 @@ class TestFaultInjector:
         with pytest.raises(ValueError):
             FaultInjector(faults={1: "segfault"})
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"faults": {0: FaultInjector.CRASH}},
+            {"faults": {-2: FaultInjector.TIMEOUT}},
+            {"rate": 1.0},  # a rate with no seed never fires
+            {"seed": 1, "rate": 1.5},
+            {"seed": 1, "rate": -0.1},
+            {"seed": 1, "rate": float("nan")},
+        ],
+    )
+    def test_schedule_that_never_fires_rejected(self, spec):
+        with pytest.raises(ValueError):
+            FaultInjector(**spec)
+
+    def test_edges_of_a_firing_schedule_accepted(self):
+        assert FaultInjector(seed=1, rate=1.0).next_fault() == FaultInjector.TIMEOUT
+        assert FaultInjector(faults={1: FaultInjector.ERROR}).next_fault() == "error"
+        FaultInjector(seed=1, rate=0.0)
+
     def test_injected_timeout_counts_and_skips_cache(self, fresh_service):
         x = smt.var("x", smt.INT)
         formula = smt.gt(x, smt.int_const(0))

@@ -257,6 +257,18 @@ class TestHandleLine:
         response = _line_daemon().handle_line("{nope")
         assert response["ok"] is False and "bad request" in response["error"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [["0:crash"], {"faults": {"0": "crash"}}, {"rate": 1.0}, {"seed": 1, "rate": 2.0}],
+    )
+    def test_fault_schedule_that_never_fires_is_a_protocol_error(self, spec):
+        response = _line_daemon().handle_line(json.dumps({
+            "cmd": "analyze", "lang": "mixy", "source": STAIRCASE,
+            "options": {"inject_fault": spec},
+        }))
+        assert response["status"] == "protocol_error", response
+        assert "fault" in response["error"]
+
     def test_non_object_request_is_an_error_response(self):
         response = _line_daemon().handle_line("[1, 2]")
         assert response["ok"] is False

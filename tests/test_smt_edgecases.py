@@ -9,6 +9,7 @@ from repro import smt
 from repro.smt import (
     BOOL,
     INT,
+    FaultInjector,
     FuncDecl,
     SatResult,
     Solver,
@@ -38,10 +39,17 @@ class TestUnknownResults:
         assert solver.check() is SatResult.UNKNOWN
 
     def test_helpers_raise_on_unknown(self):
-        with pytest.raises(SolverError):
-            smt.is_satisfiable(smt.gt(x, int_const(0)), int_budget=0)
-        with pytest.raises(SolverError):
-            smt.is_valid(smt.gt(x, int_const(0)), int_budget=0)
+        service = smt.reset_service()
+        service.fault_injector = FaultInjector(
+            faults={1: FaultInjector.UNKNOWN, 2: FaultInjector.UNKNOWN}
+        )
+        try:
+            with pytest.raises(SolverError):
+                smt.is_satisfiable(smt.gt(x, int_const(0)))
+            with pytest.raises(SolverError):
+                smt.is_valid(smt.gt(x, int_const(0)))
+        finally:
+            smt.reset_service()
 
 
 class TestFragmentLimits:

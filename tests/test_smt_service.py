@@ -1,10 +1,9 @@
 """Correctness tests for the solver service's query cache.
 
 The cache must be invisible: every answer it serves — from the syntactic
-tier, the exact-key tier, the subset/superset shortcut tiers, or the
+tier, the exact-key tier, the UNSAT-core superset tier, or the
 model-evaluation tier — must equal what a cold :class:`Solver` says for
-the same conjunction.  Verdicts are also sharded by ``int_budget``: a
-result obtained under one budget is never served under another.
+the same conjunction.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.smt import (
     true,
     var,
 )
-from repro.smt.service import _Shard
+from repro.smt.service import _QueryCache
 from repro.smt.solver import Model
 from repro.symexec import IfStrategy, SymConfig
 from repro.typecheck import TypeEnv, types
@@ -128,13 +127,14 @@ class TestCacheTiers:
         assert svc.stats.exact_hits == 1
         assert svc.stats.full_solves == 1
 
-    def test_subset_of_sat_set_answers_sat(self):
+    def test_subset_of_sat_set_answers_by_model_eval(self):
+        # The model that satisfies a set satisfies each of its subsets.
         svc = SolverService()
         a, b, c = gt(x, int_const(0)), lt(x, int_const(5)), lt(y, x)
         assert svc.check_sat((a, b, c)) is SatResult.SAT
         assert svc.check_sat((a, c)) is SatResult.SAT
         assert svc.stats.full_solves == 1
-        assert svc.stats.subset_hits + svc.stats.model_eval_hits >= 1
+        assert svc.stats.model_eval_hits == 1
 
     def test_superset_of_unsat_core_answers_unsat(self):
         svc = SolverService()
@@ -197,7 +197,7 @@ INDEX_CONJUNCTS = [
 
 
 class TestModelEvalIndex:
-    """``_Shard.find_model`` (the model-eval index) against the plain
+    """``_QueryCache.find_model`` (the model-eval index) against the plain
     newest-first ``Model.satisfies`` scan: same model returned, and no
     ``(conjunct, model)`` pair evaluated that the scan would not
     evaluate, nor any pair evaluated twice while its model is live."""
@@ -246,12 +246,12 @@ class TestModelEvalIndex:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_index_agrees_with_the_scan(self, seed):
-        recorded, hits = self._run(_Shard(), seed, 300)
+        recorded, hits = self._run(_QueryCache(), seed, 300)
         assert recorded and hits
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ring_wrap_around(self, seed):
-        class SmallRing(_Shard):
+        class SmallRing(_QueryCache):
             MAX_MODELS = 5
 
         shard = SmallRing()
@@ -260,12 +260,12 @@ class TestModelEvalIndex:
         assert shard.model_serial == recorded
 
     def test_default_ring_wraps(self):
-        shard = _Shard()
+        shard = _QueryCache()
         recorded, _ = self._run(shard, 99, 4 * shard.MAX_MODELS)
         assert recorded > shard.MAX_MODELS
 
     def test_ill_sorted_conjunct_is_false_under_every_model(self):
-        shard = _Shard()
+        shard = _QueryCache()
         rng = random.Random(0)
         for serial in range(3):
             shard.record(frozenset([gt(x, int_const(serial))]), True, self._model(rng))
@@ -274,7 +274,7 @@ class TestModelEvalIndex:
         assert known == false == 0b111
 
     def test_wholesale_eviction_clears_the_index(self):
-        class Tiny(_Shard):
+        class Tiny(_QueryCache):
             MAX_EXACT = 4
 
         shard = Tiny()
@@ -288,22 +288,12 @@ class TestModelEvalIndex:
         assert shard.evals == {}
 
 
-class TestBudgetSharding:
-    def test_no_reuse_across_budgets(self):
-        svc = SolverService()
-        query = (gt(x, int_const(0)), lt(x, int_const(7)))
-        assert svc.check_sat(query, int_budget=4000) is SatResult.SAT
-        assert svc.check_sat(query, int_budget=8000) is SatResult.SAT
-        assert svc.stats.full_solves == 2  # second budget: fresh shard
-        assert svc.check_sat(query, int_budget=4000) is SatResult.SAT
-        assert svc.check_sat(query, int_budget=8000) is SatResult.SAT
-        assert svc.stats.full_solves == 2  # now both shards are warm
-
+class TestUnknown:
     def test_unknown_never_cached(self, monkeypatch):
         svc = SolverService()
         calls = []
 
-        def fake_solve(conjuncts, int_budget, corrupt=False):
+        def fake_solve(conjuncts, corrupt=False):
             calls.append(conjuncts)
             svc.stats.full_solves += 1
             return SatResult.UNKNOWN, None
@@ -313,7 +303,7 @@ class TestBudgetSharding:
         assert svc.check_sat(query) is SatResult.UNKNOWN
         assert svc.check_sat(query) is SatResult.UNKNOWN
         assert len(calls) == 2  # no caching of UNKNOWN
-        assert all(not shard.exact for shard in svc._shards.values())
+        assert not svc._cache.exact
 
 
 class TestCacheVersion:
@@ -349,7 +339,7 @@ class TestCacheVersion:
         before = svc.cache_version()
         svc.reset()
         assert svc.cache_version() > before
-        monkeypatch.setattr(_Shard, "MAX_EXACT", 1)
+        monkeypatch.setattr(_QueryCache, "MAX_EXACT", 1)
         svc.check_sat((gt(x, int_const(0)),))
         filled = svc.cache_version()
         svc.check_sat((gt(y, int_const(0)),))  # evicts, then inserts
@@ -470,7 +460,7 @@ def test_cached_answers_match_cold_solver(conjuncts, data):
     assert svc.check_sat(conjuncts) is cold
     # Repeat: exact tier must agree.
     assert svc.check_sat(conjuncts) is cold
-    # A random subset: subset/model tiers must agree with a cold solver.
+    # A random subset: the model-eval tier must agree with a cold solver.
     subset = data.draw(st.lists(st.sampled_from(conjuncts), max_size=len(conjuncts)))
     assert svc.check_sat(subset) is cold_verdict(*subset)
     # A random superset: superset/model tiers must agree with a cold solver.
@@ -550,23 +540,11 @@ def test_model_eval_hit_with_fresh_variable_is_correct():
     assert svc.check_sat(query2) is cold_verdict(*query2) is SatResult.SAT
 
 
-def test_model_eval_never_crosses_budget_shards():
-    """A model cached under one int_budget is never consulted for a query
-    under another: shards keep budget-dependent UNKNOWNs honest."""
-    svc = SolverService()
-    formula = gt(x, int_const(0))
-    assert svc.check_sat([formula], int_budget=2000) is SatResult.SAT
-    hits_before = svc.stats.model_eval_hits
-    assert svc.check_sat([formula, le(y, x)], int_budget=4000) is SatResult.SAT
-    assert svc.stats.model_eval_hits == hits_before
-
-
-@pytest.mark.parametrize("budget", [2000, 4000])
-def test_model_method_matches_condition(budget):
+def test_model_method_matches_condition():
     svc = SolverService()
     condition = and_(gt(x, int_const(100)), lt(x, int_const(200)))
-    model = svc.model(condition, int_budget=budget)
+    model = svc.model(condition)
     assert 100 < model.eval(x) < 200
     # Second call may reuse the cached model but must stay correct.
-    model2 = svc.model(condition, int_budget=budget)
+    model2 = svc.model(condition)
     assert 100 < model2.eval(x) < 200

@@ -29,6 +29,7 @@ from repro.mixy import Mixy, MixyConfig
 from repro.mixy.corpus import CASES
 from repro.mixy.corpus_vsftpd import parallel_vsftpd
 from repro.mixy.qual import QVar
+from repro.smt.service import CacheDelta
 from repro.store import STORE_VERSION, AnalysisStore, block_content_hash
 from repro.symexec import values
 from repro.trace import TRACER, read_trace
@@ -201,6 +202,25 @@ class TestStoreRoundTrip:
         solves_before = fresh.stats.full_solves
         assert fresh.check_sat((eq(x, int_const(1)),)) is verdict
         assert fresh.stats.full_solves == solves_before
+
+    def test_unsat_core_answers_supersets_after_reopen(self, tmp_path):
+        # Core membership survives the disk: a superset of a persisted
+        # UNSAT core is answered by the superset tier, not a solve.
+        _fresh_process_state()
+        service = smt.get_service()
+        from repro.smt import SatResult, gt, int_const, lt, var
+        from repro.smt.terms import INT
+
+        x, y = var("store_core_x", INT), var("store_core_y", INT)
+        core = (gt(x, int_const(3)), lt(x, int_const(4)))
+        assert service.check_sat(core) is SatResult.UNSAT
+        store = AnalysisStore.open(str(tmp_path / "store"))
+        store.save(service)
+        fresh = smt.SolverService()
+        assert AnalysisStore.open(str(tmp_path / "store")).load_into_service(fresh)
+        assert fresh.check_sat((*core, lt(y, x))) is SatResult.UNSAT
+        assert fresh.stats.superset_hits == 1
+        assert fresh.stats.full_solves == 0
 
     def test_warm_run_is_bitwise_identical_and_hits(self, tmp_path):
         cold_warnings, _ = _analyze(source=STAIRCASE)
@@ -413,7 +433,6 @@ class TestDegradation:
         # The previous format: memo entries were held and persisted as
         # plain dicts, not as their pickled bytes.  Opening one is a
         # version mismatch, never a TypeError on a hit.
-        assert STORE_VERSION == 7
         root = str(tmp_path / "store")
         store = AnalysisStore.open(root)
         cold_warnings, _ = _analyze(store, source=STAIRCASE)
@@ -430,6 +449,37 @@ class TestDegradation:
         warnings, stats = _analyze(old, source=STAIRCASE)
         assert warnings == cold_warnings
         assert stats["mixy_hits"] == 0
+
+    def test_version_7_store_starts_cold(self, tmp_path, capsys, monkeypatch):
+        # The previous format: solver-cache entries were ``(int_budget,
+        # positions, verdict, in sat_sets, in unsat_cores)``.  Opening
+        # one is a version mismatch, never an unpacking error on import.
+        assert STORE_VERSION == 8
+        root = str(tmp_path / "store")
+        store = AnalysisStore.open(root)
+        cold_warnings, _ = _analyze(store, source=STAIRCASE)
+        service = smt.get_service()
+        delta = service.export_cache()
+        old_entries = [
+            (4000, positions, verdict, verdict, in_cores)
+            for positions, verdict, in_cores in delta.entries
+        ]
+        monkeypatch.setattr(
+            service, "export_cache",
+            lambda: CacheDelta(delta.wire, old_entries, delta.stats),
+        )
+        monkeypatch.setattr("repro.store.STORE_VERSION", 7)
+        store.save(service)
+        monkeypatch.undo()
+        with open(os.path.join(root, "meta.json")) as fh:
+            assert json.load(fh)["version"] == 7
+        capsys.readouterr()
+        old = AnalysisStore.open(root)
+        assert "unsupported meta" in capsys.readouterr().err
+        assert old.mixy_blocks == {} and old.solver_cache is None
+        warnings, stats = _analyze(old, source=STAIRCASE)
+        assert warnings == cold_warnings
+        assert stats["mixy_hits"] == 0 and stats["solver_entries_loaded"] == 0
 
     def test_unencoded_memo_entries_start_the_section_cold(
         self, tmp_path, capsys

@@ -226,7 +226,7 @@ class TestAggregate:
         with TRACER.span("run", "mix:typed"):
             with TRACER.span("mix.block", "b1"):
                 with TRACER.span("solver.query", "check_sat", tier="exact",
-                                 verdict="SAT", budget=4000):
+                                 verdict="SAT"):
                     pass
                 TRACER.event("path.fork", pc_size=1)
         TRACER.close()
@@ -425,7 +425,7 @@ class TestSolverStatsTable:
         "cache_entries_imported",
     ]
     SPECULATIVE_KEYS = [
-        "queries", "syntactic_hits", "exact_hits", "subset_hits",
+        "queries", "syntactic_hits", "exact_hits",
         "superset_hits", "model_eval_hits", "full_solves", "solve_seconds",
         "sat_conflicts", "sat_restarts", "theory_rounds", "query_timeouts",
         "deadline_breaches", "path_budget_breaches", "memlog_breaches",
